@@ -12,12 +12,9 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import data, evaluation, training
 from .config import RunConfig, config_from_dict, load_config
-from .data import read_features
-from .decoding import DecodeConfig, ar_beam_search, ar_greedy
+from .data import Sample, read_features
 from .errors import (
     CheckpointError,
     CompatibilityError,
@@ -26,6 +23,8 @@ from .errors import (
 )
 from .evaluation import (
     EvalReport,
+    decode_sentences,
+    encode_split,
     evaluate_corpus,
     sweep_decode_parameters,
     translate_gloss_sequences,
@@ -98,7 +97,7 @@ def _load_checkpoint(path: str, what: str):
         raise ConfigError(f"{what}: no checkpoint at {p}")
     ckpt = checkpoint_load(p)
     model, gloss_vocab, text_vocab = restore_model(ckpt)
-    return ckpt, model, gloss_vocab, text_vocab
+    return ckpt.footer["protocol"], model, gloss_vocab, text_vocab
 
 
 def _check_vocab_match(stored, built, kind: str) -> None:
@@ -148,10 +147,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    ckpt, model, gloss_vocab, text_vocab = _load_checkpoint(args.checkpoint,
-                                                            "checkpoint")
+    protocol, model, gloss_vocab, text_vocab = _load_checkpoint(args.checkpoint,
+                                                                "checkpoint")
     corpus = _require_corpus(args.corpus)
-    protocol = ckpt.footer["protocol"]
     built_gloss, built_text = data.build_vocabularies(corpus)
     _check_vocab_match(gloss_vocab, built_gloss, "gloss")
     _check_vocab_match(text_vocab, built_text, "text")
@@ -186,17 +184,16 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    ckpt, model, gloss_vocab, text_vocab = _load_checkpoint(args.checkpoint,
-                                                            "checkpoint")
-    protocol = ckpt.footer["protocol"]
+    protocol, model, gloss_vocab, text_vocab = _load_checkpoint(args.checkpoint,
+                                                                "checkpoint")
     if protocol == "gloss2text":
         if not args.glosses:
             raise ConfigError("glosses: a gloss2text checkpoint needs --glosses")
-        tokens = args.glosses.split()
-        ids = np.asarray(gloss_vocab.encode(tokens), dtype=np.int64)
-        mask = np.ones(len(ids), dtype=bool)
-        z = model.encode_glosses(ids, mask)
-        estimate = len(ids)
+        (sentence,) = translate_gloss_sequences(
+            model, [args.glosses.split()], gloss_vocab, text_vocab,
+            beam_width=args.beam_width, alpha=args.alpha,
+            max_len_cap=args.max_len_cap,
+        )
     else:
         if not args.features:
             raise ConfigError("features: this checkpoint translates feature files, "
@@ -207,39 +204,27 @@ def cmd_translate(args) -> int:
                 f"feature width {features.shape[1]} does not match the "
                 f"checkpoint's input width {model.d_in}"
             )
-        mask = np.ones(features.shape[0], dtype=bool)
-        z = model.encode_frames(features, mask)
-        estimate = max(1, round(features.shape[0] / 3))
-    max_len = min(args.max_len_cap, 3 * estimate)
-    if args.beam_width == 0:
-        hyp = ar_greedy(z, mask, model, max_len,
-                        forbid=evaluation.FORBIDDEN_WORDS)
-    else:
-        hyp = ar_beam_search(
-            z, mask, model,
-            DecodeConfig(beam_width=args.beam_width, alpha=args.alpha,
-                         max_len=max_len),
-            forbid=evaluation.FORBIDDEN_WORDS,
-        )
-    print(" ".join(text_vocab.token(w) for w in hyp.words()))
+        sample = Sample(id=str(args.features), features=features, glosses=(),
+                        sentence=())
+        encoded = encode_split(model, [sample], gloss_vocab, text_vocab, protocol)
+        (sentence,) = decode_sentences(model, encoded, text_vocab, args.beam_width,
+                                       args.alpha, args.max_len_cap)
+    print(" ".join(sentence))
     return EXIT_OK
 
 
 def cmd_pipeline(args) -> int:
-    rec_ckpt, recognizer, rec_gloss, rec_text = _load_checkpoint(
+    rec_protocol, recognizer, rec_gloss, rec_text = _load_checkpoint(
         args.recognizer, "recognizer"
     )
-    tr_ckpt, translator, tr_gloss, tr_text = _load_checkpoint(args.translator,
-                                                              "translator")
-    rec_protocol = rec_ckpt.footer["protocol"]
+    tr_protocol, translator, tr_gloss, tr_text = _load_checkpoint(args.translator,
+                                                                  "translator")
     if rec_protocol not in RECOGNITION_PROTOCOLS:
         raise CompatibilityError(
             f"recognizer protocol {rec_protocol} has no recognition head"
         )
-    if tr_ckpt.footer["protocol"] != "gloss2text":
-        raise CompatibilityError(
-            f"translator protocol {tr_ckpt.footer['protocol']} is not gloss2text"
-        )
+    if tr_protocol != "gloss2text":
+        raise CompatibilityError(f"translator protocol {tr_protocol} is not gloss2text")
     corpus = _require_corpus(args.corpus)
     samples, built_gloss, _ = data.load_corpus(corpus, args.split)
     _check_vocab_match(rec_gloss, built_gloss, "recognizer gloss")

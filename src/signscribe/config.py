@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -136,8 +136,3 @@ def load_config(path) -> RunConfig:
     if not isinstance(values, dict):
         raise ConfigError(f"{path}: config must be a single object")
     return config_from_dict(values)
-
-
-def override(cfg: RunConfig, **changes) -> RunConfig:
-    """A copy of cfg with the given fields replaced (validation re-runs)."""
-    return replace(cfg, **changes)

@@ -207,7 +207,8 @@ class Batch:
 
     text_in rows are <bos> followed by the sentence; text_out rows are the
     sentence followed by <eos>; both share target_mask. Gloss rows are padded
-    with the gloss <pad> id and carry their true lengths for CTC.
+    with the gloss <pad> id; gloss_mask marks their real positions and
+    gloss_counts carries their true lengths for CTC.
     """
 
     ids: tuple[str, ...]
@@ -215,6 +216,7 @@ class Batch:
     src_mask: np.ndarray  # (B, T_max) bool
     frame_counts: tuple[int, ...]
     gloss_ids: np.ndarray  # (B, N_max) int64, padded with GLOSS_PAD
+    gloss_mask: np.ndarray  # (B, N_max) bool
     gloss_counts: tuple[int, ...]
     text_in: np.ndarray  # (B, U_max+1) int64
     text_out: np.ndarray  # (B, U_max+1) int64
@@ -222,6 +224,18 @@ class Batch:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+
+def pad_ids(sequences, pad_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad id lists into a (B, max(1, longest)) int64 array plus its
+    mask of real positions."""
+    width = max([len(seq) for seq in sequences] + [1])
+    ids = np.full((len(sequences), width), pad_id, dtype=np.int64)
+    mask = np.zeros(ids.shape, dtype=bool)
+    for i, seq in enumerate(sequences):
+        ids[i, : len(seq)] = seq
+        mask[i, : len(seq)] = True
+    return ids, mask
 
 
 def make_batch(samples, gloss_vocab: Vocabulary, text_vocab: Vocabulary,
@@ -234,16 +248,9 @@ def make_batch(samples, gloss_vocab: Vocabulary, text_vocab: Vocabulary,
     b = len(samples)
     d_in = samples[0].features.shape[1]
     t_max = max(s.n_frames for s in samples)
-    n_max = max(len(s.glosses) for s in samples)
-    u_max = max(len(s.sentence) for s in samples)
 
     features = np.zeros((b, t_max, d_in))
     src_mask = np.zeros((b, t_max), dtype=bool)
-    gloss_ids = np.full((b, max(n_max, 1)), GLOSS_PAD, dtype=np.int64)
-    text_in = np.full((b, u_max + 1), TEXT_PAD, dtype=np.int64)
-    text_out = np.full((b, u_max + 1), TEXT_PAD, dtype=np.int64)
-    target_mask = np.zeros((b, u_max + 1), dtype=bool)
-
     for i, s in enumerate(samples):
         if s.features.shape[1] != d_in:
             raise ContractError(
@@ -252,15 +259,12 @@ def make_batch(samples, gloss_vocab: Vocabulary, text_vocab: Vocabulary,
         t = s.n_frames
         features[i, :t] = s.features.astype(np.float64)
         src_mask[i, :t] = True
-        g = gloss_vocab.encode(s.glosses)
-        gloss_ids[i, : len(g)] = g
-        w = text_vocab.encode(s.sentence)
-        u = len(w)
-        text_in[i, 0] = TEXT_BOS
-        text_in[i, 1 : u + 1] = w
-        text_out[i, :u] = w
-        text_out[i, u] = TEXT_EOS
-        target_mask[i, : u + 1] = True
+    gloss_ids, gloss_mask = pad_ids(
+        [gloss_vocab.encode(s.glosses) for s in samples], GLOSS_PAD
+    )
+    words = [text_vocab.encode(s.sentence) for s in samples]
+    text_in, _ = pad_ids([[TEXT_BOS, *w] for w in words], TEXT_PAD)
+    text_out, target_mask = pad_ids([[*w, TEXT_EOS] for w in words], TEXT_PAD)
 
     return Batch(
         ids=tuple(s.id for s in samples),
@@ -268,6 +272,7 @@ def make_batch(samples, gloss_vocab: Vocabulary, text_vocab: Vocabulary,
         src_mask=src_mask,
         frame_counts=tuple(s.n_frames for s in samples),
         gloss_ids=gloss_ids,
+        gloss_mask=gloss_mask,
         gloss_counts=tuple(len(s.glosses) for s in samples),
         text_in=text_in,
         text_out=text_out,

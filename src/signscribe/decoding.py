@@ -5,17 +5,18 @@ collapse and a prefix beam search over collapsed label sequences. Sentence
 decoding drives the autoregressive decoder: greedy one-token-at-a-time and
 beam search with the ((5+u)/6)^alpha length penalty.
 
-Sentence decoders talk to the model through a small pathway protocol rather
-than raw stacks: any object with
+Sentence decoders talk to the model through a one-method pathway protocol
+rather than raw stacks: any object with
 
-    prefix_logits(z, src_pad_mask, prefix) -> ndarray[|W|]
     prefix_logits_batch(z_batch, mask_batch, indices, prefixes) -> ndarray[len(indices), |W|]
 
-where prefix is the generated-so-far token tuple (without the leading
-start-of-sentence token, which the pathway adds itself) and the batched form
-scores one growing prefix per still-active batch row. This keeps search
-logic independent of embedding details and lets tests drive it with
-hand-built tables.
+where row r scores the next token after prefixes[r] given source
+z_batch[indices[r]]. A prefix is the generated-so-far token tuple (without
+the leading start-of-sentence token, which the pathway adds itself), and all
+prefixes of one call share a length. Greedy decoding sends one row per
+still-active source; beam search sends one row per live beam of its single
+source. This keeps search logic independent of embedding details and lets
+tests drive it with hand-built tables.
 
 Every decoder is deterministic: score ties break toward the lexicographically
 smallest token sequence, which for single-step choices means the lowest index.
@@ -157,36 +158,20 @@ def _masked_log_softmax(logits: np.ndarray, forbid) -> np.ndarray:
 
 def ar_greedy(z, src_pad_mask, decoder, max_len: int, *,
               eos_id: int = DEFAULT_EOS, forbid=()) -> Hypothesis:
-    """Greedy rollout: extend by the argmax token until <eos> or the cap.
-
-    The score is the sum of chosen-token log-probabilities under the model's
-    full softmax; forbidden ids are only excluded from selection, so scores
-    stay comparable across decoders.
-    """
-    if max_len < 1:
-        raise ConfigError(f"max_len must be >= 1, got {max_len}")
-    tokens: tuple[int, ...] = ()
-    log_prob = 0.0
-    for _ in range(max_len):
-        logq = _masked_log_softmax(
-            np.asarray(decoder.prefix_logits(z, src_pad_mask, tokens), dtype=np.float64),
-            forbid,
-        )
-        choice = int(np.argmax(logq))
-        tokens += (choice,)
-        log_prob += float(logq[choice])
-        if choice == eos_id:
-            return Hypothesis(tokens, log_prob, True)
-    return Hypothesis(tokens, log_prob, False)
+    """Greedy rollout of one source: ar_greedy_batch on a batch of one."""
+    return ar_greedy_batch([z], [src_pad_mask], decoder, max_len,
+                           eos_id=eos_id, forbid=forbid)[0]
 
 
 def ar_greedy_batch(z_batch, mask_batch, decoder, max_len, *,
                     eos_id: int = DEFAULT_EOS, forbid=()) -> list[Hypothesis]:
     """Greedy decode many sources in lockstep; one batched forward per step.
 
-    max_len may be a single cap or one per source; per-sample results are
-    identical to sequential ar_greedy calls with the same caps, so the
-    grouping into batches never affects the output.
+    Each source extends by its argmax token until <eos> or its cap. The
+    score is the sum of chosen-token log-probabilities under the model's
+    full softmax; forbidden ids are only excluded from selection, so scores
+    stay comparable across decoders. max_len may be a single cap or one per
+    source; a source's result never depends on which others share its batch.
     """
     n = len(z_batch) if isinstance(z_batch, (list, tuple)) else z_batch.shape[0]
     caps = [int(max_len)] * n if np.ndim(max_len) == 0 else [int(c) for c in max_len]
@@ -226,7 +211,9 @@ def ar_beam_search(z, src_pad_mask, decoder, cfg: DecodeConfig, *,
     The greedy rollout always joins the final candidate pool, so at alpha = 0
     the returned raw score can never fall below greedy's. Pruning during the
     search uses raw log-probability; the length penalty applies to the final
-    ranking, finished or not.
+    ranking, finished or not. Each step scores all live beams of the source
+    with one batched forward: they have all grown one token per step, so
+    their prefixes share a length.
     """
     greedy = ar_greedy(z, src_pad_mask, decoder, cfg.max_len,
                        eos_id=eos_id, forbid=forbid)
@@ -235,22 +222,22 @@ def ar_beam_search(z, src_pad_mask, decoder, cfg: DecodeConfig, *,
 
     beams: list[tuple[tuple[int, ...], float, bool]] = [((), 0.0, False)]
     for _ in range(cfg.max_len):
-        candidates: list[tuple[tuple[int, ...], float, bool]] = []
-        expanded = False
-        for tokens, lp, finished in beams:
-            if finished:
-                candidates.append((tokens, lp, True))
-                continue
-            expanded = True
-            logq = _masked_log_softmax(
-                np.asarray(decoder.prefix_logits(z, src_pad_mask, tokens), dtype=np.float64),
-                forbid,
-            )
+        live = [(tokens, lp) for tokens, lp, finished in beams if not finished]
+        if not live:
+            break
+        logits = np.asarray(
+            decoder.prefix_logits_batch([z], [src_pad_mask], [0] * len(live),
+                                        [tokens for tokens, _ in live]),
+            dtype=np.float64,
+        )
+        candidates = [beam for beam in beams if beam[2]]
+        for row, (tokens, lp) in enumerate(live):
+            logq = _masked_log_softmax(logits[row], forbid)
             for w in np.flatnonzero(np.isfinite(logq)):
                 w = int(w)
                 candidates.append((tokens + (w,), lp + float(logq[w]), w == eos_id))
-        if not expanded:
-            break
+        # token tuples are unique, so the sort order does not depend on the
+        # order candidates were appended in
         candidates.sort(key=lambda c: (-c[1], c[0]))
         beams = candidates[: cfg.beam_width]
 

@@ -53,10 +53,6 @@ class WordEmbedder:
         return ad.embedding(self.table, idx)
 
 
-def word_embed(tokens, emb: WordEmbedder) -> Tensor:
-    return emb.embed(tokens)
-
-
 def _batch_norm_time(x: Tensor, gain: Tensor, bias: Tensor, mask: np.ndarray, eps: float) -> Tensor:
     """Batch-normalize per feature over the masked frame positions.
 
@@ -133,7 +129,3 @@ class SpatialEmbedder:
         t = x.shape[0]
         batched = self.embed_batch(x.reshape((1, t, self.d_in)), np.ones((1, t), dtype=bool))
         return batched.reshape((t, self.d))
-
-
-def spatial_embed(frames, emb: SpatialEmbedder) -> Tensor:
-    return emb.embed(frames)

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import decoding
 from .autodiff import Tensor
 from .data import (
@@ -23,8 +21,10 @@ from .data import (
     TEXT_PAD,
     Vocabulary,
     make_batch,
+    pad_ids,
 )
 from .decoding import DecodeConfig
+from .errors import CorpusError
 from .metrics import BleuReport, WerReport, bleu, wer
 from .model import JointModel
 
@@ -65,6 +65,8 @@ class SweepResult:
 
 def corpus_wer(references, hypotheses) -> WerReport:
     """Pool edit counts over all pairs, then normalize once."""
+    if not references:
+        raise CorpusError("corpus WER needs at least one reference")
     subs = dels = ins = ref_len = 0
     for ref, hyp in zip(references, hypotheses):
         r = wer(ref, hyp)
@@ -84,11 +86,9 @@ def corpus_wer(references, hypotheses) -> WerReport:
     )
 
 
-def _gloss_mask(batch) -> np.ndarray:
-    mask = np.zeros(batch.gloss_ids.shape, dtype=bool)
-    for i, n in enumerate(batch.gloss_counts):
-        mask[i, :n] = True
-    return mask
+def _require_samples(samples) -> None:
+    if not samples:
+        raise CorpusError("cannot score an empty split")
 
 
 def _chunks(samples, size):
@@ -98,12 +98,17 @@ def _chunks(samples, size):
 
 def encode_split(model: JointModel, samples, gloss_vocab, text_vocab, protocol,
                  batch_size: int = 32):
-    """Encode a split once; yields (batch, z ndarray, src_mask, max_len)."""
+    """Encode a split once; returns (batch, z ndarray, src_mask, estimates) per chunk.
+
+    estimates holds each sample's expected gloss count, from which
+    decode_sentences sets its generation cap: the true count for gloss
+    input, frames / 3 for frame input.
+    """
     out = []
     for chunk in _chunks(samples, batch_size):
         batch = make_batch(chunk, gloss_vocab, text_vocab, max_batch=batch_size)
         if protocol == "gloss2text":
-            mask = _gloss_mask(batch)
+            mask = batch.gloss_mask
             z = model.encode_glosses(batch.gloss_ids, mask)
             estimates = batch.gloss_counts
         else:
@@ -137,9 +142,14 @@ def decode_glosses(model: JointModel, encoded, gloss_vocab: Vocabulary,
 def decode_sentences(model: JointModel, encoded, text_vocab: Vocabulary,
                      beam_width: int = 0, alpha: float = 0.0,
                      max_len_cap: int = 60) -> list[list[str]]:
-    """Autoregressively decode every sample; returns word token sequences."""
+    """Autoregressively decode every sample; returns word token sequences.
+
+    This is the one greedy/beam dispatcher. A sample generates at most
+    min(max_len_cap, 3 x its estimated gloss count) tokens. Only the z, mask
+    and estimates of each encoded entry are read.
+    """
     hyps = []
-    for batch, z, mask, estimates in encoded:
+    for _batch, z, mask, estimates in encoded:
         caps = [min(max_len_cap, 3 * e) for e in estimates]
         if beam_width == 0:
             batch_hyps = decoding.ar_greedy_batch(
@@ -149,14 +159,12 @@ def decode_sentences(model: JointModel, encoded, text_vocab: Vocabulary,
             batch_hyps = [
                 decoding.ar_beam_search(
                     z[i], mask[i], model,
-                    DecodeConfig(beam_width=beam_width, alpha=alpha,
-                                 max_len=caps[i]),
+                    DecodeConfig(beam_width=beam_width, alpha=alpha, max_len=cap),
                     forbid=FORBIDDEN_WORDS,
                 )
-                for i in range(len(batch))
+                for i, cap in enumerate(caps)
             ]
-        for h in batch_hyps:
-            hyps.append([text_vocab.token(w) for w in h.words()])
+        hyps.extend([text_vocab.token(w) for w in h.words()] for h in batch_hyps)
     return hyps
 
 
@@ -174,6 +182,7 @@ def evaluate_corpus(
     encoded=None,
 ) -> EvalReport:
     """Decode one split and score whichever heads the protocol trains."""
+    _require_samples(samples)
     if encoded is None:
         encoded = encode_split(
             model, samples, gloss_vocab, text_vocab, protocol, batch_size
@@ -216,34 +225,14 @@ def translate_gloss_sequences(
     it is replaced by a single gloss <pad> token; the translation it yields
     is as uninformed as the recognition that produced it.
     """
-    out: list[list[str]] = []
-    for start in range(0, len(gloss_sequences), batch_size):
-        chunk = gloss_sequences[start : start + batch_size]
-        encoded = [gloss_vocab.encode(seq) if seq else [GLOSS_PAD] for seq in chunk]
-        n_max = max(len(ids) for ids in encoded)
-        gloss_ids = np.full((len(chunk), n_max), GLOSS_PAD, dtype=np.int64)
-        mask = np.zeros((len(chunk), n_max), dtype=bool)
-        for i, ids in enumerate(encoded):
-            gloss_ids[i, : len(ids)] = ids
-            mask[i, : len(ids)] = True
+    encoded = []
+    for chunk in _chunks(gloss_sequences, batch_size):
+        ids = [gloss_vocab.encode(seq) if seq else [GLOSS_PAD] for seq in chunk]
+        gloss_ids, mask = pad_ids(ids, GLOSS_PAD)
         z = model.encode_glosses(gloss_ids, mask).data
-        caps = [min(max_len_cap, 3 * len(ids)) for ids in encoded]
-        if beam_width == 0:
-            hyps = decoding.ar_greedy_batch(z, mask, model, caps,
-                                            forbid=FORBIDDEN_WORDS)
-        else:
-            hyps = [
-                decoding.ar_beam_search(
-                    z[i], mask[i], model,
-                    DecodeConfig(beam_width=beam_width, alpha=alpha,
-                                 max_len=caps[i]),
-                    forbid=FORBIDDEN_WORDS,
-                )
-                for i in range(len(chunk))
-            ]
-        for h in hyps:
-            out.append([text_vocab.token(w) for w in h.words()])
-    return out
+        encoded.append((None, z, mask, [len(seq) for seq in ids]))
+    return decode_sentences(model, encoded, text_vocab, beam_width, alpha,
+                            max_len_cap)
 
 
 def sweep_decode_parameters(
@@ -263,6 +252,7 @@ def sweep_decode_parameters(
     Encoder outputs are computed once and reused across all grid points;
     the first entry of any BLEU-4 tie wins, so smaller widths are preferred.
     """
+    _require_samples(samples)
     encoded = encode_split(model, samples, gloss_vocab, text_vocab, protocol,
                            batch_size)
     refs = [list(s.sentence) for s in samples]

@@ -1,4 +1,4 @@
-"""Recognition, translation, and joint training losses.
+"""Recognition and translation losses, per sequence and per batch.
 
 The recognition loss marginalizes frame-level gloss probabilities over every
 alignment that collapses to the target gloss sequence (CTC). The translation
@@ -6,6 +6,10 @@ loss is word-level cross-entropy over the shifted target sentence. Both have
 two modes: the one-minus-prob forms 1 - p and 1 - prod(q), and log-domain
 forms -log p and -sum(log q). The linear forms vanish numerically for long
 sequences, so log-domain is the default; the minimizers are identical.
+
+The per-sequence forms are the oracles the batch forms are checked against.
+LossWeights holds lambda_R and lambda_T; model.batch_losses forms the joint
+objective lambda_R * L_R + lambda_T * L_T from the batch forms.
 """
 
 from __future__ import annotations
@@ -183,13 +187,6 @@ class LossWeights:
             raise ConfigError("loss weights must be nonnegative")
         if self.lambda_r == 0 and self.lambda_t == 0:
             raise ConfigError("at least one loss weight must be positive")
-
-
-def joint_loss(loss_r, loss_t, weights: LossWeights) -> Tensor:
-    """L = lambda_R * L_R + lambda_T * L_T."""
-    lr = loss_r if isinstance(loss_r, Tensor) else Tensor(loss_r)
-    lt = loss_t if isinstance(loss_t, Tensor) else Tensor(loss_t)
-    return lr * weights.lambda_r + lt * weights.lambda_t
 
 
 def recognition_loss_batch(

@@ -13,9 +13,9 @@ parameters receive optimizer updates. The gloss projection spans the full
 gloss vocabulary, so its column 0 is the CTC blank and column 1 is the
 (never-targeted) gloss pad.
 
-The model exposes the incremental-decoding pathway the search routines
-expect: prefix_logits / prefix_logits_batch score the next word given
-encoder outputs and a bos-free prefix.
+The model exposes the decoding pathway the search routines expect:
+prefix_logits_batch scores the next word for a batch of encoder outputs and
+bos-free prefixes; prefix_logits is its batch of one.
 """
 
 from __future__ import annotations
@@ -184,21 +184,24 @@ class JointModel:
 
     def prefix_logits(self, z, src_mask, prefix) -> np.ndarray:
         """Next-word logits after a bos-free prefix, for one source sequence."""
-        z_t = z if isinstance(z, Tensor) else Tensor(np.asarray(z))
-        tokens = np.concatenate(
-            ([TEXT_BOS], np.asarray(list(prefix), dtype=np.int64))
-        ).astype(np.int64)
-        logits = self.word_logits(tokens, z_t, src_mask)
-        return np.asarray(logits.data[-1])
+        return self.prefix_logits_batch([z], [src_mask], [0], [prefix])[0]
 
     def prefix_logits_batch(self, z_batch, mask_batch, indices, prefixes) -> np.ndarray:
-        """Next-word logits for several sources at once; prefixes share a length."""
+        """Next-word logits for sources z_batch[indices], one prefix each.
+
+        z_batch is a (B, S, d) batch or a list of (S, d) sources; an index
+        may repeat, as when several beams extend one source. The prefixes
+        share a length, so the rows need no target padding.
+        """
         if len(indices) != len(prefixes):
             raise ContractError("one prefix per source index")
         lengths = {len(p) for p in prefixes}
         if len(lengths) > 1:
             raise ContractError("batched prefixes must share a length")
-        zb = z_batch.data if isinstance(z_batch, Tensor) else np.asarray(z_batch)
+        if isinstance(z_batch, (list, tuple)):
+            zb = np.stack([z.data if isinstance(z, Tensor) else np.asarray(z) for z in z_batch])
+        else:
+            zb = z_batch.data if isinstance(z_batch, Tensor) else np.asarray(z_batch)
         idx = np.asarray(indices, dtype=np.int64)
         z = Tensor(zb[idx])
         mask = np.asarray(mask_batch, dtype=bool)[idx]
@@ -228,11 +231,8 @@ def batch_losses(
         raise ConfigError(f"unknown protocol {protocol!r}, expected one of {PROTOCOLS}")
 
     if protocol == "gloss2text":
-        gloss_mask = np.zeros(batch.gloss_ids.shape, dtype=bool)
-        for i, n in enumerate(batch.gloss_counts):
-            gloss_mask[i, :n] = True
-        z = model.encode_glosses(batch.gloss_ids, gloss_mask, train=train, rng=rng)
-        src_mask = gloss_mask
+        src_mask = batch.gloss_mask
+        z = model.encode_glosses(batch.gloss_ids, src_mask, train=train, rng=rng)
     else:
         z = model.encode_frames(batch.features, batch.src_mask, train=train, rng=rng)
         src_mask = batch.src_mask

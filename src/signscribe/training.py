@@ -29,7 +29,7 @@ from .data import Vocabulary, load_corpus, make_batch
 from .errors import CheckpointError, ContractError, DimensionError
 from .evaluation import evaluate_corpus
 from .losses import LossWeights
-from .model import JointModel, batch_losses
+from .model import PROTOCOLS, JointModel, batch_losses
 
 log = logging.getLogger("signscribe.training")
 
@@ -247,7 +247,11 @@ def checkpoint_load(path) -> Checkpoint:
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, path, "tensor name"))
-            name = _read_exact(fh, name_len, path, "tensor name").decode("utf-8")
+            raw_name = _read_exact(fh, name_len, path, "tensor name")
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"{path}: tensor name is not UTF-8: {exc}") from exc
             (rank,) = struct.unpack("<B", _read_exact(fh, 1, path, "tensor rank"))
             dims = struct.unpack(
                 f"<{rank}I", _read_exact(fh, 4 * rank, path, "tensor dims")
@@ -256,7 +260,13 @@ def checkpoint_load(path) -> Checkpoint:
             raw = _read_exact(fh, n_bytes, path, f"tensor {name}")
             tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(dims)
         (footer_len,) = struct.unpack("<I", _read_exact(fh, 4, path, "footer length"))
-        footer = json.loads(_read_exact(fh, footer_len, path, "footer").decode("utf-8"))
+        raw_footer = _read_exact(fh, footer_len, path, "footer")
+        try:
+            footer = json.loads(raw_footer.decode("utf-8"))
+        except ValueError as exc:  # bad UTF-8 or bad JSON
+            raise CheckpointError(f"{path}: malformed footer: {exc}") from exc
+        if not isinstance(footer, dict):
+            raise CheckpointError(f"{path}: footer is not a JSON object")
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after footer")
     return Checkpoint(tensors=tensors, footer=footer)
@@ -267,6 +277,15 @@ def _rebuild_vocab(tokens: list[str], specials) -> Vocabulary:
     if list(vocab.tokens) != list(tokens):
         raise CheckpointError("stored vocabulary is not in canonical order")
     return vocab
+
+
+def _stored_tensor(ckpt: Checkpoint, name: str, shape) -> np.ndarray:
+    arr = ckpt.tensors.get(name)
+    if arr is None:
+        raise CheckpointError(f"checkpoint missing tensor {name}")
+    if arr.shape != shape:
+        raise CheckpointError(f"{name}: stored shape {arr.shape} != model shape {shape}")
+    return arr.copy()
 
 
 def restore_model(ckpt: Checkpoint) -> tuple[JointModel, Vocabulary, Vocabulary]:
@@ -280,20 +299,21 @@ def restore_model(ckpt: Checkpoint) -> tuple[JointModel, Vocabulary, Vocabulary]
         text_tokens = footer["text_tokens"]
     except KeyError as exc:
         raise CheckpointError(f"checkpoint footer missing field {exc}") from exc
-    model = JointModel(seed=0, **hyper)
+    if footer.get("protocol") not in PROTOCOLS:
+        raise CheckpointError(
+            f"checkpoint footer names no known protocol: {footer.get('protocol')!r}"
+        )
+    try:
+        model = JointModel(seed=0, **hyper)
+    except TypeError as exc:  # a missing or unknown hyperparameter name
+        raise CheckpointError(f"checkpoint model hyperparameters do not fit: {exc}") from exc
     if model.n_glosses != len(gloss_tokens) or model.n_words != len(text_tokens):
         raise CheckpointError("stored dims disagree with stored vocabularies")
     for name, p in model.named_parameters().items():
-        arr = ckpt.tensors.get(name)
-        if arr is None:
-            raise CheckpointError(f"checkpoint missing tensor {name}")
-        if arr.shape != p.data.shape:
-            raise CheckpointError(
-                f"{name}: stored shape {arr.shape} != model shape {p.data.shape}"
-            )
-        p.data = arr.copy()
-    model.spatial.bn_running_mean = ckpt.tensors["spatial.bn_running_mean"].copy()
-    model.spatial.bn_running_var = ckpt.tensors["spatial.bn_running_var"].copy()
+        p.data = _stored_tensor(ckpt, name, p.data.shape)
+    spatial = model.spatial
+    spatial.bn_running_mean = _stored_tensor(ckpt, "spatial.bn_running_mean", (model.d,))
+    spatial.bn_running_var = _stored_tensor(ckpt, "spatial.bn_running_var", (model.d,))
     gloss_vocab = _rebuild_vocab(gloss_tokens, GLOSS_SPECIALS)
     text_vocab = _rebuild_vocab(text_tokens, TEXT_SPECIALS)
     return model, gloss_vocab, text_vocab

@@ -30,3 +30,56 @@ def assert_grad_close(analytic: np.ndarray, numeric: np.ndarray, rel_tol: float 
     rel = np.abs(analytic - numeric) / denom
     worst = float(rel.max()) if rel.size else 0.0
     assert worst < rel_tol, f"gradient mismatch: worst relative error {worst:.3e}"
+
+
+def oracle_beam_search(score, cfg, *, eos_id: int = 2, forbid=()):
+    """Sentence beam search scored one prefix at a time, with no batching.
+
+    score(prefix) returns next-token logits after a bos-free prefix. This is
+    the per-beam search the package ran before beams were batched: a greedy
+    rollout, then one score call per live beam per step, raw-score pruning,
+    and a final length-penalized ranking with finished hypotheses first.
+    """
+    from signscribe.decoding import Hypothesis, length_penalty
+
+    def log_q(prefix):
+        logits = np.asarray(score(prefix), dtype=np.float64)
+        shifted = logits - logits.max()
+        out = shifted - np.log(np.exp(shifted).sum())
+        if forbid:
+            out = out.copy()
+            out[list(forbid)] = -np.inf
+        return out
+
+    tokens, lp, done = (), 0.0, False
+    while not done and len(tokens) < cfg.max_len:
+        q = log_q(tokens)
+        choice = int(np.argmax(q))
+        tokens, lp, done = tokens + (choice,), lp + float(q[choice]), choice == eos_id
+    greedy = Hypothesis(tokens, lp, done)
+    if cfg.beam_width == 0:
+        return greedy
+
+    beams = [((), 0.0, False)]
+    for _ in range(cfg.max_len):
+        candidates, expanded = [], False
+        for tokens, lp, finished in beams:
+            if finished:
+                candidates.append((tokens, lp, True))
+                continue
+            expanded = True
+            q = log_q(tokens)
+            for w in np.flatnonzero(np.isfinite(q)):
+                w = int(w)
+                candidates.append((tokens + (w,), lp + float(q[w]), w == eos_id))
+        if not expanded:
+            break
+        candidates.sort(key=lambda c: (-c[1], c[0]))
+        beams = candidates[: cfg.beam_width]
+
+    pool = [Hypothesis(t, lp, f) for t, lp, f in beams] + [greedy]
+    ranked = [h for h in pool if h.finished] or pool
+    return min(
+        ranked,
+        key=lambda h: (-h.log_prob / length_penalty(len(h.tokens), cfg.alpha), h.tokens),
+    )

@@ -1,10 +1,12 @@
 """Command-line exit codes and end-to-end command flows."""
 
 import json
+import shutil
 
 import pytest
 
-from signscribe import cli, data
+from signscribe import cli, data, evaluation, training
+from signscribe.metrics import bleu
 
 
 @pytest.fixture(scope="module")
@@ -260,3 +262,93 @@ class TestPipelineCommand:
             "--corpus", str(corpus),
         ])
         assert code == 2
+
+
+def decode_split(ckpt, corpus, width, alpha=1.0):
+    """The dev samples and the sentences evaluate_corpus scores for them."""
+    loaded = training.checkpoint_load(ckpt)
+    model, gloss_vocab, text_vocab = training.restore_model(loaded)
+    protocol = loaded.footer["protocol"]
+    samples, _, _ = data.load_corpus(corpus, "dev")
+    encoded = evaluation.encode_split(model, samples, gloss_vocab, text_vocab, protocol)
+    sentences = evaluation.decode_sentences(model, encoded, text_vocab, width, alpha)
+    report = evaluation.evaluate_corpus(model, samples, gloss_vocab, text_vocab, protocol,
+                                        beam_width=width, alpha=alpha)
+    assert report.bleu == bleu([list(s.sentence) for s in samples], sentences)
+    return samples, sentences
+
+
+class TestTranslateMatchesEvaluation:
+    @pytest.mark.parametrize("width", [0, 3])
+    def test_frame_checkpoint(self, corpus, joint_ckpt, capsys, width):
+        samples, sentences = decode_split(joint_ckpt, corpus, width)
+        for sample, sentence in zip(samples, sentences):
+            code = cli.main([
+                "translate", "--checkpoint", str(joint_ckpt),
+                "--features", str(corpus / "features" / f"{sample.id}.sltf"),
+                "--beam-width", str(width), "--alpha", "1.0",
+            ])
+            assert code == 0
+            assert capsys.readouterr().out.split() == sentence
+
+    @pytest.mark.parametrize("width", [0, 3])
+    def test_gloss2text_checkpoint(self, corpus, gloss2text_ckpt, capsys, width):
+        samples, sentences = decode_split(gloss2text_ckpt, corpus, width)
+        for sample, sentence in zip(samples, sentences):
+            code = cli.main([
+                "translate", "--checkpoint", str(gloss2text_ckpt),
+                "--glosses", " ".join(sample.glosses),
+                "--beam-width", str(width), "--alpha", "1.0",
+            ])
+            assert code == 0
+            assert capsys.readouterr().out.split() == sentence
+
+
+def _overwrite_footer_bytes(raw):
+    at = raw.rindex(b'"protocol"')
+    return raw[:at] + b"#####" + raw[at + 5:]
+
+
+def _non_utf8_tensor_name(raw):
+    # 12-byte header, then the first tensor's u16 name length and its name
+    return raw[:14] + b"\xff" + raw[15:]
+
+
+CHECKPOINT_CORRUPTIONS = {
+    "footer_not_json": _overwrite_footer_bytes,
+    "tensor_name_not_utf8": _non_utf8_tensor_name,
+    "missing_bn_running_stats":
+        lambda raw: raw.replace(b"spatial.bn_running_mean", b"spatial.bn_running_MEAN"),
+    "footer_without_protocol":
+        lambda raw: raw.replace(b'"protocol":', b'"protocoL":'),
+    "unknown_model_hyperparameter": lambda raw: raw.replace(b'"d_ff":', b'"d_fg":'),
+}
+
+
+class TestArtifactErrors:
+    @pytest.mark.parametrize("corruption", sorted(CHECKPOINT_CORRUPTIONS))
+    def test_malformed_checkpoint_is_one_line_artifact_error(
+        self, corpus, joint_ckpt, tmp_path, capsys, corruption
+    ):
+        raw = joint_ckpt.read_bytes()
+        bad_raw = CHECKPOINT_CORRUPTIONS[corruption](raw)
+        assert len(bad_raw) == len(raw) and bad_raw != raw
+        bad = tmp_path / "bad.sltc"
+        bad.write_bytes(bad_raw)
+        sample_file = next((corpus / "features").glob("dev-*.sltf"))
+        code = cli.main(["translate", "--checkpoint", str(bad),
+                         "--features", str(sample_file)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("artifact error: ")
+        assert err.count("\n") == 1
+
+    def test_empty_split_is_one_line_runtime_error(self, corpus, joint_ckpt, tmp_path,
+                                                   capsys):
+        empty = tmp_path / "corpus"
+        shutil.copytree(corpus, empty)
+        (empty / "test.jsonl").write_text("")
+        code = cli.main(["evaluate", "--checkpoint", str(joint_ckpt),
+                         "--corpus", str(empty), "--split", "test"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: cannot score an empty split\n"

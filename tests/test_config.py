@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from signscribe.config import RunConfig, config_from_dict, load_config, override
+from dataclasses import replace
+
+from signscribe.config import RunConfig, config_from_dict, load_config
 from signscribe.errors import ConfigError
 
 
@@ -86,9 +88,9 @@ class TestValidation:
 
     def test_override_revalidates(self):
         cfg = RunConfig()
-        assert override(cfg, seed=3).seed == 3
+        assert replace(cfg, seed=3).seed == 3
         with pytest.raises(ConfigError):
-            override(cfg, lr=-1.0)
+            replace(cfg, lr=-1.0)
 
 
 class TestFileLoading:

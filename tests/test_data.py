@@ -207,6 +207,7 @@ class TestMakeBatch:
         # gloss rows: pad with GLOSS_PAD after true lengths
         assert batch.gloss_counts == (2, 1)
         assert batch.gloss_ids[1, 1] == GLOSS_PAD
+        assert batch.gloss_mask.tolist() == [[True, True], [True, False]]
 
     def test_shifted_rows(self):
         gloss, text = self.vocabs()

@@ -11,6 +11,8 @@ from signscribe import decoding as dec
 from signscribe.decoding import DecodeConfig, Hypothesis
 from signscribe.errors import ConfigError, ContractError
 
+from conftest import oracle_beam_search
+
 EOS = 2
 
 
@@ -313,6 +315,20 @@ class TestArBeamSearch:
                     g_score = greedy.log_prob / dec.length_penalty(len(greedy.tokens), alpha)
                     b_score = beam.log_prob / dec.length_penalty(len(beam.tokens), alpha)
                     assert b_score >= g_score - 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_batched_beams_equal_per_beam_oracle(self, width, alpha):
+        cfg = DecodeConfig(beam_width=width, alpha=alpha, max_len=6)
+        toys = [RandomDecoder(5, 1000 + seed) for seed in range(4)]
+        toys.append(ToyDecoder({(): [0.0, 1.0, 0.5, 2.0], (3,): [0.0, 2.0, 3.0, 0.1]},
+                               np.array([0.0, 0.0, 3.0, 0.0])))
+        for toy in toys:
+            for forbid in ((), (0, 1)):
+                got = dec.ar_beam_search(None, None, toy, cfg, forbid=forbid)
+                want = oracle_beam_search(lambda p: toy.prefix_logits(None, None, p),
+                                          cfg, forbid=forbid)
+                assert got == want
 
     def test_determinism(self):
         toy = RandomDecoder(4, 900)

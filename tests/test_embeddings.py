@@ -57,39 +57,39 @@ class TestWordEmbedder:
         we = emb.WordEmbedder(5, 3, np.random.default_rng(1))
         table = np.arange(15, dtype=float).reshape(5, 3)
         we.table = Tensor(table)
-        out = emb.word_embed([1, 3], we)
+        out = we.embed([1, 3])
         assert np.array_equal(out.data, table[[1, 3]])
 
     def test_zero_row(self):
         we = emb.WordEmbedder(4, 6, np.random.default_rng(2))
         we.table.data[0] = 0.0
-        assert np.all(emb.word_embed([0], we).data == 0.0)
+        assert np.all(we.embed([0]).data == 0.0)
 
     def test_repeated_token_identical_rows(self):
         we = emb.WordEmbedder(4, 6, np.random.default_rng(3))
-        out = emb.word_embed([2, 2], we).data
+        out = we.embed([2, 2]).data
         assert np.array_equal(out[0], out[1])
 
     def test_out_of_range(self):
         we = emb.WordEmbedder(4, 6, np.random.default_rng(4))
         with pytest.raises(VocabularyError):
-            emb.word_embed([4], we)
+            we.embed([4])
         with pytest.raises(VocabularyError):
-            emb.word_embed([-1], we)
+            we.embed([-1])
 
     @given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=12))
     @settings(max_examples=30, deadline=None)
     def test_pure_function_of_tokens_and_table(self, tokens):
         we = emb.WordEmbedder(10, 4, np.random.default_rng(5))
-        a = emb.word_embed(tokens, we).data
-        b = emb.word_embed(tokens, we).data
+        a = we.embed(tokens).data
+        b = we.embed(tokens).data
         assert np.array_equal(a, b)
         assert np.array_equal(a, we.table.data[np.asarray(tokens)])
 
     def test_gradient_scatters_into_table(self):
         we = emb.WordEmbedder(6, 3, np.random.default_rng(6))
         with Graph() as g:
-            out = emb.word_embed([1, 1, 4], we)
+            out = we.embed([1, 1, 4])
             loss = ad.tensor_sum(out * out)
             ad.backward(g, loss)
         num = finite_difference_grad(
@@ -103,14 +103,14 @@ class TestSpatialEmbedder:
         se = make_spatial(2, 2)
         se.train_mode = False
         se.weight = Tensor(np.eye(2))
-        out = emb.spatial_embed(np.array([[-2.0, 3.0]]), se)
+        out = se.embed(np.array([[-2.0, 3.0]]))
         assert out.data[0] == pytest.approx([0.0, 3.0], abs=1e-4)
 
     def test_train_constant_rows_fall_to_bn_bias(self):
         se = make_spatial(3, 4, seed=8)
         se.bn_bias = Tensor(np.array([-1.0, 0.0, 0.5, 2.0]))
         frames = np.tile(np.array([0.3, -1.2, 0.7]), (5, 1))
-        out = emb.spatial_embed(frames, se).data
+        out = se.embed(frames).data
         expect = np.maximum(se.bn_bias.data, 0.0)
         assert out == pytest.approx(np.tile(expect, (5, 1)), abs=1e-9)
 
@@ -118,7 +118,7 @@ class TestSpatialEmbedder:
         # Independent reimplementation of linear -> BN over time -> ReLU.
         se = make_spatial(3, 4, seed=9)
         frames = np.random.default_rng(10).normal(size=(4, 3))
-        out = emb.spatial_embed(frames, se).data
+        out = se.embed(frames).data
 
         h = frames @ se.weight.data + se.bias.data
         mu = h.mean(axis=0)
@@ -131,25 +131,25 @@ class TestSpatialEmbedder:
         se = make_spatial(5, 6, seed=11)
         for t in (1, 3, 9):
             frames = RNG.normal(size=(t, 5)) * 3
-            assert np.all(emb.spatial_embed(frames, se).data >= 0.0)
+            assert np.all(se.embed(frames).data >= 0.0)
             se.train_mode = False
-            assert np.all(emb.spatial_embed(frames, se).data >= 0.0)
+            assert np.all(se.embed(frames).data >= 0.0)
             se.train_mode = True
 
     def test_dimension_mismatch(self):
         se = make_spatial(3, 4)
         with pytest.raises(DimensionError):
-            emb.spatial_embed(np.zeros((2, 5)), se)
+            se.embed(np.zeros((2, 5)))
 
     def test_running_stats_updated_in_train_only(self):
         se = make_spatial(3, 4, seed=12)
         frames = RNG.normal(size=(6, 3))
         before = se.bn_running_mean.copy()
         se.train_mode = False
-        emb.spatial_embed(frames, se)
+        se.embed(frames)
         assert np.array_equal(se.bn_running_mean, before)
         se.train_mode = True
-        emb.spatial_embed(frames, se)
+        se.embed(frames)
         assert not np.array_equal(se.bn_running_mean, before)
         assert np.all(se.bn_running_var > 0)
 
@@ -159,7 +159,7 @@ class TestSpatialEmbedder:
         frames = np.random.default_rng(14).normal(size=(8, 2))
         h = frames @ se.weight.data + se.bias.data
         for _ in range(200):
-            emb.spatial_embed(frames, se)
+            se.embed(frames)
         assert se.bn_running_mean == pytest.approx(h.mean(axis=0), abs=1e-8)
         assert se.bn_running_var == pytest.approx(h.var(axis=0), abs=1e-8)
 
@@ -202,7 +202,7 @@ class TestSpatialEmbedder:
                     s.bn_gain = Tensor(x)
                 elif wrt == "bn_bias":
                     s.bn_bias = Tensor(x)
-            out = emb.spatial_embed(np.asarray(inp), s)
+            out = s.embed(np.asarray(inp))
             # Square keeps the loss smooth; ReLU kinks sit at measure-zero points.
             return float((out.data ** 2).sum())
 
@@ -253,5 +253,5 @@ class TestSpatialEmbedder:
         padded[1] = b
         mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=bool)
         out = se.embed_batch(Tensor(padded), mask).data
-        assert out[0, :3] == pytest.approx(emb.spatial_embed(a, se).data, abs=1e-12)
-        assert out[1] == pytest.approx(emb.spatial_embed(b, se).data, abs=1e-12)
+        assert out[0, :3] == pytest.approx(se.embed(a).data, abs=1e-12)
+        assert out[1] == pytest.approx(se.embed(b).data, abs=1e-12)

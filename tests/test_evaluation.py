@@ -5,6 +5,7 @@ import pytest
 
 from signscribe import data, evaluation
 from signscribe.data import GLOSS_SPECIALS, TEXT_SPECIALS, Sample, Vocabulary
+from signscribe.errors import CorpusError
 from signscribe.evaluation import (
     SWEEP_ALPHAS,
     SWEEP_WIDTHS,
@@ -37,6 +38,10 @@ class TestCorpusWer:
     def test_accepts_strings(self):
         report = corpus_wer(["a b"], ["a b"])
         assert report.wer == 0.0
+
+    def test_no_references_is_corpus_error(self):
+        with pytest.raises(CorpusError):
+            corpus_wer([], [])
 
 
 def small_setup(seed=3):
@@ -100,6 +105,14 @@ class TestEvaluateCorpus:
                                  "sign2gloss+text", beam_width=2, alpha=1.0)
         assert report.beam_width == 2
         assert report.alpha == 1.0
+
+    @pytest.mark.parametrize("protocol", ["sign2gloss", "sign2text", "gloss2text"])
+    def test_empty_split_is_corpus_error(self, protocol):
+        model, _, gloss, text = small_setup()
+        with pytest.raises(CorpusError, match="empty split"):
+            evaluate_corpus(model, [], gloss, text, protocol)
+        with pytest.raises(CorpusError, match="empty split"):
+            sweep_decode_parameters(model, [], gloss, text, protocol)
 
     def test_small_batches_match_one_batch(self):
         model, samples, gloss, text = small_setup()

@@ -11,6 +11,8 @@ from signscribe.errors import ConfigError, ContractError
 from signscribe.losses import LossWeights, ctc_log_prob, translation_loss
 from signscribe.model import JointModel, batch_losses
 
+from conftest import oracle_beam_search
+
 
 def tiny_model(seed=0, dropout=0.0, **overrides):
     kwargs = dict(
@@ -300,6 +302,32 @@ class TestDecodingPathway:
             )
             assert got[i].tokens == alone.tokens, i
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_batched_beam_equals_full_recompute_oracle(self, width, alpha):
+        # the oracle scores each prefix by a teacher-forced single-sequence
+        # forward; the search batches all live beams into one forward
+        batch, _, _ = tiny_batch()
+        cfg = decoding.DecodeConfig(beam_width=width, alpha=alpha, max_len=6)
+        forbid = (data.TEXT_PAD, data.TEXT_BOS)
+        for seed in (2, 3):
+            m = tiny_model(seed=seed)
+            # sharpened decoder weights make the next word depend on prefix
+            # and source; at init the tiny model just emits <eos>
+            for name, p in m.named_parameters().items():
+                if name.startswith(("decoder.", "words.")) and p.ndim == 2:
+                    p.data = p.data * 3.0
+            z = m.encode_frames(batch.features, batch.src_mask).data
+            for i in range(len(batch)):
+                mask = batch.src_mask[i]
+
+                def score(prefix):
+                    tokens = np.array([data.TEXT_BOS, *prefix], dtype=np.int64)
+                    return m.word_logits(tokens, Tensor(z[i]), mask).data[-1]
+
+                got = decoding.ar_beam_search(z[i], mask, m, cfg, forbid=forbid)
+                assert got == oracle_beam_search(score, cfg, forbid=forbid), (seed, i)
+
 
 class TestLossRouting:
     def test_sign2gloss_has_no_translation_term(self):
@@ -327,6 +355,31 @@ class TestLossRouting:
             m, batch, LossWeights(0.0, 1.0), "gloss2text"
         )
         assert loss_r is None and total is not None
+
+    def test_lambda_selects_components(self):
+        # total = lambda_r * L_R + lambda_t * L_T; a zero weight drops its term
+        m = tiny_model()
+        batch, _, _ = tiny_batch()
+        for lr, lt in ((0.0, 1.0), (1.0, 0.0), (5.0, 1.0), (0.5, 2.0)):
+            total, loss_r, loss_t, _ = batch_losses(
+                m, batch, LossWeights(lr, lt), "sign2gloss+text"
+            )
+            assert total.data == lr * loss_r.data + lt * loss_t.data
+
+    def test_gradient_scales_with_weights(self):
+        def grads(weights):
+            m = tiny_model()
+            batch, _, _ = tiny_batch()
+            with Graph() as g:
+                total, _, _, _ = batch_losses(m, batch, weights, "sign2gloss+text")
+                ad.backward(g, total)
+            return m.spatial.weight.grad
+
+        g_r = grads(LossWeights(1.0, 0.0))
+        g_t = grads(LossWeights(0.0, 1.0))
+        assert np.any(g_r) and np.any(g_t)
+        assert np.allclose(grads(LossWeights(5.0, 1.0)), 5.0 * g_r + g_t,
+                           rtol=1e-10, atol=1e-12)
 
     def test_infeasible_targets_reported(self):
         gloss = Vocabulary({"A", "B", "C", "D"}, GLOSS_SPECIALS)
