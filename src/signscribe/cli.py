@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import data, evaluation, training
 from .config import RunConfig, config_from_dict, load_config
-from .data import Sample, read_features
+from .data import Sample, check_features, read_features
 from .errors import (
     CheckpointError,
     CompatibilityError,
@@ -199,6 +199,7 @@ def cmd_translate(args) -> int:
             raise ConfigError("features: this checkpoint translates feature files, "
                               "pass --features")
         features = read_features(args.features)
+        check_features(features, str(args.features))
         if features.shape[1] != model.d_in:
             raise CompatibilityError(
                 f"feature width {features.shape[1]} does not match the "

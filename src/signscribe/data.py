@@ -125,6 +125,14 @@ def read_features(path) -> np.ndarray:
         return np.frombuffer(body, dtype="<f4").reshape(t, d)
 
 
+def check_features(features: np.ndarray, name: str) -> None:
+    """Reject a feature sequence no model can encode: non-finite or empty."""
+    if not np.all(np.isfinite(features)):
+        raise CorpusError(f"{name}: non-finite feature values")
+    if features.shape[0] < 1:
+        raise CorpusError(f"{name}: empty feature sequence")
+
+
 def _parse_manifest(path: Path) -> list[dict]:
     records = []
     with open(path, encoding="utf-8") as fh:
@@ -136,9 +144,13 @@ def _parse_manifest(path: Path) -> list[dict]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path}:{lineno}: malformed record: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise CorpusError(f"{path}:{lineno}: malformed record: not an object")
             for key in ("id", "features", "gloss", "text"):
                 if key not in rec:
                     raise CorpusError(f"{path}:{lineno}: record missing field {key!r}")
+                if not isinstance(rec[key], str):
+                    raise CorpusError(f"{path}:{lineno}: field {key!r} is not a string")
             records.append(rec)
     return records
 
@@ -174,13 +186,10 @@ def load_corpus(root, split: str) -> tuple[list[Sample], Vocabulary, Vocabulary]
     samples = []
     for rec in _parse_manifest(root / f"{split}.jsonl"):
         features = read_features(root / rec["features"])
-        if not np.all(np.isfinite(features)):
-            raise CorpusError(f"{rec['id']}: non-finite feature values")
+        check_features(features, rec["id"])
         glosses = tuple(rec["gloss"].split())
         n = len(glosses)
         t = features.shape[0]
-        if t < 1:
-            raise CorpusError(f"{rec['id']}: empty feature sequence")
         if t < n:
             raise CorpusError(
                 f"{rec['id']}: {t} frames cannot emit {n} glosses"

@@ -13,10 +13,15 @@ rather than raw stacks: any object with
 where row r scores the next token after prefixes[r] given source
 z_batch[indices[r]]. A prefix is the generated-so-far token tuple (without
 the leading start-of-sentence token, which the pathway adds itself), and all
-prefixes of one call share a length. Greedy decoding sends one row per
-still-active source; beam search sends one row per live beam of its single
-source. This keeps search logic independent of embedding details and lets
-tests drive it with hand-built tables.
+prefixes of one call share a length. Both searches run over a whole batch of
+sources in lockstep: greedy sends one row per still-active source, beam
+search one row per live beam of every source still under its cap. This keeps
+search logic independent of embedding details and lets tests drive it with
+hand-built tables.
+
+Beam search prunes on raw log-probability; the length penalty enters only
+when a candidate pool is ranked. So one search per width yields the pools
+for every alpha (`ar_beam_pools`), and `best_hypothesis` ranks a pool.
 
 Every decoder is deterministic: score ties break toward the lexicographically
 smallest token sequence, which for single-step choices means the lowest index.
@@ -24,6 +29,7 @@ smallest token sequence, which for single-step choices means the lowest index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,8 +101,21 @@ def ctc_greedy(log_probs) -> tuple[int, ...]:
     return collapse_path(np.argmax(lp, axis=1))
 
 
+_LOG2 = math.log(2.0)
+
+
 def _log_add(a: float, b: float) -> float:
-    return float(np.logaddexp(a, b))
+    """log(exp(a) + exp(b)) for Python floats; np.logaddexp's formula, bit for bit."""
+    if a == b:
+        return a + _LOG2  # also inf + log 2 = inf and -inf + log 2 = -inf
+    if a == -math.inf:
+        return b
+    if b == -math.inf:
+        return a
+    d = a - b
+    if d > 0:
+        return a + math.log1p(math.exp(-d))
+    return b + math.log1p(math.exp(d))
 
 
 def ctc_beam_search(log_probs, width: int) -> tuple[int, ...]:
@@ -111,6 +130,7 @@ def ctc_beam_search(log_probs, width: int) -> tuple[int, ...]:
         raise ConfigError(f"beam width must be >= 1, got {width}")
     lp = log_probs.data if hasattr(log_probs, "data") else np.asarray(log_probs)
     n_frames, k = lp.shape
+    lp = lp.tolist()  # Python floats keep _log_add's scalar math cheap
     ninf = -np.inf
     # prefix -> (log mass ending in blank, log mass ending in last symbol)
     beams: dict[tuple[int, ...], tuple[float, float]] = {(): (0.0, ninf)}
@@ -123,16 +143,16 @@ def ctc_beam_search(log_probs, width: int) -> tuple[int, ...]:
         for prefix, (pb, pnb) in beams.items():
             total = _log_add(pb, pnb)
             slot = bucket(prefix)
-            slot[0] = _log_add(slot[0], total + lp[t, BLANK])
+            slot[0] = _log_add(slot[0], total + lp[t][BLANK])
             if prefix:
                 # same symbol again without an intervening blank: still one symbol
-                slot[1] = _log_add(slot[1], pnb + lp[t, prefix[-1]])
+                slot[1] = _log_add(slot[1], pnb + lp[t][prefix[-1]])
             for c in range(1, k):
                 ext = bucket(prefix + (c,))
                 if prefix and c == prefix[-1]:
-                    contrib = pb + lp[t, c]  # repeat requires the blank side
+                    contrib = pb + lp[t][c]  # repeat requires the blank side
                 else:
-                    contrib = total + lp[t, c]
+                    contrib = total + lp[t][c]
                 ext[1] = _log_add(ext[1], contrib)
         ranked = sorted(
             grown.items(), key=lambda item: (-_log_add(item[1][0], item[1][1]), item[0])
@@ -156,6 +176,17 @@ def _masked_log_softmax(logits: np.ndarray, forbid) -> np.ndarray:
     return logq
 
 
+def _length_caps(z_batch, max_len) -> list[int]:
+    """One generation cap per source from a single cap or a per-source list."""
+    n = len(z_batch) if isinstance(z_batch, (list, tuple)) else z_batch.shape[0]
+    caps = [int(max_len)] * n if np.ndim(max_len) == 0 else [int(c) for c in max_len]
+    if len(caps) != n:
+        raise ConfigError(f"got {len(caps)} length caps for {n} sources")
+    if any(c < 1 for c in caps):
+        raise ConfigError(f"max_len must be >= 1, got {min(caps)}")
+    return caps
+
+
 def ar_greedy(z, src_pad_mask, decoder, max_len: int, *,
               eos_id: int = DEFAULT_EOS, forbid=()) -> Hypothesis:
     """Greedy rollout of one source: ar_greedy_batch on a batch of one."""
@@ -173,12 +204,8 @@ def ar_greedy_batch(z_batch, mask_batch, decoder, max_len, *,
     stay comparable across decoders. max_len may be a single cap or one per
     source; a source's result never depends on which others share its batch.
     """
-    n = len(z_batch) if isinstance(z_batch, (list, tuple)) else z_batch.shape[0]
-    caps = [int(max_len)] * n if np.ndim(max_len) == 0 else [int(c) for c in max_len]
-    if len(caps) != n:
-        raise ConfigError(f"got {len(caps)} length caps for {n} sources")
-    if any(c < 1 for c in caps):
-        raise ConfigError(f"max_len must be >= 1, got {min(caps)}")
+    caps = _length_caps(z_batch, max_len)
+    n = len(caps)
     states: list[tuple[tuple[int, ...], float, bool]] = [((), 0.0, False)] * n
     active = list(range(n))
     for _ in range(max(caps)):
@@ -204,47 +231,75 @@ def ar_greedy_batch(z_batch, mask_batch, decoder, max_len, *,
     return [Hypothesis(tokens, lp, done) for tokens, lp, done in states]
 
 
-def ar_beam_search(z, src_pad_mask, decoder, cfg: DecodeConfig, *,
-                   eos_id: int = DEFAULT_EOS, forbid=()) -> Hypothesis:
-    """Beam search ranked by log_prob / lp(len); width 0 falls back to greedy.
+def ar_beam_pools(z_batch, mask_batch, decoder, width: int, max_len, *,
+                  greedy=None, eos_id: int = DEFAULT_EOS, forbid=()) -> list[list[Hypothesis]]:
+    """Beam-search many sources in lockstep; returns each source's candidate pool.
 
-    The greedy rollout always joins the final candidate pool, so at alpha = 0
-    the returned raw score can never fall below greedy's. Pruning during the
-    search uses raw log-probability; the length penalty applies to the final
-    ranking, finished or not. Each step scores all live beams of the source
-    with one batched forward: they have all grown one token per step, so
-    their prefixes share a length.
+    A pool holds the source's final beams followed by its greedy rollout;
+    width 0 gives the greedy rollout alone. Each step scores the live beams
+    of every source still under its cap with one batched forward: every
+    beam has grown one token per step, so all prefixes share a length.
+    Pruning and tie-breaking stay per source, on raw log-probability, so a
+    source's pool never depends on which others share its batch. greedy,
+    one Hypothesis per source, stands in for the greedy pass when the
+    caller already has it. max_len is a single cap or one per source.
     """
-    greedy = ar_greedy(z, src_pad_mask, decoder, cfg.max_len,
-                       eos_id=eos_id, forbid=forbid)
-    if cfg.beam_width == 0:
-        return greedy
+    if width < 0:
+        raise ConfigError(f"beam width must be >= 0, got {width}")
+    caps = _length_caps(z_batch, max_len)
+    n = len(caps)
+    if greedy is None:
+        greedy = ar_greedy_batch(z_batch, mask_batch, decoder, caps,
+                                 eos_id=eos_id, forbid=forbid)
+    if width == 0:
+        return [[g] for g in greedy]
 
-    beams: list[tuple[tuple[int, ...], float, bool]] = [((), 0.0, False)]
-    for _ in range(cfg.max_len):
-        live = [(tokens, lp) for tokens, lp, finished in beams if not finished]
-        if not live:
+    beams = [[((), 0.0, False)] for _ in range(n)]
+    for step in range(max(caps)):
+        rows = [(i, tokens, lp) for i in range(n) if step < caps[i]
+                for tokens, lp, finished in beams[i] if not finished]
+        if not rows:
             break
         logits = np.asarray(
-            decoder.prefix_logits_batch([z], [src_pad_mask], [0] * len(live),
-                                        [tokens for tokens, _ in live]),
+            decoder.prefix_logits_batch(z_batch, mask_batch, [i for i, _, _ in rows],
+                                        [tokens for _, tokens, _ in rows]),
             dtype=np.float64,
         )
-        candidates = [beam for beam in beams if beam[2]]
-        for row, (tokens, lp) in enumerate(live):
+        candidates: dict[int, list] = {}
+        for row, (i, tokens, lp) in enumerate(rows):
+            if i not in candidates:
+                candidates[i] = [beam for beam in beams[i] if beam[2]]
             logq = _masked_log_softmax(logits[row], forbid)
             for w in np.flatnonzero(np.isfinite(logq)):
                 w = int(w)
-                candidates.append((tokens + (w,), lp + float(logq[w]), w == eos_id))
-        # token tuples are unique, so the sort order does not depend on the
-        # order candidates were appended in
-        candidates.sort(key=lambda c: (-c[1], c[0]))
-        beams = candidates[: cfg.beam_width]
+                candidates[i].append((tokens + (w,), lp + float(logq[w]), w == eos_id))
+        for i, cands in candidates.items():
+            # token tuples are unique, so the order does not depend on the
+            # order candidates were appended in
+            cands.sort(key=lambda c: (-c[1], c[0]))
+            beams[i] = cands[:width]
+    return [[Hypothesis(t, lp, f) for t, lp, f in beams[i]] + [greedy[i]]
+            for i in range(n)]
 
-    pool = [Hypothesis(t, lp, f) for t, lp, f in beams] + [greedy]
+
+def best_hypothesis(pool, alpha: float) -> Hypothesis:
+    """Rank a candidate pool by log_prob / lp(len), finished hypotheses first."""
     finished = [h for h in pool if h.finished]
-    ranked = finished if finished else pool
     return min(
-        ranked,
-        key=lambda h: (-h.log_prob / length_penalty(len(h.tokens), cfg.alpha), h.tokens),
+        finished or pool,
+        key=lambda h: (-h.log_prob / length_penalty(len(h.tokens), alpha), h.tokens),
     )
+
+
+def ar_beam_search(z, src_pad_mask, decoder, cfg: DecodeConfig, *,
+                   eos_id: int = DEFAULT_EOS, forbid=()) -> Hypothesis:
+    """Beam search of one source: ar_beam_pools on a batch of one, then ranked.
+
+    Width 0 falls back to greedy. The greedy rollout always joins the final
+    candidate pool, so at alpha = 0 the returned raw score can never fall
+    below greedy's. The length penalty applies to the final ranking,
+    finished or not.
+    """
+    (pool,) = ar_beam_pools([z], [src_pad_mask], decoder, cfg.beam_width, cfg.max_len,
+                            eos_id=eos_id, forbid=forbid)
+    return best_hypothesis(pool, cfg.alpha)

@@ -139,33 +139,39 @@ def decode_glosses(model: JointModel, encoded, gloss_vocab: Vocabulary,
     return hyps
 
 
+def _sentence_pools(model: JointModel, encoded, beam_width: int, max_len_cap: int,
+                    greedy=None) -> list[list[decoding.Hypothesis]]:
+    """Every sample's candidate pool, searched one encoded chunk at a time.
+
+    A sample generates at most min(max_len_cap, 3 x its estimated gloss
+    count) tokens. greedy, one Hypothesis per sample, replaces the greedy
+    pass. Only the z, mask and estimates of each encoded entry are read.
+    """
+    pools = []
+    for _batch, z, mask, estimates in encoded:
+        caps = [min(max_len_cap, 3 * e) for e in estimates]
+        chunk_greedy = None if greedy is None else greedy[len(pools):len(pools) + len(caps)]
+        pools.extend(decoding.ar_beam_pools(z, mask, model, beam_width, caps,
+                                            greedy=chunk_greedy, forbid=FORBIDDEN_WORDS))
+    return pools
+
+
+def _ranked_words(pools, alpha: float, text_vocab: Vocabulary) -> list[list[str]]:
+    DecodeConfig(alpha=alpha)  # rejects an alpha outside [0, 2]
+    return [[text_vocab.token(w) for w in decoding.best_hypothesis(pool, alpha).words()]
+            for pool in pools]
+
+
 def decode_sentences(model: JointModel, encoded, text_vocab: Vocabulary,
                      beam_width: int = 0, alpha: float = 0.0,
                      max_len_cap: int = 60) -> list[list[str]]:
     """Autoregressively decode every sample; returns word token sequences.
 
-    This is the one greedy/beam dispatcher. A sample generates at most
-    min(max_len_cap, 3 x its estimated gloss count) tokens. Only the z, mask
-    and estimates of each encoded entry are read.
+    This is the one greedy/beam dispatcher: width 0 is greedy, a wider beam
+    searches each encoded chunk as one batch and ranks every pool at alpha.
     """
-    hyps = []
-    for _batch, z, mask, estimates in encoded:
-        caps = [min(max_len_cap, 3 * e) for e in estimates]
-        if beam_width == 0:
-            batch_hyps = decoding.ar_greedy_batch(
-                z, mask, model, caps, forbid=FORBIDDEN_WORDS
-            )
-        else:
-            batch_hyps = [
-                decoding.ar_beam_search(
-                    z[i], mask[i], model,
-                    DecodeConfig(beam_width=beam_width, alpha=alpha, max_len=cap),
-                    forbid=FORBIDDEN_WORDS,
-                )
-                for i, cap in enumerate(caps)
-            ]
-        hyps.extend([text_vocab.token(w) for w in h.words()] for h in batch_hyps)
-    return hyps
+    pools = _sentence_pools(model, encoded, beam_width, max_len_cap)
+    return _ranked_words(pools, alpha, text_vocab)
 
 
 def evaluate_corpus(
@@ -249,20 +255,22 @@ def sweep_decode_parameters(
 ) -> SweepResult:
     """Grid-search beam width x length penalty by BLEU-4 on one split.
 
-    Encoder outputs are computed once and reused across all grid points;
-    the first entry of any BLEU-4 tie wins, so smaller widths are preferred.
+    Encoder outputs and the greedy pass are computed once for the whole
+    grid. Beam search prunes on raw log-probability, so one search per
+    width gives the candidate pools that every alpha then ranks. The first
+    entry of any BLEU-4 tie wins, so smaller widths are preferred.
     """
     _require_samples(samples)
     encoded = encode_split(model, samples, gloss_vocab, text_vocab, protocol,
                            batch_size)
     refs = [list(s.sentence) for s in samples]
+    greedy = [pool[-1] for pool in _sentence_pools(model, encoded, 0, max_len_cap)]
     entries = []
     best = None
     for width in widths:
+        pools = _sentence_pools(model, encoded, width, max_len_cap, greedy)
         for alpha in alphas:
-            hyps = decode_sentences(model, encoded, text_vocab, width, alpha,
-                                    max_len_cap)
-            score = bleu(refs, hyps).bleu4
+            score = bleu(refs, _ranked_words(pools, alpha, text_vocab)).bleu4
             entries.append(SweepEntry(width, alpha, score))
             if best is None or score > best[0]:
                 best = (score, width, alpha)

@@ -83,3 +83,18 @@ def oracle_beam_search(score, cfg, *, eos_id: int = 2, forbid=()):
         ranked,
         key=lambda h: (-h.log_prob / length_penalty(len(h.tokens), cfg.alpha), h.tokens),
     )
+
+
+def oracle_chunk(scorers, caps, width, alpha, *, forbid=()):
+    """oracle_beam_search on each source of a chunk alone, under its own cap.
+
+    scorers[i] scores the prefixes of source i; a batched search over the
+    whole chunk must return exactly these hypotheses.
+    """
+    from signscribe.decoding import DecodeConfig
+
+    return [
+        oracle_beam_search(score, DecodeConfig(beam_width=width, alpha=alpha, max_len=cap),
+                           forbid=forbid)
+        for score, cap in zip(scorers, caps)
+    ]

@@ -3,6 +3,7 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from signscribe import cli, data, evaluation, training
@@ -203,8 +204,6 @@ class TestTranslateCommand:
         assert cli.main(["translate", "--checkpoint", str(joint_ckpt)]) == 2
 
     def test_wrong_feature_width_is_compat_error(self, joint_ckpt, tmp_path):
-        import numpy as np
-
         bad = tmp_path / "wide.sltf"
         data.write_features(bad, np.zeros((4, 99), dtype=np.float32))
         code = cli.main([
@@ -212,6 +211,25 @@ class TestTranslateCommand:
             "--features", str(bad),
         ])
         assert code == 3
+
+    @pytest.mark.parametrize("frames, message", [
+        (0, "empty feature sequence"),
+        (np.nan, "non-finite feature values"),
+        (np.inf, "non-finite feature values"),
+    ])
+    def test_unusable_feature_file_is_one_line_error(self, joint_ckpt, tmp_path, capsys,
+                                                     frames, message):
+        width = training.restore_model(training.checkpoint_load(joint_ckpt))[0].d_in
+        if frames == 0:
+            feat = np.zeros((0, width), dtype=np.float32)
+        else:
+            feat = np.ones((5, width), dtype=np.float32)
+            feat[2, 1] = frames
+        bad = tmp_path / "bad.sltf"
+        data.write_features(bad, feat)
+        code = cli.main(["translate", "--checkpoint", str(joint_ckpt), "--features", str(bad)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
 
 class TestPipelineCommand:
@@ -352,3 +370,18 @@ class TestArtifactErrors:
                          "--corpus", str(empty), "--split", "test"])
         assert code == 1
         assert capsys.readouterr().err == "error: cannot score an empty split\n"
+
+    def test_non_string_manifest_gloss_is_one_line_runtime_error(self, corpus, joint_ckpt,
+                                                                  tmp_path, capsys):
+        bad = tmp_path / "corpus"
+        shutil.copytree(corpus, bad)
+        lines = (bad / "dev.jsonl").read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["gloss"] = rec["gloss"].split()
+        lines[1] = json.dumps(rec)
+        (bad / "dev.jsonl").write_text("\n".join(lines) + "\n")
+        code = cli.main(["evaluate", "--checkpoint", str(joint_ckpt),
+                         "--corpus", str(bad), "--split", "dev"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad / 'dev.jsonl'}:2: field 'gloss' is not a string\n")

@@ -155,6 +155,36 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="features"):
             data.load_corpus(tmp_path, "train")
 
+    @pytest.mark.parametrize("field, value", [("gloss", ["A"]), ("text", 7), ("id", None)])
+    def test_non_string_field_rejected(self, tmp_path, field, value):
+        write_corpus(tmp_path, {"train": [("t0", frames(5), "A", "x")]})
+        manifest = tmp_path / "train.jsonl"
+        rec = json.loads(manifest.read_text())
+        rec[field] = value
+        manifest.write_text(manifest.read_text() + json.dumps(rec) + "\n")
+        with pytest.raises(CorpusError, match=f"train.jsonl:2: field '{field}' is not a string"):
+            data.build_vocabularies(tmp_path)
+        with pytest.raises(CorpusError, match="train.jsonl:2"):
+            data.load_corpus(tmp_path, "train")
+
+    def test_non_object_record_rejected(self, tmp_path):
+        (tmp_path / "train.jsonl").write_text('["t0", "A"]\n')
+        with pytest.raises(CorpusError, match="train.jsonl:1: malformed record"):
+            data.load_corpus(tmp_path, "train")
+
+    @pytest.mark.parametrize("feat, message", [
+        (np.zeros((0, 4), dtype=np.float32), "empty feature sequence"),
+        (np.array([[0.5, np.nan, 0.5, 0.5]] * 3, dtype=np.float32), "non-finite"),
+        (np.array([[0.5, 0.5, np.inf, 0.5]] * 3, dtype=np.float32), "non-finite"),
+    ])
+    def test_unusable_features_rejected(self, tmp_path, feat, message):
+        write_corpus(tmp_path, {"train": [("t0", frames(5), "A", "x")],
+                                "dev": [("d0", feat, "", "x")]})
+        with pytest.raises(CorpusError, match=f"d0: {message}"):
+            data.load_corpus(tmp_path, "dev")
+        with pytest.raises(CorpusError, match=message):
+            data.check_features(feat, "d0")
+
     def test_too_few_frames_rejected(self, tmp_path):
         write_corpus(tmp_path, {"train": [("t0", frames(2), "A B C", "x y")]})
         with pytest.raises(CorpusError, match="cannot emit"):

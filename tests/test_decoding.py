@@ -11,7 +11,7 @@ from signscribe import decoding as dec
 from signscribe.decoding import DecodeConfig, Hypothesis
 from signscribe.errors import ConfigError, ContractError
 
-from conftest import oracle_beam_search
+from conftest import oracle_beam_search, oracle_chunk
 
 EOS = 2
 
@@ -336,3 +336,102 @@ class TestArBeamSearch:
         a = dec.ar_beam_search(None, None, toy, cfg)
         b = dec.ar_beam_search(None, None, toy, cfg)
         assert a == b
+
+
+class ChunkDecoder:
+    """Pathway over a chunk whose sources are toy decoders: z_batch[i] scores source i."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def prefix_logits_batch(self, z_batch, mask_batch, indices, prefixes):
+        self.calls += 1
+        assert len({len(p) for p in prefixes}) == 1, "prefixes must share a length"
+        return np.stack([z_batch[i].prefix_logits(None, None, p)
+                         for i, p in zip(indices, prefixes)])
+
+
+def eos_lover(n_words):
+    logits = np.full(n_words, -5.0)
+    logits[EOS] = 5.0
+    return ToyDecoder({}, logits)
+
+
+def eos_hater(n_words):
+    # <eos> never ranks among the best four extensions of a beam
+    logits = np.zeros(n_words)
+    logits[EOS] = -60.0
+    logits[3] = 2.0
+    return ToyDecoder({(): np.arange(n_words, dtype=float)}, logits)
+
+
+def mixed_chunk(n_words=8):
+    """Random, finishing and never-finishing sources, each with its own cap."""
+    sources = [RandomDecoder(n_words, 1100 + seed) for seed in range(5)]
+    sources += [eos_lover(n_words), eos_hater(n_words), RandomDecoder(n_words, 1200)]
+    caps = [6, 1, 3, 5, 2, 4, 5, 6]
+    return sources, caps
+
+
+class TestChunkBeamSearch:
+    @pytest.mark.parametrize("forbid", [(), (0, 1)])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("width", [0, 1, 2, 3, 4])
+    def test_every_source_equals_its_own_oracle(self, width, alpha, forbid):
+        sources, caps = mixed_chunk()
+        pools = dec.ar_beam_pools(sources, [None] * len(sources), ChunkDecoder(), width,
+                                  caps, forbid=forbid)
+        got = [dec.best_hypothesis(pool, alpha) for pool in pools]
+        scorers = [lambda p, src=src: src.prefix_logits(None, None, p) for src in sources]
+        assert got == oracle_chunk(scorers, caps, width, alpha, forbid=forbid)
+        # the chunk holds finished and unfinished results
+        assert {h.finished for h in got} == {True, False}
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_pools_do_not_depend_on_chunk_mates(self, width):
+        sources, caps = mixed_chunk()
+        full = dec.ar_beam_pools(sources, [None] * len(sources), ChunkDecoder(), width,
+                                 caps, forbid=(0, 1))
+        rng = np.random.default_rng(5)
+        picks = [[0], [6], [2, 5], list(range(8))[::-1]]
+        picks += [list(rng.permutation(8)[: rng.integers(2, 8)]) for _ in range(4)]
+        for pick in picks:
+            sub = dec.ar_beam_pools([sources[i] for i in pick], [None] * len(pick),
+                                    ChunkDecoder(), width, [caps[i] for i in pick],
+                                    forbid=(0, 1))
+            assert sub == [full[i] for i in pick], pick
+
+    def test_given_greedy_joins_the_pool_unchanged(self):
+        sources, caps = mixed_chunk()
+        greedy = dec.ar_greedy_batch(sources, [None] * 8, ChunkDecoder(), caps)
+        decoder = ChunkDecoder()
+        pools = dec.ar_beam_pools(sources, [None] * 8, decoder, 2, caps, greedy=greedy)
+        assert [pool[-1] for pool in pools] == greedy
+        assert pools == dec.ar_beam_pools(sources, [None] * 8, ChunkDecoder(), 2, caps)
+        assert decoder.calls <= max(caps)  # the greedy pass was not repeated
+
+    def test_bad_width_and_caps_rejected(self):
+        sources, caps = mixed_chunk()
+        with pytest.raises(ConfigError):
+            dec.ar_beam_pools(sources, [None] * 8, ChunkDecoder(), -1, caps)
+        with pytest.raises(ConfigError):
+            dec.ar_beam_pools(sources, [None] * 8, ChunkDecoder(), 2, caps[:3])
+        with pytest.raises(ConfigError):
+            dec.ar_beam_pools(sources, [None] * 8, ChunkDecoder(), 2, [0] * 8)
+
+
+class TestLogAdd:
+    def test_matches_numpy_bit_for_bit(self):
+        grid = [-np.inf, np.inf, -800.0, -40.0, -1.5, -1e-300, 0.0, 1e-300, 0.3, 2.0, 700.0]
+        rng = np.random.default_rng(9)
+        grid += list(rng.normal(size=40) * rng.choice([1e-3, 1.0, 50.0], size=40))
+        for a in grid:
+            for b in grid:
+                got = dec._log_add(float(a), float(b))
+                want = float(np.logaddexp(a, b))
+                assert got == want, (a, b, got, want)
+
+    def test_equal_arguments_add_log_two(self):
+        for a in (-3.0, 0.0, 12.5):
+            assert dec._log_add(a, a) == a + np.log(2.0)
+        assert dec._log_add(-np.inf, -np.inf) == -np.inf

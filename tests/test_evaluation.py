@@ -15,6 +15,7 @@ from signscribe.evaluation import (
     decode_sentences,
     sweep_decode_parameters,
 )
+from signscribe.metrics import bleu
 from signscribe.model import JointModel
 
 
@@ -141,7 +142,76 @@ class TestDecodedSentences:
             assert len(sentence) <= 2
 
 
+class CountingDecoder:
+    """Toy pathway that never emits <eos> and counts its batched forwards."""
+
+    def __init__(self, n_words):
+        self.n_words = n_words
+        self.calls = 0
+
+    def prefix_logits_batch(self, z_batch, mask_batch, indices, prefixes):
+        self.calls += 1
+        rows = np.stack([
+            np.random.default_rng((int(z_batch[i]), len(p), *p)).normal(size=self.n_words)
+            for i, p in zip(indices, prefixes)
+        ])
+        rows[:, data.TEXT_EOS] = -50.0
+        return rows
+
+
+class TestDecodeCost:
+    @pytest.mark.parametrize("width", [1, 4])
+    @pytest.mark.parametrize("n_sources", [1, 5, 17])
+    def test_one_chunk_costs_two_forwards_per_step(self, width, n_sources):
+        # one greedy pass plus one beam forward per step for the whole
+        # chunk, however many sources it holds
+        text = Vocabulary({"u", "v", "w", "x"}, TEXT_SPECIALS)
+        estimates = [1 + i % 3 for i in range(n_sources)]
+        encoded = [(None, list(range(n_sources)), [None] * n_sources, estimates)]
+        model = CountingDecoder(len(text))
+        sentences = decode_sentences(model, encoded, text, width, 1.0)
+        caps = [3 * e for e in estimates]
+        assert [len(s) for s in sentences] == caps  # no source stopped early
+        assert model.calls <= 2 * max(caps)
+
+
+def sharpened_setup():
+    # scaled decoder weights make the decoded words depend on the source and
+    # the decode setting; at init the tiny model emits <eos> at once
+    model, samples, gloss, text = small_setup(seed=10)
+    for name, p in model.named_parameters().items():
+        if name.startswith(("decoder.", "words.")) and p.ndim == 2:
+            p.data = p.data * 3.0
+    return model, samples, gloss, text
+
+
 class TestSweep:
+    def test_entries_equal_separate_decodes(self, monkeypatch):
+        model, samples, gloss, text = sharpened_setup()
+        widths, alphas = (0, 1, 2, 3), SWEEP_ALPHAS
+        scored = []
+
+        def recording_bleu(refs, hyps):
+            scored.append(hyps)
+            return bleu(refs, hyps)
+
+        monkeypatch.setattr(evaluation, "bleu", recording_bleu)
+        result = sweep_decode_parameters(model, samples, gloss, text, "sign2gloss+text",
+                                         batch_size=2, max_len_cap=8,
+                                         widths=widths, alphas=alphas)
+        monkeypatch.undo()
+        encoded = encode_split(model, samples, gloss, text, "sign2gloss+text")
+        refs = [list(s.sentence) for s in samples]
+        grid = [(w, a) for w in widths for a in alphas]
+        assert [(e.beam_width, e.alpha) for e in result.entries] == grid
+        for entry, hyps in zip(result.entries, scored):
+            want = decode_sentences(model, encoded, text, entry.beam_width, entry.alpha, 8)
+            assert hyps == want, (entry.beam_width, entry.alpha)
+            assert entry.bleu4 == bleu(refs, want).bleu4
+        # the grid is not degenerate: settings decode different sentences
+        assert len({repr(h) for h in scored}) > 3
+
+
     def test_grid_shape_and_order(self):
         model, samples, gloss, text = small_setup()
         result = sweep_decode_parameters(

@@ -11,7 +11,7 @@ from signscribe.errors import ConfigError, ContractError
 from signscribe.losses import LossWeights, ctc_log_prob, translation_loss
 from signscribe.model import JointModel, batch_losses
 
-from conftest import oracle_beam_search
+from conftest import oracle_beam_search, oracle_chunk
 
 
 def tiny_model(seed=0, dropout=0.0, **overrides):
@@ -327,6 +327,42 @@ class TestDecodingPathway:
 
                 got = decoding.ar_beam_search(z[i], mask, m, cfg, forbid=forbid)
                 assert got == oracle_beam_search(score, cfg, forbid=forbid), (seed, i)
+
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_chunk_beam_equals_full_recompute_oracle(self, width, alpha):
+        # five sources of unequal lengths and caps share every forward; each
+        # must still get its own oracle result, whoever its chunk mates are
+        rng = np.random.default_rng(11)
+        gloss = Vocabulary({"A"}, GLOSS_SPECIALS)
+        text = Vocabulary({"u"}, TEXT_SPECIALS)
+        samples = [Sample(f"s{i}", rng.normal(size=(t, 5)).astype(np.float32), (), ())
+                   for i, t in enumerate([6, 3, 8, 5, 2])]
+        batch = data.make_batch(samples, gloss, text)
+        caps = [6, 2, 4, 5, 1]
+        # seed 4 gives each source a different greedy sentence, one finished
+        m = tiny_model(seed=4)
+        for name, p in m.named_parameters().items():
+            if name.startswith(("decoder.", "words.")) and p.ndim == 2:
+                p.data = p.data * 3.0
+        z = m.encode_frames(batch.features, batch.src_mask).data
+        mask = batch.src_mask
+
+        def scorer(i):
+            def score(prefix):
+                tokens = np.array([data.TEXT_BOS, *prefix], dtype=np.int64)
+                return m.word_logits(tokens, Tensor(z[i]), mask[i]).data[-1]
+            return score
+
+        scorers = [scorer(i) for i in range(len(caps))]
+        for forbid in ((), (data.TEXT_PAD, data.TEXT_BOS)):
+            want = oracle_chunk(scorers, caps, width, alpha, forbid=forbid)
+            for pick in ([0, 1, 2, 3, 4], [4, 2, 0], [3], [1, 4, 3, 0, 2]):
+                pools = decoding.ar_beam_pools(z[pick], mask[pick], m, width,
+                                               [caps[i] for i in pick], forbid=forbid)
+                got = [decoding.best_hypothesis(pool, alpha) for pool in pools]
+                assert got == [want[i] for i in pick], (forbid, pick)
 
 
 class TestLossRouting:
