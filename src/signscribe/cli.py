@@ -8,11 +8,14 @@ values from --config. Every command is deterministic given its inputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from pathlib import Path
 
-from . import data, evaluation, training
+import numpy as np
+
+from . import data, training
 from .config import RunConfig, config_from_dict, load_config
 from .data import Sample, check_features, read_features
 from .errors import (
@@ -23,22 +26,21 @@ from .errors import (
 )
 from .evaluation import (
     EvalReport,
+    corpus_wer,
+    decode_glosses,
     decode_sentences,
     encode_split,
     evaluate_corpus,
     sweep_decode_parameters,
-    translate_gloss_sequences,
 )
 from .metrics import bleu
-from .model import PROTOCOLS
+from .model import GLOSS_INPUT, PROTOCOLS, RECOGNITION
 from .training import checkpoint_load, restore_model
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 EXIT_COMPAT = 3
-
-RECOGNITION_PROTOCOLS = ("sign2gloss", "sign2gloss+text")
 
 
 def _add_config_overrides(sub: argparse.ArgumentParser) -> None:
@@ -65,9 +67,14 @@ def _add_config_overrides(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--lr-factor", dest="lr_factor", type=float)
     sub.add_argument("--lr-floor", dest="lr_floor", type=float)
     sub.add_argument("--seed", type=int)
-    sub.add_argument("--beam-width", dest="beam_width", type=int)
-    sub.add_argument("--alpha", type=float)
     sub.add_argument("--max-len-cap", dest="max_len_cap", type=int)
+
+
+def _add_decode_flags(sub: argparse.ArgumentParser) -> None:
+    """Sentence decoding settings shared by evaluate, translate and pipeline."""
+    sub.add_argument("--beam-width", dest="beam_width", type=int, default=0)
+    sub.add_argument("--alpha", type=float, default=0.0)
+    sub.add_argument("--max-len-cap", dest="max_len_cap", type=int, default=60)
 
 
 def _resolve_config(args) -> RunConfig:
@@ -186,14 +193,11 @@ def cmd_evaluate(args) -> int:
 def cmd_translate(args) -> int:
     protocol, model, gloss_vocab, text_vocab = _load_checkpoint(args.checkpoint,
                                                                 "checkpoint")
-    if protocol == "gloss2text":
+    if protocol in GLOSS_INPUT:
         if not args.glosses:
             raise ConfigError("glosses: a gloss2text checkpoint needs --glosses")
-        (sentence,) = translate_gloss_sequences(
-            model, [args.glosses.split()], gloss_vocab, text_vocab,
-            beam_width=args.beam_width, alpha=args.alpha,
-            max_len_cap=args.max_len_cap,
-        )
+        sample = Sample(id="glosses", features=np.zeros((0, model.d_in), dtype=np.float32),
+                        glosses=tuple(args.glosses.split()), sentence=())
     else:
         if not args.features:
             raise ConfigError("features: this checkpoint translates feature files, "
@@ -207,9 +211,9 @@ def cmd_translate(args) -> int:
             )
         sample = Sample(id=str(args.features), features=features, glosses=(),
                         sentence=())
-        encoded = encode_split(model, [sample], gloss_vocab, text_vocab, protocol)
-        (sentence,) = decode_sentences(model, encoded, text_vocab, args.beam_width,
-                                       args.alpha, args.max_len_cap)
+    encoded = encode_split(model, [sample], gloss_vocab, text_vocab, protocol)
+    (sentence,) = decode_sentences(model, encoded, text_vocab, args.beam_width,
+                                   args.alpha, args.max_len_cap)
     print(" ".join(sentence))
     return EXIT_OK
 
@@ -220,11 +224,11 @@ def cmd_pipeline(args) -> int:
     )
     tr_protocol, translator, tr_gloss, tr_text = _load_checkpoint(args.translator,
                                                                   "translator")
-    if rec_protocol not in RECOGNITION_PROTOCOLS:
+    if rec_protocol not in RECOGNITION:
         raise CompatibilityError(
             f"recognizer protocol {rec_protocol} has no recognition head"
         )
-    if tr_protocol != "gloss2text":
+    if tr_protocol not in GLOSS_INPUT:
         raise CompatibilityError(f"translator protocol {tr_protocol} is not gloss2text")
     corpus = _require_corpus(args.corpus)
     samples, built_gloss, _ = data.load_corpus(corpus, args.split)
@@ -236,23 +240,20 @@ def cmd_pipeline(args) -> int:
         gloss_hyps = gloss_refs
         print("[stage1] oracle glosses injected, WER 0.00")
     else:
-        encoded = evaluation.encode_split(
-            recognizer, samples, rec_gloss, rec_text, rec_protocol,
-            args.batch_size,
-        )
-        gloss_hyps = evaluation.decode_glosses(
-            recognizer, encoded, rec_gloss, args.beam_width
-        )
-        wer_report = evaluation.corpus_wer(gloss_refs, gloss_hyps)
+        encoded = encode_split(recognizer, samples, rec_gloss, rec_text, rec_protocol,
+                               args.batch_size)
+        gloss_hyps = decode_glosses(recognizer, encoded, rec_gloss, args.beam_width)
+        wer_report = corpus_wer(gloss_refs, gloss_hyps)
         print(f"[stage1] WER {wer_report.wer:.2f}  "
               f"(sub {wer_report.sub_rate:.2f}, del {wer_report.del_rate:.2f}, "
               f"ins {wer_report.ins_rate:.2f})")
 
-    text_hyps = translate_gloss_sequences(
-        translator, gloss_hyps, tr_gloss, tr_text,
-        beam_width=args.beam_width, alpha=args.alpha,
-        max_len_cap=args.max_len_cap, batch_size=args.batch_size,
-    )
+    recognized = [dataclasses.replace(s, glosses=tuple(hyp))
+                  for s, hyp in zip(samples, gloss_hyps)]
+    encoded = encode_split(translator, recognized, tr_gloss, tr_text, tr_protocol,
+                           args.batch_size)
+    text_hyps = decode_sentences(translator, encoded, tr_text, args.beam_width,
+                                 args.alpha, args.max_len_cap)
     text_refs = [list(s.sentence) for s in samples]
     b = bleu(text_refs, text_hyps)
     print(f"[stage2] BLEU-1 {b.bleu1:.2f}  BLEU-2 {b.bleu2:.2f}  "
@@ -291,21 +292,17 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--corpus", required=True)
     ev.add_argument("--split", default="dev", choices=data.SPLITS)
-    ev.add_argument("--beam-width", dest="beam_width", type=int, default=0)
-    ev.add_argument("--alpha", type=float, default=0.0)
     ev.add_argument("--sweep", action="store_true",
                     help="grid-search width x alpha on dev, then score test")
     ev.add_argument("--batch-size", dest="batch_size", type=int, default=32)
-    ev.add_argument("--max-len-cap", dest="max_len_cap", type=int, default=60)
+    _add_decode_flags(ev)
     ev.set_defaults(func=cmd_evaluate)
 
     tl = sub.add_parser("translate", help="translate one input to a sentence")
     tl.add_argument("--checkpoint", required=True)
     tl.add_argument("--features", help="SLTF feature file (frame-input models)")
     tl.add_argument("--glosses", help="space-separated glosses (gloss2text models)")
-    tl.add_argument("--beam-width", dest="beam_width", type=int, default=0)
-    tl.add_argument("--alpha", type=float, default=0.0)
-    tl.add_argument("--max-len-cap", dest="max_len_cap", type=int, default=60)
+    _add_decode_flags(tl)
     tl.set_defaults(func=cmd_translate)
 
     pl = sub.add_parser("pipeline", help="recognize then translate, two checkpoints")
@@ -316,10 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--oracle-glosses", dest="oracle_glosses",
                     action="store_true",
                     help="bypass stage 1 with ground-truth glosses")
-    pl.add_argument("--beam-width", dest="beam_width", type=int, default=0)
-    pl.add_argument("--alpha", type=float, default=0.0)
     pl.add_argument("--batch-size", dest="batch_size", type=int, default=32)
-    pl.add_argument("--max-len-cap", dest="max_len_cap", type=int, default=60)
+    _add_decode_flags(pl)
     pl.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .losses import MODES
-from .model import PROTOCOLS
+from .model import PROTOCOLS, RECOGNITION, TRANSLATION
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,7 @@ class RunConfig:
     lr_factor: float = 0.7
     lr_floor: float = 1e-6
     seed: int = 0
-    # decoding
-    beam_width: int = 0
-    alpha: float = 0.0
+    # dev decoding during training (always greedy)
     max_len_cap: int = 60
 
     def __post_init__(self):
@@ -83,27 +81,20 @@ class RunConfig:
             raise ConfigError(f"lr_factor: must be in (0, 1), got {self.lr_factor}")
         if self.lr_floor <= 0:
             raise ConfigError(f"lr_floor: must be positive, got {self.lr_floor}")
-        if self.beam_width < 0:
-            raise ConfigError(f"beam_width: must be >= 0, got {self.beam_width}")
-        if not 0.0 <= self.alpha <= 2.0:
-            raise ConfigError(f"alpha: must be in [0, 2], got {self.alpha}")
 
     def _check_weights(self):
         p, lr_, lt_ = self.protocol, self.lambda_r, self.lambda_t
         if lr_ < 0 or lt_ < 0:
             raise ConfigError("lambda_r/lambda_t: loss weights must be nonnegative")
-        want = {
-            "sign2gloss": (lr_ > 0 and lt_ == 0, "lambda_r > 0 and lambda_t == 0"),
-            "sign2text": (lr_ == 0 and lt_ > 0, "lambda_r == 0 and lambda_t > 0"),
-            "gloss2text": (lr_ == 0 and lt_ > 0, "lambda_r == 0 and lambda_t > 0"),
-            "sign2gloss+text": (lr_ > 0 and lt_ > 0, "both weights > 0"),
-        }[p]
-        ok, rule = want
-        if not ok:
-            raise ConfigError(
-                f"lambda_r/lambda_t: protocol {p} requires {rule}, "
-                f"got lambda_r={lr_}, lambda_t={lt_}"
-            )
+        # a weight is positive exactly when the protocol trains its head
+        for name, weight, heads in (("lambda_r", lr_, RECOGNITION),
+                                    ("lambda_t", lt_, TRANSLATION)):
+            if (weight > 0) != (p in heads):
+                rule = "> 0" if p in heads else "== 0"
+                raise ConfigError(
+                    f"{name}: protocol {p} requires {name} {rule}, "
+                    f"got lambda_r={lr_}, lambda_t={lt_}"
+                )
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -6,6 +6,7 @@ object with fields:
 
     id        unique sample name
     features  path to the sample's feature file, relative to the corpus root
+              and inside it
     gloss     space-separated gloss tokens
     text      space-separated sentence tokens
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -135,6 +137,7 @@ def check_features(features: np.ndarray, name: str) -> None:
 
 def _parse_manifest(path: Path) -> list[dict]:
     records = []
+    seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -151,6 +154,13 @@ def _parse_manifest(path: Path) -> list[dict]:
                     raise CorpusError(f"{path}:{lineno}: record missing field {key!r}")
                 if not isinstance(rec[key], str):
                     raise CorpusError(f"{path}:{lineno}: field {key!r} is not a string")
+            feat = Path(rec["features"])
+            if feat.is_absolute() or Path(os.path.normpath(feat)).parts[:1] == ("..",):
+                raise CorpusError(f"{path}:{lineno}: features path {rec['features']!r} "
+                                  "leaves the corpus root")
+            if rec["id"] in seen:
+                raise CorpusError(f"{path}:{lineno}: duplicate sample id {rec['id']!r}")
+            seen.add(rec["id"])
             records.append(rec)
     return records
 

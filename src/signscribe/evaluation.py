@@ -6,6 +6,10 @@ autoregressive decoding scored with corpus BLEU. A sweep evaluates the
 beam-width x length-penalty grid on one split so the chosen pair can be
 applied to another, and caches encoder outputs since they do not depend on
 the decode parameters.
+
+evaluate, translate (a one-sample split) and the two-stage pipeline (whose
+second stage encodes the recognized glosses) all go through encode_split,
+which calls JointModel.encode, and through the one decoder decode_sentences.
 """
 
 from __future__ import annotations
@@ -14,19 +18,11 @@ from dataclasses import dataclass
 
 from . import decoding
 from .autodiff import Tensor
-from .data import (
-    GLOSS_BLANK,
-    GLOSS_PAD,
-    TEXT_BOS,
-    TEXT_PAD,
-    Vocabulary,
-    make_batch,
-    pad_ids,
-)
+from .data import GLOSS_BLANK, GLOSS_PAD, TEXT_BOS, TEXT_PAD, Vocabulary, make_batch
 from .decoding import DecodeConfig
 from .errors import CorpusError
 from .metrics import BleuReport, WerReport, bleu, wer
-from .model import JointModel
+from .model import GLOSS_INPUT, RECOGNITION, TRANSLATION, JointModel
 
 SWEEP_WIDTHS = tuple(range(11))
 SWEEP_ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.0)
@@ -98,22 +94,20 @@ def _chunks(samples, size):
 
 def encode_split(model: JointModel, samples, gloss_vocab, text_vocab, protocol,
                  batch_size: int = 32):
-    """Encode a split once; returns (batch, z ndarray, src_mask, estimates) per chunk.
+    """Encode a split once; returns (batch, z ndarray, key mask, estimates) per chunk.
 
     estimates holds each sample's expected gloss count, from which
-    decode_sentences sets its generation cap: the true count for gloss
-    input, frames / 3 for frame input.
+    decode_sentences sets its generation cap: the true count (at least 1,
+    as an empty row encodes one <pad>) for gloss input, frames / 3 for
+    frame input.
     """
     out = []
     for chunk in _chunks(samples, batch_size):
         batch = make_batch(chunk, gloss_vocab, text_vocab, max_batch=batch_size)
-        if protocol == "gloss2text":
-            mask = batch.gloss_mask
-            z = model.encode_glosses(batch.gloss_ids, mask)
-            estimates = batch.gloss_counts
+        z, mask = model.encode(batch, protocol)
+        if protocol in GLOSS_INPUT:
+            estimates = [max(1, n) for n in batch.gloss_counts]
         else:
-            mask = batch.src_mask
-            z = model.encode_frames(batch.features, mask)
             # frames per gloss average 3 on the synthetic task; the estimate
             # only sets a generation cap, exactness does not matter
             estimates = [max(1, round(t / 3)) for t in batch.frame_counts]
@@ -194,12 +188,12 @@ def evaluate_corpus(
             model, samples, gloss_vocab, text_vocab, protocol, batch_size
         )
     wer_report = None
-    if protocol in ("sign2gloss", "sign2gloss+text"):
+    if protocol in RECOGNITION:
         gloss_hyps = decode_glosses(model, encoded, gloss_vocab, beam_width)
         gloss_refs = [list(s.glosses) for s in samples]
         wer_report = corpus_wer(gloss_refs, gloss_hyps)
     bleu_report = None
-    if protocol != "sign2gloss":
+    if protocol in TRANSLATION:
         text_hyps = decode_sentences(
             model, encoded, text_vocab, beam_width, alpha, max_len_cap
         )
@@ -212,33 +206,6 @@ def evaluate_corpus(
         beam_width=beam_width,
         alpha=alpha,
     )
-
-
-def translate_gloss_sequences(
-    model: JointModel,
-    gloss_sequences,
-    gloss_vocab: Vocabulary,
-    text_vocab: Vocabulary,
-    *,
-    beam_width: int = 0,
-    alpha: float = 0.0,
-    max_len_cap: int = 60,
-    batch_size: int = 32,
-) -> list[list[str]]:
-    """Translate bare gloss token sequences (two-stage pipeline second stage).
-
-    An empty stage-one hypothesis still needs a non-empty encoder input, so
-    it is replaced by a single gloss <pad> token; the translation it yields
-    is as uninformed as the recognition that produced it.
-    """
-    encoded = []
-    for chunk in _chunks(gloss_sequences, batch_size):
-        ids = [gloss_vocab.encode(seq) if seq else [GLOSS_PAD] for seq in chunk]
-        gloss_ids, mask = pad_ids(ids, GLOSS_PAD)
-        z = model.encode_glosses(gloss_ids, mask).data
-        encoded.append((None, z, mask, [len(seq) for seq in ids]))
-    return decode_sentences(model, encoded, text_vocab, beam_width, alpha,
-                            max_len_cap)
 
 
 def sweep_decode_parameters(

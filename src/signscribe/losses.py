@@ -7,6 +7,9 @@ two modes: the one-minus-prob forms 1 - p and 1 - prod(q), and log-domain
 forms -log p and -sum(log q). The linear forms vanish numerically for long
 sequences, so log-domain is the default; the minimizers are identical.
 
+One CTC lattice recursion gives both the prefix (alpha) and the suffix
+(beta) variables: beta is alpha of the mirrored lattice.
+
 The per-sequence forms are the oracles the batch forms are checked against.
 LossWeights holds lambda_R and lambda_T; model.batch_losses forms the joint
 objective lambda_R * L_R + lambda_T * L_T from the batch forms.
@@ -75,14 +78,34 @@ def _as_target(target) -> CtcTarget:
     return target if isinstance(target, CtcTarget) else CtcTarget(tuple(target))
 
 
+def _ctc_lattice(emit: np.ndarray, ext: np.ndarray) -> np.ndarray:
+    """Log-space prefix variables alpha[t, s] over the extended sequence ext.
+
+    emit[t, s] is the log-probability of emitting ext[s] at frame t. The skip
+    transition s-2 -> s is legal only between distinct non-blank labels.
+    """
+    n_frames, s = emit.shape
+    skip_ok = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])  # indexed by s - 2
+    alpha = np.full((n_frames, s), -np.inf)
+    alpha[0, :2] = emit[0, :2]
+    for t in range(1, n_frames):
+        prev = alpha[t - 1]
+        step = np.full(s, -np.inf)
+        step[1:] = prev[:-1]
+        skip = np.full(s, -np.inf)
+        skip[2:] = np.where(skip_ok, prev[:-2], -np.inf)
+        alpha[t] = np.logaddexp(np.logaddexp(prev, step), skip) + emit[t]
+    return alpha
+
+
 def ctc_log_prob(log_probs, target) -> Tensor:
     """log p(target | frames) marginalized over all collapse-equivalent paths.
 
     log_probs holds per-frame log-probabilities with the blank in column 0.
     Infeasible targets (too few frames) give an exact -inf with no gradient.
-    The forward recursion runs over the extended sequence in log space; the
-    backward pass reuses it together with a suffix recursion, so the whole op
-    is recorded as one fused node.
+    The prefix recursion runs over the extended sequence in log space; the
+    backward pass reuses it together with the same recursion run on the
+    mirrored lattice, so the whole op is recorded as one fused node.
     """
     x = log_probs if isinstance(log_probs, Tensor) else Tensor(log_probs)
     target = _as_target(target)
@@ -99,44 +122,15 @@ def ctc_log_prob(log_probs, target) -> Tensor:
 
     ext = np.asarray(target.extended)
     s = len(ext)
-    # skip transition s-2 -> s is legal only between distinct non-blank labels
-    allow_skip = np.zeros(s, dtype=bool)
-    allow_skip[2:] = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
     emit = lp[:, ext]  # (T, S)
-
-    alpha = np.full((n_frames, s), -np.inf)
-    alpha[0, 0] = emit[0, 0]
-    if s > 1:
-        alpha[0, 1] = emit[0, 1]
-    for t in range(1, n_frames):
-        prev = alpha[t - 1]
-        step = np.full(s, -np.inf)
-        step[1:] = prev[:-1]
-        skip = np.full(s, -np.inf)
-        if s > 2:
-            skip[2:] = np.where(allow_skip[2:], prev[:-2], -np.inf)
-        alpha[t] = np.logaddexp(np.logaddexp(prev, step), skip) + emit[t]
-
-    if s == 1:
-        logp = alpha[-1, 0]
-    else:
-        logp = np.logaddexp(alpha[-1, -1], alpha[-1, -2])
+    alpha = _ctc_lattice(emit, ext)
+    logp = np.logaddexp.reduce(alpha[-1, -2:])  # end on the last label or blank
 
     def bwd(g):
         if not np.isfinite(logp):
             return (np.zeros_like(lp),)
-        beta = np.full((n_frames, s), -np.inf)
-        beta[-1, -1] = emit[-1, -1]
-        if s > 1:
-            beta[-1, -2] = emit[-1, -2]
-        for t in range(n_frames - 2, -1, -1):
-            nxt = beta[t + 1]
-            step = np.full(s, -np.inf)
-            step[:-1] = nxt[1:]
-            skip = np.full(s, -np.inf)
-            if s > 2:
-                skip[:-2] = np.where(allow_skip[2:], nxt[2:], -np.inf)
-            beta[t] = np.logaddexp(np.logaddexp(nxt, step), skip) + emit[t]
+        # a suffix of the lattice is a prefix of its mirror image
+        beta = _ctc_lattice(emit[::-1, ::-1], ext[::-1])[::-1, ::-1]
         # alpha and beta both include the emission at t; drop one copy
         occupancy = alpha + beta - emit
         acc = np.full((n_frames, k), -np.inf)

@@ -9,7 +9,8 @@ One encoder-decoder network serves four training protocols:
 
 All components are constructed unconditionally so checkpoints share one
 layout; the protocol only selects which forward paths run and which
-parameters receive optimizer updates. The gloss projection spans the full
+parameters receive optimizer updates; encode alone picks frames or glosses
+as encoder input. The gloss projection spans the full
 gloss vocabulary, so its column 0 is the CTC blank and column 1 is the
 (never-targeted) gloss pad.
 
@@ -43,6 +44,12 @@ from .transformer import (
 )
 
 PROTOCOLS = ("sign2gloss", "sign2text", "sign2gloss+text", "gloss2text")
+
+# The three facts that tell the protocols apart: which train the CTC gloss
+# head, which train the decoder, and which encode glosses instead of frames.
+RECOGNITION = ("sign2gloss", "sign2gloss+text")
+TRANSLATION = ("sign2text", "sign2gloss+text", "gloss2text")
+GLOSS_INPUT = ("gloss2text",)
 
 # Parameter-name prefixes excluded from optimization, per protocol. The
 # recognition-only protocol never runs the decoder; the translation-only
@@ -169,6 +176,19 @@ class JointModel:
         return run_encoder(m, np.asarray(src_mask, dtype=bool), self.encoder,
                            train=train, rng=rng, dropout_rate=self.dropout)
 
+    def encode(self, batch, protocol: str, *, train: bool = False, rng=None):
+        """Encode a Batch from the protocol's input -> (z, key mask).
+
+        Gloss input reads an empty gloss row as one <pad> token, so every
+        row keeps a key to attend to.
+        """
+        if protocol in GLOSS_INPUT:
+            mask = batch.gloss_mask.copy()
+            mask[:, 0] |= ~mask.any(axis=1)
+            return self.encode_glosses(batch.gloss_ids, mask, train=train, rng=rng), mask
+        z = self.encode_frames(batch.features, batch.src_mask, train=train, rng=rng)
+        return z, batch.src_mask
+
     def frame_gloss_log_probs(self, z: Tensor) -> Tensor:
         """Per-frame log-distribution over the gloss vocabulary (column 0 = blank)."""
         return ad.log_softmax(gloss_logits(z, self.encoder), axis=-1)
@@ -230,16 +250,11 @@ def batch_losses(
     if protocol not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {protocol!r}, expected one of {PROTOCOLS}")
 
-    if protocol == "gloss2text":
-        src_mask = batch.gloss_mask
-        z = model.encode_glosses(batch.gloss_ids, src_mask, train=train, rng=rng)
-    else:
-        z = model.encode_frames(batch.features, batch.src_mask, train=train, rng=rng)
-        src_mask = batch.src_mask
+    z, src_mask = model.encode(batch, protocol, train=train, rng=rng)
 
     loss_r = None
     skipped: list[int] = []
-    if protocol in ("sign2gloss", "sign2gloss+text"):
+    if protocol in RECOGNITION:
         log_p = model.frame_gloss_log_probs(z)
         targets = [
             CtcTarget(tuple(int(g) for g in batch.gloss_ids[i, :n]))
@@ -250,7 +265,7 @@ def batch_losses(
         )
 
     loss_t = None
-    if protocol != "sign2gloss":
+    if protocol in TRANSLATION:
         logits = model.word_logits(batch.text_in, z, src_mask, train=train, rng=rng)
         loss_t = translation_loss_batch(logits, batch.text_out, TEXT_PAD, mode)
 

@@ -9,13 +9,15 @@ recognition carries weight, otherwise BLEU-4.
 
 Checkpoints ("SLTC") store every named float array (parameters, batch-norm
 running statistics, Adam moments) as little-endian float64 plus a JSON
-footer for the scalars, so a round trip is bit-identical.
+footer for the scalars, so a round trip is bit-identical. A save replaces
+its target atomically.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -183,7 +185,10 @@ def checkpoint_save(
     scheduler: SchedulerState | None = None,
     extra: dict | None = None,
 ) -> Path:
-    """Serialize model + training state; identical state gives identical bytes."""
+    """Serialize model + training state; identical state gives identical bytes.
+
+    A synced sibling temp file replaces path, so a failed save keeps the old file.
+    """
     path = Path(path)
     tensors = _collect_tensors(model, optimizer)
     footer = {
@@ -212,19 +217,27 @@ def checkpoint_save(
     }
     footer_bytes = json.dumps(footer, sort_keys=True, separators=(",", ":")).encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(tensors)))
-        for name in sorted(tensors):
-            raw = name.encode("utf-8")
-            arr = np.ascontiguousarray(tensors[name], dtype="<f8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
-        fh.write(struct.pack("<I", len(footer_bytes)))
-        fh.write(footer_bytes)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(tensors)))
+            for name in sorted(tensors):
+                raw = name.encode("utf-8")
+                arr = np.ascontiguousarray(tensors[name], dtype="<f8")
+                fh.write(struct.pack("<H", len(raw)))
+                fh.write(raw)
+                fh.write(struct.pack("<B", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(arr.tobytes())
+            fh.write(struct.pack("<I", len(footer_bytes)))
+            fh.write(footer_bytes)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

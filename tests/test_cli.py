@@ -200,6 +200,13 @@ class TestTranslateCommand:
         assert code == 0
         assert capsys.readouterr().out.strip()
 
+    def test_blank_glosses_translate_from_one_pad(self, gloss2text_ckpt, capsys):
+        code = cli.main(["translate", "--checkpoint", str(gloss2text_ckpt),
+                         "--glosses", " "])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith("\n") and not captured.err
+
     def test_frame_checkpoint_needs_features(self, joint_ckpt):
         assert cli.main(["translate", "--checkpoint", str(joint_ckpt)]) == 2
 
@@ -370,6 +377,23 @@ class TestArtifactErrors:
                          "--corpus", str(empty), "--split", "test"])
         assert code == 1
         assert capsys.readouterr().err == "error: cannot score an empty split\n"
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda rec, first: {**rec, "features": "../" + rec["features"]},
+         "features path '../features/dev-00001.sltf' leaves the corpus root"),
+        (lambda rec, first: {**rec, "id": first["id"]}, "duplicate sample id 'dev-00000'"),
+    ], ids=["escaping_features_path", "duplicate_id"])
+    def test_bad_manifest_record_is_one_line_runtime_error(self, corpus, joint_ckpt, tmp_path,
+                                                           capsys, change, message):
+        bad = tmp_path / "corpus"
+        shutil.copytree(corpus, bad)
+        lines = (bad / "dev.jsonl").read_text().splitlines()
+        lines[1] = json.dumps(change(json.loads(lines[1]), json.loads(lines[0])))
+        (bad / "dev.jsonl").write_text("\n".join(lines) + "\n")
+        code = cli.main(["evaluate", "--checkpoint", str(joint_ckpt),
+                         "--corpus", str(bad), "--split", "dev"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bad / 'dev.jsonl'}:2: {message}\n"
 
     def test_non_string_manifest_gloss_is_one_line_runtime_error(self, corpus, joint_ckpt,
                                                                   tmp_path, capsys):

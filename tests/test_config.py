@@ -25,6 +25,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="momentum, width"):
             config_from_dict({"width": 3, "momentum": 0.9})
 
+    def test_decode_settings_are_not_config_keys(self):
+        # training always evaluates dev greedily; width and alpha are flags of
+        # the decoding commands only
+        with pytest.raises(ConfigError, match="unknown config keys: beam_width"):
+            config_from_dict({"beam_width": 4})
+
     @pytest.mark.parametrize(
         "protocol,lambda_r,lambda_t",
         [
@@ -76,8 +82,6 @@ class TestValidation:
             ("batch_size", 0),
             ("eval_every", 0),
             ("patience", 0),
-            ("beam_width", -1),
-            ("alpha", 2.5),
             ("max_len_cap", 0),
             ("loss_mode", "probability"),
         ],

@@ -185,6 +185,36 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match=message):
             data.check_features(feat, "d0")
 
+    @pytest.mark.parametrize("features", ["../outside.sltf", "features/../../outside.sltf",
+                                          "/tmp/outside.sltf"])
+    def test_features_outside_root_rejected(self, tmp_path, features):
+        write_corpus(tmp_path, {"train": [("t0", frames(5), "A", "x")]})
+        manifest = tmp_path / "train.jsonl"
+        rec = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**rec, "id": "t1", "features": features}) + "\n"
+                            + manifest.read_text())
+        with pytest.raises(CorpusError, match="train.jsonl:1: features path .* leaves"):
+            data.load_corpus(tmp_path, "train")
+
+    def test_features_path_may_step_back_inside_root(self, tmp_path):
+        write_corpus(tmp_path, {"train": [("t0", frames(5), "A", "x")]})
+        manifest = tmp_path / "train.jsonl"
+        rec = json.loads(manifest.read_text())
+        rec["features"] = "features/../features/t0.sltf"
+        manifest.write_text(json.dumps(rec) + "\n")
+        samples, _, _ = data.load_corpus(tmp_path, "train")
+        assert [s.id for s in samples] == ["t0"]
+
+    def test_duplicate_id_rejected(self, tmp_path):
+        write_corpus(tmp_path, {"train": [("t0", frames(5), "A", "x"),
+                                          ("t1", frames(5), "A", "x")],
+                                "dev": [("d0", frames(5), "A", "x"),
+                                        ("t1", frames(5), "A", "x"),
+                                        ("d0", frames(5), "A", "x")]})
+        data.load_corpus(tmp_path, "train")
+        with pytest.raises(CorpusError, match="dev.jsonl:3: duplicate sample id 'd0'"):
+            data.load_corpus(tmp_path, "dev")
+
     def test_too_few_frames_rejected(self, tmp_path):
         write_corpus(tmp_path, {"train": [("t0", frames(2), "A B C", "x y")]})
         with pytest.raises(CorpusError, match="cannot emit"):

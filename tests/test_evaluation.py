@@ -125,6 +125,26 @@ class TestEvaluateCorpus:
         assert a.bleu == b.bleu
 
 
+class TestEmptyGlossInput:
+    def test_empty_sample_decodes_beside_the_others(self):
+        model, samples, gloss, text = small_setup()
+        empty = Sample("empty", samples[0].features, (), ("u",))
+        with_empty = samples[:2] + [empty] + samples[2:]
+        encoded = encode_split(model, with_empty, gloss, text, "gloss2text")
+        alone = encode_split(model, samples, gloss, text, "gloss2text")
+        (_, z, mask, estimates), = encoded
+        (_, z_alone, mask_alone, estimates_alone), = alone
+        assert estimates == [2, 1, 1, 3]
+        assert mask[2].tolist() == [True, False, False]
+        keep = [0, 1, 3]
+        assert np.array_equal(mask[keep], mask_alone)
+        assert np.array_equal(z[keep], z_alone)
+        for width in (0, 2):
+            got = decode_sentences(model, encoded, text, width, 1.0)
+            want = decode_sentences(model, alone, text, width, 1.0)
+            assert [got[i] for i in keep] == want
+
+
 class TestDecodedSentences:
     def test_no_reserved_tokens_in_output(self):
         model, samples, gloss, text = small_setup()

@@ -241,6 +241,38 @@ class TestProtocolIsolation:
         assert grads["gloss_words.table"] is None
 
 
+class TestEncode:
+    def test_frame_batch_keys_are_frames(self):
+        m = tiny_model()
+        batch, _, _ = tiny_batch()
+        for protocol in ("sign2gloss", "sign2text", "sign2gloss+text"):
+            z, mask = m.encode(batch, protocol)
+            assert mask is batch.src_mask
+            want = m.encode_frames(batch.features, batch.src_mask)
+            assert np.array_equal(z.data, want.data)
+
+    def test_gloss_batch_keys_are_glosses(self):
+        m = tiny_model()
+        batch, _, _ = tiny_batch()
+        z, mask = m.encode(batch, "gloss2text")
+        assert np.array_equal(mask, batch.gloss_mask)
+        want = m.encode_glosses(batch.gloss_ids, batch.gloss_mask)
+        assert np.array_equal(z.data, want.data)
+
+    def test_empty_gloss_row_reads_one_pad(self):
+        m = tiny_model()
+        gloss = Vocabulary({"A", "B", "C", "D"}, GLOSS_SPECIALS)
+        text = Vocabulary({"u"}, TEXT_SPECIALS)
+        frames = np.zeros((0, 5), dtype=np.float32)
+        batch = data.make_batch([Sample("s0", frames, ("A", "B"), ("u",)),
+                                 Sample("s1", frames, (), ("u",))], gloss, text)
+        z, mask = m.encode(batch, "gloss2text")
+        assert mask.tolist() == [[True, True], [True, False]]
+        assert not batch.gloss_mask[1].any()  # the batch itself is untouched
+        assert batch.gloss_ids[1, 0] == data.GLOSS_PAD
+        assert np.all(np.isfinite(z.data))
+
+
 class TestDecodingPathway:
     def test_prefix_logits_match_teacher_forcing(self):
         m = tiny_model()

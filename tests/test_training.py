@@ -245,6 +245,22 @@ class TestCheckpointFormat:
         )
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path, model, gloss, text, *_ = self.saved(tmp_path)
+        before = path.read_bytes()
+
+        class Unwritable:
+            def __array__(self, *args, **kwargs):
+                raise OSError("disk full")
+
+        # "a" sorts first and is written; "b" then fails mid-file
+        monkeypatch.setattr(training, "_collect_tensors",
+                            lambda *_: {"a": np.zeros(3), "b": Unwritable()})
+        with pytest.raises(OSError, match="disk full"):
+            checkpoint_save(path, model, gloss, text, "sign2gloss+text")
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
     def test_without_optimizer(self, tmp_path):
         path, *_ = self.saved(tmp_path, with_optimizer=False)
         ckpt = checkpoint_load(path)
