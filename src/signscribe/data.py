@@ -20,9 +20,11 @@ indices, then the split's tokens sorted lexicographically.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
+import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -113,18 +115,46 @@ def write_features(path, array) -> None:
         fh.write(arr.tobytes())
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "wb", **open_kwargs):
+    """Write through a synced sibling temp file that then replaces path.
+
+    A write that fails at any point leaves the old file, if any, and no
+    temp file.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def read_features(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        head = fh.read(16)
-        if len(head) < 16 or head[:4] != FEATURE_MAGIC:
-            raise CorpusError(f"{path}: not a feature file (bad magic)")
-        version, t, d = struct.unpack("<III", head[4:16])
-        if version != FEATURE_VERSION:
-            raise CorpusError(f"{path}: unsupported feature version {version}")
-        body = fh.read(4 * t * d)
-        if len(body) != 4 * t * d:
-            raise CorpusError(f"{path}: truncated feature payload")
-        return np.frombuffer(body, dtype="<f4").reshape(t, d)
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(16)
+            if len(head) < 16 or head[:4] != FEATURE_MAGIC:
+                raise CorpusError(f"{path}: not a feature file (bad magic)")
+            version, t, d = struct.unpack("<III", head[4:16])
+            if version != FEATURE_VERSION:
+                raise CorpusError(f"{path}: unsupported feature version {version}")
+            # a corrupt header must not make read() allocate more than the file
+            # holds; a pipe has no size to check against
+            st = os.fstat(fh.fileno())
+            if stat.S_ISREG(st.st_mode) and 4 * t * d > st.st_size - 16:
+                raise CorpusError(f"{path}: truncated feature payload")
+            body = fh.read(4 * t * d)
+    except OSError as exc:
+        raise CorpusError(f"{path}: cannot read feature file: {exc.strerror or exc}") from exc
+    if len(body) != 4 * t * d:
+        raise CorpusError(f"{path}: truncated feature payload")
+    return np.frombuffer(body, dtype="<f4").reshape(t, d)
 
 
 def check_features(features: np.ndarray, name: str) -> None:
@@ -155,9 +185,13 @@ def _parse_manifest(path: Path) -> list[dict]:
                 if not isinstance(rec[key], str):
                     raise CorpusError(f"{path}:{lineno}: field {key!r} is not a string")
             feat = Path(rec["features"])
-            if feat.is_absolute() or Path(os.path.normpath(feat)).parts[:1] == ("..",):
+            norm = os.path.normpath(feat)
+            if feat.is_absolute() or Path(norm).parts[:1] == ("..",):
                 raise CorpusError(f"{path}:{lineno}: features path {rec['features']!r} "
                                   "leaves the corpus root")
+            if norm == os.curdir:
+                raise CorpusError(f"{path}:{lineno}: features path {rec['features']!r} "
+                                  "names the corpus root, not a file")
             if rec["id"] in seen:
                 raise CorpusError(f"{path}:{lineno}: duplicate sample id {rec['id']!r}")
             seen.add(rec["id"])
@@ -426,6 +460,6 @@ def generate_synthetic(
                 "text": " ".join(rewrite_glosses(gloss_idx)),
             }
             lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
-        with open(root / f"{split}.jsonl", "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_write(root / f"{split}.jsonl", "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + ("\n" if lines else ""))
     return root

@@ -2,8 +2,9 @@
 
 Gloss decoding works on frame-level log-probabilities: a greedy best-path
 collapse and a prefix beam search over collapsed label sequences. Sentence
-decoding drives the autoregressive decoder: greedy one-token-at-a-time and
-beam search with the ((5+u)/6)^alpha length penalty.
+decoding drives the autoregressive decoder with one beam search, whose
+width-1 case is greedy decoding; the ((5+u)/6)^alpha length penalty ranks
+the final candidates.
 
 Sentence decoders talk to the model through a one-method pathway protocol
 rather than raw stacks: any object with
@@ -13,11 +14,10 @@ rather than raw stacks: any object with
 where row r scores the next token after prefixes[r] given source
 z_batch[indices[r]]. A prefix is the generated-so-far token tuple (without
 the leading start-of-sentence token, which the pathway adds itself), and all
-prefixes of one call share a length. Both searches run over a whole batch of
-sources in lockstep: greedy sends one row per still-active source, beam
-search one row per live beam of every source still under its cap. This keeps
-search logic independent of embedding details and lets tests drive it with
-hand-built tables.
+prefixes of one call share a length. The search runs over a whole batch of
+sources in lockstep, one row per live beam of every source still under its
+cap. This keeps search logic independent of embedding details and lets
+tests drive it with hand-built tables.
 
 Beam search prunes on raw log-probability; the length penalty enters only
 when a candidate pool is ranked. So one search per width yields the pools
@@ -25,6 +25,9 @@ for every alpha (`ar_beam_pools`), and `best_hypothesis` ranks a pool.
 
 Every decoder is deterministic: score ties break toward the lexicographically
 smallest token sequence, which for single-step choices means the lowest index.
+A sentence score is the running sum of log-probabilities, so greedy picks the
+lowest token id among extensions whose running totals are equal as floats,
+even when their own log-probabilities differ in the last bits.
 """
 
 from __future__ import annotations
@@ -167,15 +170,6 @@ def ctc_beam_search(log_probs, width: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _masked_log_softmax(logits: np.ndarray, forbid) -> np.ndarray:
-    shifted = logits - logits.max()
-    logq = shifted - np.log(np.exp(shifted).sum())
-    if forbid:
-        logq = logq.copy()
-        logq[list(forbid)] = -np.inf
-    return logq
-
-
 def _length_caps(z_batch, max_len) -> list[int]:
     """One generation cap per source from a single cap or a per-source list."""
     n = len(z_batch) if isinstance(z_batch, (list, tuple)) else z_batch.shape[0]
@@ -187,6 +181,54 @@ def _length_caps(z_batch, max_len) -> list[int]:
     return caps
 
 
+def _search(z_batch, mask_batch, decoder, width, caps, eos_id, forbid) -> list[list[Hypothesis]]:
+    """Beam-search many sources in lockstep; returns each source's final beams.
+
+    Each step scores the live beams of every source still under its cap with
+    one batched forward: every live beam has grown one token per step, so all
+    prefixes share a length. Scores use the model's full log-softmax;
+    forbidden ids are only excluded from selection, so scores stay comparable
+    across widths. A row offers only its `width` best extensions, since no
+    other can survive the cut. Pruning and tie-breaking stay per source, so a
+    source's beams never depend on which others share its batch. A source
+    whose rows give no finite score keeps its beams from the step before.
+    """
+    n = len(caps)
+    beams = [[((), 0.0, False)] for _ in range(n)]
+    for step in range(max(caps)):
+        # a beam kept back by a step with no finite score is shorter than
+        # step and stays as it is
+        rows = [(i, tokens, lp) for i in range(n) if step < caps[i]
+                for tokens, lp, finished in beams[i] if not finished and len(tokens) == step]
+        if not rows:
+            break
+        logits = np.asarray(
+            decoder.prefix_logits_batch(z_batch, mask_batch, [i for i, _, _ in rows],
+                                        [tokens for _, tokens, _ in rows]),
+            dtype=np.float64,
+        )
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        logq = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        if forbid:
+            logq[:, list(forbid)] = -np.inf
+        scores = np.array([lp for _, _, lp in rows])[:, None] + logq
+        # a stable sort keeps the lower id first among equal scores, as the
+        # final (-score, tokens) order does
+        top = np.argsort(-scores, axis=1, kind="stable")[:, :width]
+        best = np.take_along_axis(scores, top, axis=1)
+        candidates: dict[int, list] = {}
+        for (i, tokens, _), words, totals in zip(rows, top.tolist(), best.tolist()):
+            cands = candidates.setdefault(i, [beam for beam in beams[i] if beam[2]])
+            cands.extend((tokens + (w,), total, w == eos_id)
+                         for w, total in zip(words, totals) if math.isfinite(total))
+        for i, cands in candidates.items():
+            # token tuples are unique, so the order does not depend on the
+            # order candidates were appended in
+            cands.sort(key=lambda c: (-c[1], c[0]))
+            beams[i] = cands[:width] or beams[i]
+    return [[Hypothesis(*beam) for beam in source] for source in beams]
+
+
 def ar_greedy(z, src_pad_mask, decoder, max_len: int, *,
               eos_id: int = DEFAULT_EOS, forbid=()) -> Hypothesis:
     """Greedy rollout of one source: ar_greedy_batch on a batch of one."""
@@ -196,39 +238,15 @@ def ar_greedy(z, src_pad_mask, decoder, max_len: int, *,
 
 def ar_greedy_batch(z_batch, mask_batch, decoder, max_len, *,
                     eos_id: int = DEFAULT_EOS, forbid=()) -> list[Hypothesis]:
-    """Greedy decode many sources in lockstep; one batched forward per step.
+    """Greedy decode many sources in lockstep: the width-1 beam search.
 
-    Each source extends by its argmax token until <eos> or its cap. The
-    score is the sum of chosen-token log-probabilities under the model's
-    full softmax; forbidden ids are only excluded from selection, so scores
-    stay comparable across decoders. max_len may be a single cap or one per
-    source; a source's result never depends on which others share its batch.
+    Each source extends by its best token until <eos> or its cap. max_len
+    may be a single cap or one per source; a source's result never depends
+    on which others share its batch.
     """
     caps = _length_caps(z_batch, max_len)
-    n = len(caps)
-    states: list[tuple[tuple[int, ...], float, bool]] = [((), 0.0, False)] * n
-    active = list(range(n))
-    for _ in range(max(caps)):
-        if not active:
-            break
-        prefixes = [states[i][0] for i in active]
-        logits = np.asarray(
-            decoder.prefix_logits_batch(z_batch, mask_batch, active, prefixes),
-            dtype=np.float64,
-        )
-        still = []
-        for row, i in enumerate(active):
-            logq = _masked_log_softmax(logits[row], forbid)
-            choice = int(np.argmax(logq))
-            tokens, lp, _ = states[i]
-            tokens += (choice,)
-            lp += float(logq[choice])
-            done = choice == eos_id
-            states[i] = (tokens, lp, done)
-            if not done and len(tokens) < caps[i]:
-                still.append(i)
-        active = still
-    return [Hypothesis(tokens, lp, done) for tokens, lp, done in states]
+    return [beams[0] for beams in _search(z_batch, mask_batch, decoder, 1, caps,
+                                          eos_id, forbid)]
 
 
 def ar_beam_pools(z_batch, mask_batch, decoder, width: int, max_len, *,
@@ -236,50 +254,20 @@ def ar_beam_pools(z_batch, mask_batch, decoder, width: int, max_len, *,
     """Beam-search many sources in lockstep; returns each source's candidate pool.
 
     A pool holds the source's final beams followed by its greedy rollout;
-    width 0 gives the greedy rollout alone. Each step scores the live beams
-    of every source still under its cap with one batched forward: every
-    beam has grown one token per step, so all prefixes share a length.
-    Pruning and tie-breaking stay per source, on raw log-probability, so a
-    source's pool never depends on which others share its batch. greedy,
-    one Hypothesis per source, stands in for the greedy pass when the
-    caller already has it. max_len is a single cap or one per source.
+    width 0 gives the greedy rollout alone. greedy, one Hypothesis per
+    source, stands in for the greedy pass when the caller already has it.
+    max_len is a single cap or one per source.
     """
     if width < 0:
         raise ConfigError(f"beam width must be >= 0, got {width}")
     caps = _length_caps(z_batch, max_len)
-    n = len(caps)
     if greedy is None:
         greedy = ar_greedy_batch(z_batch, mask_batch, decoder, caps,
                                  eos_id=eos_id, forbid=forbid)
     if width == 0:
         return [[g] for g in greedy]
-
-    beams = [[((), 0.0, False)] for _ in range(n)]
-    for step in range(max(caps)):
-        rows = [(i, tokens, lp) for i in range(n) if step < caps[i]
-                for tokens, lp, finished in beams[i] if not finished]
-        if not rows:
-            break
-        logits = np.asarray(
-            decoder.prefix_logits_batch(z_batch, mask_batch, [i for i, _, _ in rows],
-                                        [tokens for _, tokens, _ in rows]),
-            dtype=np.float64,
-        )
-        candidates: dict[int, list] = {}
-        for row, (i, tokens, lp) in enumerate(rows):
-            if i not in candidates:
-                candidates[i] = [beam for beam in beams[i] if beam[2]]
-            logq = _masked_log_softmax(logits[row], forbid)
-            for w in np.flatnonzero(np.isfinite(logq)):
-                w = int(w)
-                candidates[i].append((tokens + (w,), lp + float(logq[w]), w == eos_id))
-        for i, cands in candidates.items():
-            # token tuples are unique, so the order does not depend on the
-            # order candidates were appended in
-            cands.sort(key=lambda c: (-c[1], c[0]))
-            beams[i] = cands[:width]
-    return [[Hypothesis(t, lp, f) for t, lp, f in beams[i]] + [greedy[i]]
-            for i in range(n)]
+    beams = _search(z_batch, mask_batch, decoder, width, caps, eos_id, forbid)
+    return [source + [g] for source, g in zip(beams, greedy)]
 
 
 def best_hypothesis(pool, alpha: float) -> Hypothesis:

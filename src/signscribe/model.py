@@ -51,14 +51,14 @@ RECOGNITION = ("sign2gloss", "sign2gloss+text")
 TRANSLATION = ("sign2text", "sign2gloss+text", "gloss2text")
 GLOSS_INPUT = ("gloss2text",)
 
-# Parameter-name prefixes excluded from optimization, per protocol. The
-# recognition-only protocol never runs the decoder; the translation-only
-# protocols never run the gloss head; gloss2text never sees frames.
+# Parameter-name prefixes excluded from optimization, per protocol: the
+# decoder and word table unless it translates, the gloss head unless it
+# recognizes, and whichever encoder input (frames or glosses) it never reads.
 _FROZEN_PREFIXES = {
-    "sign2gloss": ("decoder.", "words.", "gloss_words."),
-    "sign2text": ("encoder.gloss_proj.", "gloss_words."),
-    "sign2gloss+text": ("gloss_words.",),
-    "gloss2text": ("spatial.", "encoder.gloss_proj."),
+    protocol: (("decoder.", "words.") if protocol not in TRANSLATION else ())
+    + (("encoder.gloss_proj.",) if protocol not in RECOGNITION else ())
+    + (("spatial.",) if protocol in GLOSS_INPUT else ("gloss_words.",))
+    for protocol in PROTOCOLS
 }
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -27,8 +28,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Graph, Tensor
 from .config import RunConfig
-from .data import Vocabulary, load_corpus, make_batch
-from .errors import CheckpointError, ContractError, DimensionError
+from .data import Vocabulary, atomic_write, load_corpus, make_batch
+from .errors import CheckpointError, ConfigError, ContractError, DimensionError
 from .evaluation import evaluate_corpus
 from .losses import LossWeights
 from .model import PROTOCOLS, JointModel, batch_losses
@@ -217,41 +218,37 @@ def checkpoint_save(
     }
     footer_bytes = json.dumps(footer, sort_keys=True, separators=(",", ":")).encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(tensors)))
-            for name in sorted(tensors):
-                raw = name.encode("utf-8")
-                arr = np.ascontiguousarray(tensors[name], dtype="<f8")
-                fh.write(struct.pack("<H", len(raw)))
-                fh.write(raw)
-                fh.write(struct.pack("<B", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                fh.write(arr.tobytes())
-            fh.write(struct.pack("<I", len(footer_bytes)))
-            fh.write(footer_bytes)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(path) as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(tensors)))
+        for name in sorted(tensors):
+            raw = name.encode("utf-8")
+            arr = np.ascontiguousarray(tensors[name], dtype="<f8")
+            fh.write(struct.pack("<H", len(raw)))
+            fh.write(raw)
+            fh.write(struct.pack("<B", arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            fh.write(arr.tobytes())
+        fh.write(struct.pack("<I", len(footer_bytes)))
+        fh.write(footer_bytes)
     return path
-
-
-def _read_exact(fh, n: int, path, what: str) -> bytes:
-    got = fh.read(n)
-    if len(got) != n:
-        raise CheckpointError(f"{path}: truncated checkpoint ({what})")
-    return got
 
 
 def checkpoint_load(path) -> Checkpoint:
     path = Path(path)
     with open(path, "rb") as fh:
-        head = _read_exact(fh, 12, path, "header")
+        left = os.fstat(fh.fileno()).st_size
+
+        def read(n: int, what: str) -> bytes:
+            # a corrupt length must not make read() allocate more than the file holds
+            nonlocal left
+            got = fh.read(n) if n <= left else b""
+            if len(got) != n:
+                raise CheckpointError(f"{path}: truncated checkpoint ({what})")
+            left -= n
+            return got
+
+        head = read(12, "header")
         if head[:4] != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
         version, count = struct.unpack("<II", head[4:12])
@@ -259,21 +256,22 @@ def checkpoint_load(path) -> Checkpoint:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", _read_exact(fh, 2, path, "tensor name"))
-            raw_name = _read_exact(fh, name_len, path, "tensor name")
+            (name_len,) = struct.unpack("<H", read(2, "tensor name"))
+            raw_name = read(name_len, "tensor name")
             try:
                 name = raw_name.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise CheckpointError(f"{path}: tensor name is not UTF-8: {exc}") from exc
-            (rank,) = struct.unpack("<B", _read_exact(fh, 1, path, "tensor rank"))
-            dims = struct.unpack(
-                f"<{rank}I", _read_exact(fh, 4 * rank, path, "tensor dims")
-            )
-            n_bytes = 8 * int(np.prod(dims, dtype=np.int64)) if rank else 8
-            raw = _read_exact(fh, n_bytes, path, f"tensor {name}")
-            tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(dims)
-        (footer_len,) = struct.unpack("<I", _read_exact(fh, 4, path, "footer length"))
-        raw_footer = _read_exact(fh, footer_len, path, "footer")
+            (rank,) = struct.unpack("<B", read(1, "tensor rank"))
+            dims = struct.unpack(f"<{rank}I", read(4 * rank, "tensor dims"))
+            # math.prod on Python ints: a corrupt shape cannot wrap around
+            raw = read(8 * math.prod(dims), f"tensor {name}")
+            try:
+                tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(dims)
+            except ValueError as exc:  # more dimensions than NumPy supports
+                raise CheckpointError(f"{path}: tensor {name}: {exc}") from exc
+        (footer_len,) = struct.unpack("<I", read(4, "footer length"))
+        raw_footer = read(footer_len, "footer")
         try:
             footer = json.loads(raw_footer.decode("utf-8"))
         except ValueError as exc:  # bad UTF-8 or bad JSON
@@ -298,6 +296,8 @@ def _stored_tensor(ckpt: Checkpoint, name: str, shape) -> np.ndarray:
         raise CheckpointError(f"checkpoint missing tensor {name}")
     if arr.shape != shape:
         raise CheckpointError(f"{name}: stored shape {arr.shape} != model shape {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise CheckpointError(f"{name}: non-finite stored values")
     return arr.copy()
 
 
@@ -307,18 +307,27 @@ def restore_model(ckpt: Checkpoint) -> tuple[JointModel, Vocabulary, Vocabulary]
 
     footer = ckpt.footer
     try:
-        hyper = dict(footer["model"])
+        hyper = footer["model"]
         gloss_tokens = footer["gloss_tokens"]
         text_tokens = footer["text_tokens"]
     except KeyError as exc:
         raise CheckpointError(f"checkpoint footer missing field {exc}") from exc
+    if not isinstance(hyper, dict):
+        raise CheckpointError("checkpoint footer field 'model' is not an object")
+    for key, tokens in (("gloss_tokens", gloss_tokens), ("text_tokens", text_tokens)):
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise CheckpointError(f"checkpoint footer field {key!r} is not a list of strings")
     if footer.get("protocol") not in PROTOCOLS:
         raise CheckpointError(
             f"checkpoint footer names no known protocol: {footer.get('protocol')!r}"
         )
+    for key, value in hyper.items():
+        if key != "dropout" and (type(value) is not int or value < 1):
+            raise CheckpointError(f"checkpoint model hyperparameter {key!r} is not a "
+                                  f"positive integer: {value!r}")
     try:
         model = JointModel(seed=0, **hyper)
-    except TypeError as exc:  # a missing or unknown hyperparameter name
+    except (TypeError, ConfigError) as exc:  # a missing or unknown name, a bad value
         raise CheckpointError(f"checkpoint model hyperparameters do not fit: {exc}") from exc
     if model.n_glosses != len(gloss_tokens) or model.n_words != len(text_tokens):
         raise CheckpointError("stored dims disagree with stored vocabularies")

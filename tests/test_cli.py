@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -238,6 +239,18 @@ class TestTranslateCommand:
         assert code == 1
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_feature_path_is_one_line_error(self, joint_ckpt, tmp_path, capsys,
+                                                       kind):
+        path = tmp_path / "x.sltf"
+        if kind == "directory":
+            path.mkdir()
+        code = cli.main(["translate", "--checkpoint", str(joint_ckpt), "--features", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: cannot read feature file: ")
+        assert err.count("\n") == 1
+
 
 class TestPipelineCommand:
     def test_two_stage_run(self, corpus, joint_ckpt, gloss2text_ckpt, capsys):
@@ -339,6 +352,30 @@ def _non_utf8_tensor_name(raw):
     return raw[:14] + b"\xff" + raw[15:]
 
 
+def _pad_replace(raw, start, end, new):
+    """Put new in raw[start:end], padded with JSON whitespace to the same length."""
+    return raw[:start] + new.ljust(end - start) + raw[end:]
+
+
+def _footer_model_not_an_object(raw):
+    start = raw.rindex(b'"model":') + len(b'"model":')
+    return _pad_replace(raw, start, raw.index(b"}", start) + 1, b"5")
+
+
+def _non_string_text_token(raw):
+    # the last token, so the special tokens before it still match
+    end = raw.index(b"]", raw.rindex(b'"text_tokens":['))
+    return _pad_replace(raw, raw.rindex(b",", 0, end) + 1, end, b"7")
+
+
+def _stored_value(name, value):
+    def corrupt(raw):
+        at = raw.index(struct.pack("<H", len(name)) + name) + 2 + len(name)
+        at += 1 + 4 * raw[at]  # the rank byte, then one u32 per dimension
+        return raw[:at] + struct.pack("<d", value) + raw[at + 8:]
+    return corrupt
+
+
 CHECKPOINT_CORRUPTIONS = {
     "footer_not_json": _overwrite_footer_bytes,
     "tensor_name_not_utf8": _non_utf8_tensor_name,
@@ -347,6 +384,11 @@ CHECKPOINT_CORRUPTIONS = {
     "footer_without_protocol":
         lambda raw: raw.replace(b'"protocol":', b'"protocoL":'),
     "unknown_model_hyperparameter": lambda raw: raw.replace(b'"d_ff":', b'"d_fg":'),
+    "footer_model_not_an_object": _footer_model_not_an_object,
+    "non_string_text_token": _non_string_text_token,
+    "zero_heads": lambda raw: raw.replace(b'"n_heads":2', b'"n_heads":0'),
+    "nan_parameter": _stored_value(b"words.table", float("nan")),
+    "inf_running_variance": _stored_value(b"spatial.bn_running_var", float("inf")),
 }
 
 
@@ -382,7 +424,9 @@ class TestArtifactErrors:
         (lambda rec, first: {**rec, "features": "../" + rec["features"]},
          "features path '../features/dev-00001.sltf' leaves the corpus root"),
         (lambda rec, first: {**rec, "id": first["id"]}, "duplicate sample id 'dev-00000'"),
-    ], ids=["escaping_features_path", "duplicate_id"])
+        (lambda rec, first: {**rec, "features": "."},
+         "features path '.' names the corpus root, not a file"),
+    ], ids=["escaping_features_path", "duplicate_id", "features_naming_the_root"])
     def test_bad_manifest_record_is_one_line_runtime_error(self, corpus, joint_ckpt, tmp_path,
                                                            capsys, change, message):
         bad = tmp_path / "corpus"
@@ -409,3 +453,16 @@ class TestArtifactErrors:
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: {bad / 'dev.jsonl'}:2: field 'gloss' is not a string\n")
+
+    def test_missing_feature_file_is_one_line_runtime_error(self, corpus, joint_ckpt, tmp_path,
+                                                            capsys):
+        bad = tmp_path / "corpus"
+        shutil.copytree(corpus, bad)
+        missing = bad / "features" / "dev-00001.sltf"
+        missing.unlink()
+        code = cli.main(["evaluate", "--checkpoint", str(joint_ckpt),
+                         "--corpus", str(bad), "--split", "dev"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {missing}: cannot read feature file: ")
+        assert err.count("\n") == 1

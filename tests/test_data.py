@@ -2,10 +2,14 @@
 
 import json
 import logging
+import os
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signscribe import data
 from signscribe.data import (
@@ -107,6 +111,60 @@ class TestFeatureFiles:
             data.read_features(path)
 
 
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+    def test_reads_from_a_pipe(self, tmp_path):
+        arr = np.random.default_rng(1).normal(size=(4, 3)).astype(np.float32)
+        path = tmp_path / "x.sltf"
+        data.write_features(path, arr)
+        r, w = os.pipe()
+        os.write(w, path.read_bytes())  # 64 bytes fit the pipe buffer
+        os.close(w)
+        try:
+            back = data.read_features(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        assert np.array_equal(back, arr)
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_path_is_corpus_error(self, tmp_path, kind):
+        path = tmp_path / "x.sltf"
+        if kind == "directory":
+            path.mkdir()
+        with pytest.raises(CorpusError, match=f"{path}: cannot read feature file"):
+            data.read_features(path)
+
+
+SLTF_BYTES = (b"SLTF" + struct.pack("<III", 1, 3, 2)
+              + np.arange(6, dtype="<f4").tobytes())
+
+
+class TestFeatureFileFuzz:
+    """Truncated or byte-flipped SLTF input fails only with CorpusError."""
+
+    @given(cut=st.integers(min_value=0, max_value=len(SLTF_BYTES) - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_every_truncation_is_corpus_error(self, tmp_path_factory, cut):
+        path = tmp_path_factory.mktemp("sltf") / "cut.sltf"
+        path.write_bytes(SLTF_BYTES[:cut])
+        with pytest.raises(CorpusError):
+            data.read_features(path)
+
+    @given(at=st.integers(min_value=0, max_value=len(SLTF_BYTES) - 1),
+           mask=st.integers(min_value=1, max_value=255))
+    @settings(max_examples=200, deadline=None)
+    def test_byte_flip_reads_whole_rows_or_is_corpus_error(self, tmp_path_factory, at, mask):
+        raw = bytearray(SLTF_BYTES)
+        raw[at] ^= mask
+        path = tmp_path_factory.mktemp("sltf") / "flip.sltf"
+        path.write_bytes(bytes(raw))
+        try:
+            got = data.read_features(path)
+        except CorpusError:
+            return
+        t, d = struct.unpack("<II", bytes(raw[8:16]))
+        assert got.shape == (t, d) and 16 + 4 * t * d <= len(raw)
+
+
 class TestLoadCorpus:
     def test_two_sample_fixture_vocab(self, tmp_path):
         write_corpus(
@@ -195,6 +253,25 @@ class TestLoadCorpus:
                             + manifest.read_text())
         with pytest.raises(CorpusError, match="train.jsonl:1: features path .* leaves"):
             data.load_corpus(tmp_path, "train")
+
+    @pytest.mark.parametrize("features", ["", ".", "features/..", "./"])
+    def test_features_naming_the_root_rejected(self, tmp_path, features):
+        write_corpus(tmp_path, {"train": [("t0", frames(5), "A", "x")]})
+        manifest = tmp_path / "train.jsonl"
+        rec = json.loads(manifest.read_text())
+        manifest.write_text(manifest.read_text()
+                            + json.dumps({**rec, "id": "t1", "features": features}) + "\n")
+        with pytest.raises(CorpusError, match="train.jsonl:2: features path .* names the "
+                                              "corpus root"):
+            data.load_corpus(tmp_path, "train")
+
+    def test_missing_feature_file_is_corpus_error(self, tmp_path):
+        write_corpus(tmp_path, {"train": [("t0", frames(5), "A", "x")],
+                                "dev": [("d0", frames(5), "A", "x"),
+                                        ("d1", frames(5), "A", "x")]})
+        (tmp_path / "features" / "d1.sltf").unlink()
+        with pytest.raises(CorpusError, match="d1.sltf: cannot read feature file"):
+            data.load_corpus(tmp_path, "dev")
 
     def test_features_path_may_step_back_inside_root(self, tmp_path):
         write_corpus(tmp_path, {"train": [("t0", frames(5), "A", "x")]})
@@ -338,6 +415,21 @@ class TestGenerateSynthetic:
         assert files_a == files_b
         for rel in files_a:
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+    def test_failed_manifest_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        data.generate_synthetic(tmp_path, seed=1, n_train=4, n_dev=2, n_test=2)
+        before = (tmp_path / "train.jsonl").read_bytes()
+
+        def fail(fd):
+            raise OSError("disk full")
+
+        # the new train manifest is fully written, then its sync fails
+        monkeypatch.setattr(data.os, "fsync", fail)
+        with pytest.raises(OSError, match="disk full"):
+            data.generate_synthetic(tmp_path, seed=2, n_train=5, n_dev=2, n_test=2)
+        assert (tmp_path / "train.jsonl").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "dev.jsonl", "features", "test.jsonl", "train.jsonl"]
 
     def test_different_seed_differs(self, tmp_path):
         a = tmp_path / "a"

@@ -420,6 +420,52 @@ class TestChunkBeamSearch:
             dec.ar_beam_pools(sources, [None] * 8, ChunkDecoder(), 2, [0] * 8)
 
 
+class TestGreedyIsWidthOneBeam:
+    @pytest.mark.parametrize("forbid", [(), (0, 1)])
+    def test_greedy_equals_first_beam_of_width_one(self, forbid):
+        sources, caps = mixed_chunk()
+        sources += [RandomDecoder(8, 1300 + seed) for seed in range(6)]
+        caps += [1, 2, 4, 6, 7, 8]
+        greedy = dec.ar_greedy_batch(sources, [None] * 14, ChunkDecoder(), caps, forbid=forbid)
+        pools = dec.ar_beam_pools(sources, [None] * 14, ChunkDecoder(), 1, caps, forbid=forbid)
+        assert [pool[0] for pool in pools] == greedy
+        assert all(len(pool) == 2 for pool in pools)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_all_equal_logits_keep_the_lowest_ids(self, width):
+        toy = ToyDecoder({}, np.zeros(6))
+        (pool,) = dec.ar_beam_pools([toy], [None], ChunkDecoder(), width, 1)
+        assert [h.tokens for h in pool[:-1]] == [(w,) for w in range(width)]
+        assert pool[-1].tokens == (0,)
+        assert dec.ar_greedy(None, None, toy, 3).tokens == (0, 0, 0)
+
+    def test_rounding_tie_takes_the_lower_id(self):
+        # Step 1 costs exactly -50 (token 0 is forbidden but keeps its mass).
+        # At step 2, token 4's log-probability is one ulp above token 3's, yet
+        # both running totals round to -100.0, so token 3 wins the tie.
+        q3, q4 = 0.0 - 50.0, 2.0 ** -47 - 50.0
+        assert q4 > q3 and -50.0 + q3 == -50.0 + q4
+        toy = ToyDecoder({(): [50.0, 0.0, -100.0, 0.0, 0.0],
+                          (1,): [50.0, -100.0, -100.0, 0.0, 2.0 ** -47]},
+                         np.zeros(5))
+        hyp = dec.ar_greedy(None, None, toy, 2, forbid=(0,))
+        assert hyp == Hypothesis((1, 3), -100.0, False)
+        (pool,) = dec.ar_beam_pools([toy], [None], ChunkDecoder(), 1, 2, forbid=(0,))
+        assert pool == [hyp, hyp]
+
+    def test_nan_row_keeps_the_unfinished_prefix(self):
+        nan_at_step_two = ToyDecoder({(): [0.0, 1.0, -9.0, 7.0]}, np.full(4, np.nan))
+        hyp = dec.ar_greedy(None, None, nan_at_step_two, 5)
+        assert hyp.tokens == (3,) and not hyp.finished and np.isfinite(hyp.log_prob)
+        # the stalled source leaves its chunk mates as they are alone
+        sources = [nan_at_step_two, RandomDecoder(4, 1400), eos_hater(4)]
+        for width in (0, 1, 3):
+            pools = dec.ar_beam_pools(sources, [None] * 3, ChunkDecoder(), width, 5)
+            for src, pool in zip(sources[1:], pools[1:]):
+                assert pool == dec.ar_beam_pools([src], [None], ChunkDecoder(), width, 5)[0]
+            assert all(len(h.tokens) == 1 and not h.finished for h in pools[0])
+
+
 class TestLogAdd:
     def test_matches_numpy_bit_for_bit(self):
         grid = [-np.inf, np.inf, -800.0, -40.0, -1.5, -1e-300, 0.0, 1e-300, 0.3, 2.0, 700.0]

@@ -103,6 +103,26 @@ class TestTrainableSubsets:
         names = set(m.trainable_parameters("sign2gloss+text"))
         assert names == set(m.named_parameters()) - {"gloss_words.table"}
 
+    @pytest.mark.parametrize("protocol, frozen", [
+        ("sign2gloss", ("decoder", "words", "gloss_words")),
+        ("sign2text", ("gloss_head", "gloss_words")),
+        ("sign2gloss+text", ("gloss_words",)),
+        ("gloss2text", ("spatial", "gloss_head")),
+    ])
+    def test_exact_trainable_names(self, protocol, frozen):
+        m = tiny_model()
+        names = set(m.named_parameters())
+        groups = {
+            "decoder": {n for n in names if n.startswith("decoder.")},
+            "words": {"words.table"},
+            "gloss_words": {"gloss_words.table"},
+            "gloss_head": {"encoder.gloss_proj.weight", "encoder.gloss_proj.bias"},
+            "spatial": {"spatial.weight", "spatial.bias", "spatial.bn_gain", "spatial.bn_bias"},
+        }
+        assert len(groups["decoder"]) == 2 * 26 + 4  # two layers, final norm, word projection
+        want = names.difference(*(groups[g] for g in frozen))
+        assert set(m.trainable_parameters(protocol)) == want
+
     def test_gloss2text_excludes_frame_front_end(self):
         names = set(tiny_model().trainable_parameters("gloss2text"))
         assert not any(n.startswith("spatial.") for n in names)

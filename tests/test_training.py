@@ -1,7 +1,13 @@
 """Optimizer, scheduler, checkpoint format, and training loop tests."""
 
+import functools
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signscribe import data, training
 from signscribe.autodiff import Tensor
@@ -321,6 +327,79 @@ class TestCheckpointFormat:
         footer["gloss_tokens"] = list(reversed(footer["gloss_tokens"]))
         with pytest.raises(CheckpointError, match="order|vocabular"):
             restore_model(Checkpoint(tensors=ckpt.tensors, footer=footer))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("model", 5, "'model' is not an object"),
+        ("text_tokens", ["<pad>", "<bos>", "<eos>", "<unk>", "x", "y", 7],
+         "'text_tokens' is not a list of strings"),
+        ("gloss_tokens", "<blank><pad>ABC", "'gloss_tokens' is not a list of strings"),
+    ])
+    def test_malformed_footer_field_rejected(self, tmp_path, field, value, message):
+        path, *_ = self.saved(tmp_path)
+        ckpt = checkpoint_load(path)
+        footer = {**ckpt.footer, field: value}
+        with pytest.raises(CheckpointError, match=message):
+            restore_model(Checkpoint(tensors=ckpt.tensors, footer=footer))
+
+    @pytest.mark.parametrize("name, value", [("n_heads", 0), ("d", -8), ("d_ff", 16.0),
+                                             ("n_words", True)])
+    def test_non_positive_integer_hyperparameter_rejected(self, tmp_path, name, value):
+        path, *_ = self.saved(tmp_path)
+        ckpt = checkpoint_load(path)
+        footer = {**ckpt.footer, "model": {**ckpt.footer["model"], name: value}}
+        with pytest.raises(CheckpointError, match=f"'{name}' is not a positive integer"):
+            restore_model(Checkpoint(tensors=ckpt.tensors, footer=footer))
+
+    @pytest.mark.parametrize("name", ["words.table", "spatial.bn_running_var"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_stored_values_rejected(self, tmp_path, name, bad):
+        path, *_ = self.saved(tmp_path)
+        ckpt = checkpoint_load(path)
+        tensors = dict(ckpt.tensors)
+        tensors[name] = tensors[name].copy()
+        tensors[name].flat[1] = bad
+        with pytest.raises(CheckpointError, match=f"{name}: non-finite"):
+            restore_model(Checkpoint(tensors=tensors, footer=ckpt.footer))
+
+
+@functools.lru_cache(maxsize=1)
+def tiny_checkpoint_bytes() -> bytes:
+    gloss, text = tiny_vocabs()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = checkpoint_save(Path(tmp) / "m.sltc", tiny_model(seed=4), gloss, text,
+                               "sign2gloss+text")
+        return path.read_bytes()
+
+
+class TestCheckpointFuzz:
+    """Truncated or byte-flipped SLTC input fails only with CheckpointError."""
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_every_truncation_is_checkpoint_error(self, tmp_path_factory, data):
+        raw = tiny_checkpoint_bytes()
+        cut = data.draw(st.integers(min_value=0, max_value=len(raw) - 1))
+        path = tmp_path_factory.mktemp("sltc") / "cut.sltc"
+        path.write_bytes(raw[:cut])
+        with pytest.raises(CheckpointError):
+            restore_model(checkpoint_load(path))
+
+    @given(data=st.data(), mask=st.integers(min_value=1, max_value=255))
+    @settings(max_examples=300, deadline=None)
+    def test_byte_flip_loads_or_is_checkpoint_error(self, tmp_path_factory, data, mask):
+        raw = bytearray(tiny_checkpoint_bytes())
+        # the footer is a small share of the file, so draw from it on purpose too
+        at = data.draw(st.one_of(st.integers(min_value=0, max_value=len(raw) - 1),
+                                 st.integers(min_value=raw.rindex(b'{"extra":') - 4,
+                                             max_value=len(raw) - 1)))
+        raw[at] ^= mask
+        path = tmp_path_factory.mktemp("sltc") / "flip.sltc"
+        path.write_bytes(bytes(raw))
+        try:
+            model, _, _ = restore_model(checkpoint_load(path))
+        except CheckpointError:
+            return
+        assert all(np.all(np.isfinite(p.data)) for p in model.named_parameters().values())
 
 
 def quick_cfg(corpus, out_dir, **overrides):
