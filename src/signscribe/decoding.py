@@ -6,18 +6,36 @@ decoding drives the autoregressive decoder with one beam search, whose
 width-1 case is greedy decoding; the ((5+u)/6)^alpha length penalty ranks
 the final candidates.
 
-Sentence decoders talk to the model through a one-method pathway protocol
+Sentence decoders talk to the model through a two-method pathway protocol
 rather than raw stacks: any object with
+
+    start(z_batch, mask_batch) -> state
+    step(state, parent_rows, tokens) -> ndarray[len(parent_rows), |W|]
+
+start opens a decode state over a batch of sources (for the model, each
+decoder layer's cross-attention keys and values, projected once). Each step
+call makes row r continue row parent_rows[r] of the call before (at the
+first call, source parent_rows[r]) by the word tokens[r], and returns the
+scores of the next word for every row. The first call passes tokens=None:
+its rows start their sentences, and the pathway feeds the start-of-sentence
+token itself. Beams are reordered, repeated and dropped through
+parent_rows alone, so the model's step feeds only each row's newest
+positions, not its whole prefix, against cached keys and values. The search
+runs over a whole batch of
+sources in lockstep, one row per live beam of every source still under its
+cap.
+
+A decoder with only the stateless
 
     prefix_logits_batch(z_batch, mask_batch, indices, prefixes) -> ndarray[len(indices), |W|]
 
-where row r scores the next token after prefixes[r] given source
-z_batch[indices[r]]. A prefix is the generated-so-far token tuple (without
-the leading start-of-sentence token, which the pathway adds itself), and all
-prefixes of one call share a length. The search runs over a whole batch of
-sources in lockstep, one row per live beam of every source still under its
-cap. This keeps search logic independent of embedding details and lets
-tests drive it with hand-built tables.
+(row r scores the next token after the bos-free prefixes[r] given source
+z_batch[indices[r]]; all prefixes of one call share a length) gets start
+and step from a prefix-replay adapter, which tracks each row's source and
+prefix and rescores whole prefixes every step. This keeps search logic
+independent of embedding details and lets tests drive it with hand-built
+tables; the model's own prefix_logits_batch is the oracle its steps are
+tested against.
 
 Beam search prunes on raw log-probability; the length penalty enters only
 when a candidate pool is ranked. So one search per width yields the pools
@@ -181,52 +199,90 @@ def _length_caps(z_batch, max_len) -> list[int]:
     return caps
 
 
+@dataclass
+class _ReplayState:
+    z_batch: object
+    mask_batch: object
+    rows: list  # (source index, bos-free prefix) per row of the last step
+
+
+class _PrefixReplay:
+    """The start/step pathway over a decoder that has only prefix_logits_batch.
+
+    The state keeps each row's source and prefix, and every step rescores
+    the whole prefixes with one prefix_logits_batch call.
+    """
+
+    def __init__(self, decoder):
+        self.decoder = decoder
+
+    def start(self, z_batch, mask_batch) -> _ReplayState:
+        return _ReplayState(z_batch, mask_batch, [])
+
+    def step(self, state: _ReplayState, parent_rows, tokens) -> np.ndarray:
+        if tokens is None:
+            state.rows = [(i, ()) for i in parent_rows]
+        else:
+            state.rows = [(state.rows[p][0], state.rows[p][1] + (w,))
+                          for p, w in zip(parent_rows, tokens)]
+        return self.decoder.prefix_logits_batch(
+            state.z_batch, state.mask_batch, [i for i, _ in state.rows],
+            [prefix for _, prefix in state.rows])
+
+
 def _search(z_batch, mask_batch, decoder, width, caps, eos_id, forbid) -> list[list[Hypothesis]]:
     """Beam-search many sources in lockstep; returns each source's final beams.
 
     Each step scores the live beams of every source still under its cap with
-    one batched forward: every live beam has grown one token per step, so all
-    prefixes share a length. Scores use the model's full log-softmax;
-    forbidden ids are only excluded from selection, so scores stay comparable
-    across widths. A row offers only its `width` best extensions, since no
-    other can survive the cut. Pruning and tie-breaking stay per source, so a
-    source's beams never depend on which others share its batch. A source
-    whose rows give no finite score keeps its beams from the step before.
+    one decoder step: every live beam has grown one token per step, and each
+    names the row of the step before that it extends. Scores use the model's
+    full log-softmax; forbidden ids are only excluded from selection, so
+    scores stay comparable across widths. A row offers only its `width`
+    best extensions, since no other can survive the cut. Pruning and
+    tie-breaking stay per source, so a source's beams never depend on which
+    others share its batch. A source whose rows give no finite score keeps
+    its beams from the step before.
     """
+    pathway = decoder if hasattr(decoder, "step") else _PrefixReplay(decoder)
+    state = pathway.start(z_batch, mask_batch)
     n = len(caps)
-    beams = [[((), 0.0, False)] for _ in range(n)]
+    # a beam is (tokens, log_prob, finished, row): row is its parent's row in
+    # the last step, or at the first step its source
+    beams = [[((), 0.0, False, i)] for i in range(n)]
     for step in range(max(caps)):
         # a beam kept back by a step with no finite score is shorter than
         # step and stays as it is
-        rows = [(i, tokens, lp) for i in range(n) if step < caps[i]
-                for tokens, lp, finished in beams[i] if not finished and len(tokens) == step]
+        rows = [(i, tokens, lp, row) for i in range(n) if step < caps[i]
+                for tokens, lp, finished, row in beams[i]
+                if not finished and len(tokens) == step]
         if not rows:
             break
         logits = np.asarray(
-            decoder.prefix_logits_batch(z_batch, mask_batch, [i for i, _, _ in rows],
-                                        [tokens for _, tokens, _ in rows]),
+            pathway.step(state, [row for *_, row in rows],
+                         [tokens[-1] for _, tokens, _, _ in rows] if step else None),
             dtype=np.float64,
         )
         shifted = logits - logits.max(axis=1, keepdims=True)
         logq = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         if forbid:
             logq[:, list(forbid)] = -np.inf
-        scores = np.array([lp for _, _, lp in rows])[:, None] + logq
+        scores = np.array([lp for _, _, lp, _ in rows])[:, None] + logq
         # a stable sort keeps the lower id first among equal scores, as the
         # final (-score, tokens) order does
         top = np.argsort(-scores, axis=1, kind="stable")[:, :width]
         best = np.take_along_axis(scores, top, axis=1)
         candidates: dict[int, list] = {}
-        for (i, tokens, _), words, totals in zip(rows, top.tolist(), best.tolist()):
+        for r, ((i, tokens, _, _), words, totals) in enumerate(zip(rows, top.tolist(),
+                                                                   best.tolist())):
             cands = candidates.setdefault(i, [beam for beam in beams[i] if beam[2]])
-            cands.extend((tokens + (w,), total, w == eos_id)
+            cands.extend((tokens + (w,), total, w == eos_id, r)
                          for w, total in zip(words, totals) if math.isfinite(total))
         for i, cands in candidates.items():
             # token tuples are unique, so the order does not depend on the
             # order candidates were appended in
             cands.sort(key=lambda c: (-c[1], c[0]))
             beams[i] = cands[:width] or beams[i]
-    return [[Hypothesis(*beam) for beam in source] for source in beams]
+    return [[Hypothesis(*beam[:3]) for beam in source] for source in beams]
 
 
 def ar_greedy(z, src_pad_mask, decoder, max_len: int, *,
@@ -254,7 +310,8 @@ def ar_beam_pools(z_batch, mask_batch, decoder, width: int, max_len, *,
     """Beam-search many sources in lockstep; returns each source's candidate pool.
 
     A pool holds the source's final beams followed by its greedy rollout;
-    width 0 gives the greedy rollout alone. greedy, one Hypothesis per
+    width 0 gives the greedy rollout alone, and width 1, whose one beam is
+    the greedy rollout, runs no search of its own. greedy, one Hypothesis per
     source, stands in for the greedy pass when the caller already has it.
     max_len is a single cap or one per source.
     """
@@ -266,6 +323,8 @@ def ar_beam_pools(z_batch, mask_batch, decoder, width: int, max_len, *,
                                  eos_id=eos_id, forbid=forbid)
     if width == 0:
         return [[g] for g in greedy]
+    if width == 1:  # the width-1 search is the greedy pass
+        return [[g, g] for g in greedy]
     beams = _search(z_batch, mask_batch, decoder, width, caps, eos_id, forbid)
     return [source + [g] for source, g in zip(beams, greedy)]
 

@@ -14,9 +14,14 @@ as encoder input. The gloss projection spans the full
 gloss vocabulary, so its column 0 is the CTC blank and column 1 is the
 (never-targeted) gloss pad.
 
-The model exposes the decoding pathway the search routines expect:
-prefix_logits_batch scores the next word for a batch of encoder outputs and
-bos-free prefixes; prefix_logits is its batch of one.
+The model exposes the decoding pathway the search routines expect. start
+builds a decode state for a batch of encoder outputs, projecting each
+decoder layer's cross-attention keys and values once; step grows every
+row's prefix by one word and returns the next-word logits, feeding only the
+row's newest positions against the cached keys and values. prefix_logits_batch
+scores the next word after whole bos-free prefixes with one teacher-forced
+forward each: it is the oracle the cached steps are tested against, and
+prefix_logits is its batch of one.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .losses import (
 )
 from .transformer import (
     DEFAULT_D_FF,
+    DecoderCache,
     DecoderStack,
     EncoderStack,
     gloss_logits,
@@ -200,7 +206,37 @@ class JointModel:
         return run_decoder(m, z, np.asarray(src_mask, dtype=bool), self.decoder,
                            train=train, rng=rng, dropout_rate=self.dropout)
 
-    # -- incremental decoding pathway ---------------------------------------
+    # -- decoding pathway ------------------------------------------------------
+
+    def start(self, z_batch, mask_batch) -> DecoderCache:
+        """A decode state for sources z_batch, one row per source and no word yet.
+
+        z_batch is a (B, S, d) batch or a list of (S, d) sources. Each
+        decoder layer's cross-attention keys and values are projected here,
+        once for every step that follows.
+        """
+        return DecoderCache(Tensor(_stacked(z_batch)), mask_batch, self.decoder)
+
+    def step(self, state: DecoderCache, parent_rows, tokens) -> np.ndarray:
+        """Next-word logits after each row's prefix grows by one word.
+
+        Row r continues row parent_rows[r] of the step before, or source
+        parent_rows[r] at the first step, and appends tokens[r]. At the
+        first step tokens is None: the rows start their sentences, so the
+        word fed is <bos>. Later steps feed each row's previous position
+        again (the cache holds it back) ahead of the new one.
+        """
+        state.select(parent_rows)
+        if tokens is None:
+            bos = np.full((len(state.sources), 1), TEXT_BOS, dtype=np.int64)
+            m = self.words.embed(bos) + self._positions(1)
+        else:
+            t = state.length + 1
+            new = self.words.embed(np.asarray(tokens, dtype=np.int64)[:, None])
+            new = new + self._positions(t + 1).data[t]
+            m = Tensor(np.concatenate([state.held.data, new.data], axis=1))
+        logits = run_decoder(m, None, None, self.decoder, cache=state)
+        return np.asarray(logits.data[:, -1, :])
 
     def prefix_logits(self, z, src_mask, prefix) -> np.ndarray:
         """Next-word logits after a bos-free prefix, for one source sequence."""
@@ -211,23 +247,28 @@ class JointModel:
 
         z_batch is a (B, S, d) batch or a list of (S, d) sources; an index
         may repeat, as when several beams extend one source. The prefixes
-        share a length, so the rows need no target padding.
+        share a length, so the rows need no target padding. Each call runs
+        the whole teacher-forced forward over [<bos>, *prefix]: this is the
+        stateless oracle that start/step must agree with.
         """
         if len(indices) != len(prefixes):
             raise ContractError("one prefix per source index")
         lengths = {len(p) for p in prefixes}
         if len(lengths) > 1:
             raise ContractError("batched prefixes must share a length")
-        if isinstance(z_batch, (list, tuple)):
-            zb = np.stack([z.data if isinstance(z, Tensor) else np.asarray(z) for z in z_batch])
-        else:
-            zb = z_batch.data if isinstance(z_batch, Tensor) else np.asarray(z_batch)
         idx = np.asarray(indices, dtype=np.int64)
-        z = Tensor(zb[idx])
+        z = Tensor(_stacked(z_batch)[idx])
         mask = np.asarray(mask_batch, dtype=bool)[idx]
         tokens = np.array([[TEXT_BOS, *p] for p in prefixes], dtype=np.int64)
         logits = self.word_logits(tokens, z, mask)
         return np.asarray(logits.data[:, -1, :])
+
+
+def _stacked(z_batch) -> np.ndarray:
+    """Encoder outputs as one (B, S, d) array, from a batch or a list of sources."""
+    if isinstance(z_batch, (list, tuple)):
+        return np.stack([z.data if isinstance(z, Tensor) else np.asarray(z) for z in z_batch])
+    return z_batch.data if isinstance(z_batch, Tensor) else np.asarray(z_batch)
 
 
 def batch_losses(

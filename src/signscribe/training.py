@@ -341,36 +341,64 @@ def restore_model(ckpt: Checkpoint) -> tuple[JointModel, Vocabulary, Vocabulary]
     return model, gloss_vocab, text_vocab
 
 
+def _is_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+# The footer fields restore_training_state reads: (kind, check) per name.
+_OPTIMIZER_FIELDS = {
+    **{name: ("a finite number", _is_number)
+       for name in ("lr", "beta1", "beta2", "eps", "weight_decay")},
+    "step": ("a non-negative integer", _is_count),
+}
+_SCHEDULER_FIELDS = {
+    "patience": ("a non-negative integer", _is_count),
+    "factor": ("a finite number", _is_number),
+    "floor": ("a finite number", _is_number),
+    "minimize": ("a boolean", lambda value: type(value) is bool),
+    "best": ("null or a finite number", lambda value: value is None or _is_number(value)),
+    "evals_since_improvement": ("a non-negative integer", _is_count),
+}
+
+
+def _footer_object(footer: dict, key: str, fields: dict) -> dict | None:
+    """A stored optimizer or scheduler footer object with its fields checked."""
+    obj = footer.get(key)
+    if obj is None:
+        return None
+    if not isinstance(obj, dict):
+        raise CheckpointError(f"checkpoint footer field {key!r} is not an object")
+    for name, (kind, ok) in fields.items():
+        if name not in obj:
+            raise CheckpointError(f"checkpoint footer field {key!r} lacks {name!r}")
+        if not ok(obj[name]):
+            raise CheckpointError(f"checkpoint footer {key}.{name} is not {kind}: "
+                                  f"{obj[name]!r}")
+    return {name: obj[name] for name in fields}
+
+
 def restore_training_state(
     ckpt: Checkpoint, model: JointModel
 ) -> tuple[OptimizerState | None, SchedulerState | None]:
     """Recover optimizer moments and scheduler progress, when stored."""
     footer = ckpt.footer
     optimizer = None
-    if footer.get("optimizer") is not None:
-        o = footer["optimizer"]
-        params = model.trainable_parameters(footer["protocol"])
-        optimizer = OptimizerState(
-            lr=o["lr"], beta1=o["beta1"], beta2=o["beta2"], eps=o["eps"],
-            weight_decay=o["weight_decay"], step=o["step"],
-        )
-        for name, p in params.items():
-            m = ckpt.tensors.get(f"adam.m.{name}")
-            v = ckpt.tensors.get(f"adam.v.{name}")
-            if m is None or v is None:
-                raise CheckpointError(f"checkpoint missing optimizer moments for {name}")
-            if m.shape != p.data.shape:
-                raise CheckpointError(f"adam.m.{name}: shape mismatch")
-            optimizer.m[name] = m.copy()
-            optimizer.v[name] = v.copy()
-    scheduler = None
-    if footer.get("scheduler") is not None:
-        s = footer["scheduler"]
-        scheduler = SchedulerState(
-            patience=s["patience"], factor=s["factor"], floor=s["floor"],
-            minimize=s["minimize"], best=s["best"],
-            evals_since_improvement=s["evals_since_improvement"],
-        )
+    o = _footer_object(footer, "optimizer", _OPTIMIZER_FIELDS)
+    if o is not None:
+        if footer.get("protocol") not in PROTOCOLS:
+            raise CheckpointError(
+                f"checkpoint footer names no known protocol: {footer.get('protocol')!r}"
+            )
+        optimizer = OptimizerState(**o)
+        for name, p in model.trainable_parameters(footer["protocol"]).items():
+            optimizer.m[name] = _stored_tensor(ckpt, f"adam.m.{name}", p.data.shape)
+            optimizer.v[name] = _stored_tensor(ckpt, f"adam.v.{name}", p.data.shape)
+    s = _footer_object(footer, "scheduler", _SCHEDULER_FIELDS)
+    scheduler = None if s is None else SchedulerState(**s)
     return optimizer, scheduler
 
 

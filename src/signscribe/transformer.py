@@ -100,9 +100,23 @@ def _merge_heads(x: Tensor) -> Tensor:
     return x.reshape((*lead, s, h * dh))
 
 
+def _project_keys_values(keys_values: Tensor, attn: AttentionParams) -> tuple[Tensor, Tensor]:
+    """One attention site's keys and values of a (..., K, d) input, each (..., H, K, d/H)."""
+    k = _split_heads(_linear(keys_values, attn.wk, attn.bk), attn.n_heads)
+    v = _split_heads(_linear(keys_values, attn.wv, attn.bv), attn.n_heads)
+    return k, v
+
+
+def _checked_mask(mask) -> np.ndarray:
+    mask = np.asarray(mask, dtype=bool)
+    if not np.all(mask.any(axis=-1)):
+        raise ContractError("attention mask leaves a query row with no keys")
+    return mask
+
+
 def multi_head_attention(
     queries: Tensor,
-    keys_values: Tensor,
+    keys_values,
     mask,
     attn: AttentionParams,
     *,
@@ -112,19 +126,23 @@ def multi_head_attention(
 ) -> Tensor:
     """Scaled dot-product attention with H heads.
 
+    keys_values is the (..., K, d) input to attend over, or its keys and
+    values already projected and split into heads, as a (k, v) pair of
+    (..., H, K, d/H) tensors (a DecoderCache holds such pairs).
+
     mask[q, k] true means query position q may attend to key position k; it
     may be (Q, K), (B, Q, K), or anything broadcastable to that, or None for
-    unrestricted attention. Every query row must keep at least one key.
+    unrestricted attention. Every query row must keep at least one key; a
+    mask that comes with a projected pair is not checked again, as whoever
+    projected the pair checked it then.
     """
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if not np.all(mask.any(axis=-1)):
-            raise ContractError("attention mask leaves a query row with no keys")
+    projected = isinstance(keys_values, tuple)
+    if mask is not None and not projected:
+        mask = _checked_mask(mask)
 
     dh = attn.d // attn.n_heads
     q = _split_heads(_linear(queries, attn.wq, attn.bq), attn.n_heads)
-    k = _split_heads(_linear(keys_values, attn.wk, attn.bk), attn.n_heads)
-    v = _split_heads(_linear(keys_values, attn.wv, attn.bv), attn.n_heads)
+    k, v = keys_values if projected else _project_keys_values(keys_values, attn)
 
     kt_axes = list(range(k.ndim))
     kt_axes[-2], kt_axes[-1] = kt_axes[-1], kt_axes[-2]
@@ -284,6 +302,71 @@ def gloss_logits(z: Tensor, stack: EncoderStack) -> Tensor:
     return _linear(z, stack.gloss_w, stack.gloss_b)
 
 
+class DecoderCache:
+    """Keys and values that incremental decoding reuses from step to step.
+
+    One cache serves a batch of encoded sources z (B, S, d). Each layer's
+    cross-attention keys and values are projected from z once, here, and
+    the key mask is checked once, here. The cache then holds rows, one per
+    hypothesis being extended: `select` makes each row continue a row of
+    the call before (before the first call, row i is source i), and each
+    run_decoder call appends the positions it feeds.
+
+    The cache keeps the self-attention keys and values of every position
+    fed but each call's last, and holds that position's input instead; the
+    next call feeds it again ahead of its new position. Every product then
+    has at least two rows per sequence after the first call, as in the
+    stateless forward of a prefix. A one-row product runs on BLAS's vector
+    kernel, whose rounding differs from the matrix kernel's, while a row of
+    a matrix product mostly does not depend on how many rows the product
+    has. So cached logits equal a whole-prefix forward's bit for bit in the
+    shapes where that holds, and otherwise differ by round-off. Inference
+    only: nothing in the cache is on a tape.
+    """
+
+    def __init__(self, z: Tensor, src_pad_mask, stack: DecoderStack):
+        self._src_mask = _checked_mask(_key_mask(src_pad_mask, True))  # (B, 1, S)
+        self._cross = [_project_keys_values(z, block.cross_attn) for block in stack.blocks]
+        self.sources = np.arange(z.shape[0])  # the source each row decodes
+        self.cross: list[tuple[Tensor, Tensor]] = []  # per layer, gathered per row
+        self.cross_mask = self._src_mask
+        self.self_kv: list[tuple[np.ndarray, np.ndarray]] = []  # per layer, (R, H, length, d/H)
+        self.held: Tensor | None = None  # (R, 1, d), the last position's input
+
+    @property
+    def length(self) -> int:
+        """Positions whose keys and values every row keeps."""
+        return self.self_kv[-1][0].shape[-2] if self.self_kv else 0
+
+    def select(self, parent_rows) -> None:
+        """Row r now continues row parent_rows[r]; a row may be picked many times."""
+        parents = np.asarray(parent_rows, dtype=np.int64)
+        sources = self.sources[parents]
+        if not self.cross or not np.array_equal(sources, self.sources):
+            self.cross = [(Tensor(k.data[sources]), Tensor(v.data[sources]))
+                          for k, v in self._cross]
+            self.cross_mask = self._src_mask[sources]
+        self.sources = sources
+        self.self_kv = [(k[parents], v[parents]) for k, v in self.self_kv]
+        if self.held is not None:
+            self.held = Tensor(self.held.data[parents])
+
+    def extend(self, layer: int, x: Tensor, attn: AttentionParams) -> tuple[Tensor, Tensor]:
+        """One layer's keys and values for attending from new positions x (R, U, d).
+
+        Returns the kept positions' followed by x's, and keeps all but the last.
+        """
+        k, v = _project_keys_values(x, attn)
+        if layer < len(self.self_kv):
+            old_k, old_v = self.self_kv[layer]
+            k = Tensor(np.concatenate([old_k, k.data], axis=-2))
+            v = Tensor(np.concatenate([old_v, v.data], axis=-2))
+            self.self_kv[layer] = k.data[..., :-1, :], v.data[..., :-1, :]
+        else:
+            self.self_kv.append((k.data[..., :-1, :], v.data[..., :-1, :]))
+        return k, v
+
+
 def run_decoder(
     m_hat: Tensor,
     z: Tensor,
@@ -293,24 +376,37 @@ def run_decoder(
     train: bool = False,
     rng: np.random.Generator | None = None,
     dropout_rate: float = 0.0,
+    cache: DecoderCache | None = None,
 ) -> Tensor:
     """Causally decode embedded target words against encoder outputs.
 
     Row u of the returned word logits depends only on target rows <= u and z,
     which is what lets one forward pass score a whole shifted sequence.
+
+    With a cache, m_hat (R, U, d) holds the positions that follow the
+    cache.length ones each row keeps, starting with cache.held when there
+    is one: self-attention also reads the kept keys and values, and
+    cross-attention reads the cache's, so z and src_pad_mask are unused.
     """
     batched = m_hat.ndim == 3
     u = m_hat.shape[-2]
-    causal = np.tril(np.ones((u, u), dtype=bool))
-    src_mask = _key_mask(src_pad_mask, batched)
+    past = 0 if cache is None else cache.length
+    causal = np.tril(np.ones((u, past + u), dtype=bool), k=past)
+    if cache is None:
+        src_mask = _key_mask(src_pad_mask, batched)
+    else:
+        src_mask = cache.cross_mask
+        cache.held = Tensor(m_hat.data[:, -1:])
     x = m_hat
-    for block in stack.blocks:
+    for i, block in enumerate(stack.blocks):
+        keys = x if cache is None else cache.extend(i, x, block.self_attn)
         a = multi_head_attention(
-            x, x, causal, block.self_attn, train=train, rng=rng, dropout_rate=dropout_rate
+            x, keys, causal, block.self_attn, train=train, rng=rng, dropout_rate=dropout_rate
         )
         x = ad.layer_norm(x + a, block.norm1.gain, block.norm1.bias)
         c = multi_head_attention(
-            x, z, src_mask, block.cross_attn, train=train, rng=rng, dropout_rate=dropout_rate
+            x, z if cache is None else cache.cross[i], src_mask, block.cross_attn,
+            train=train, rng=rng, dropout_rate=dropout_rate,
         )
         x = ad.layer_norm(x + c, block.norm2.gain, block.norm2.bias)
         f = _feed_forward(x, block.ffn, train, rng, dropout_rate)

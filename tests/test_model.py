@@ -386,20 +386,9 @@ class TestDecodingPathway:
     def test_chunk_beam_equals_full_recompute_oracle(self, width, alpha):
         # five sources of unequal lengths and caps share every forward; each
         # must still get its own oracle result, whoever its chunk mates are
-        rng = np.random.default_rng(11)
-        gloss = Vocabulary({"A"}, GLOSS_SPECIALS)
-        text = Vocabulary({"u"}, TEXT_SPECIALS)
-        samples = [Sample(f"s{i}", rng.normal(size=(t, 5)).astype(np.float32), (), ())
-                   for i, t in enumerate([6, 3, 8, 5, 2])]
-        batch = data.make_batch(samples, gloss, text)
         caps = [6, 2, 4, 5, 1]
         # seed 4 gives each source a different greedy sentence, one finished
-        m = tiny_model(seed=4)
-        for name, p in m.named_parameters().items():
-            if name.startswith(("decoder.", "words.")) and p.ndim == 2:
-                p.data = p.data * 3.0
-        z = m.encode_frames(batch.features, batch.src_mask).data
-        mask = batch.src_mask
+        m, z, mask = sharpened_chunk(seed=4)
 
         def scorer(i):
             def score(prefix):
@@ -415,6 +404,96 @@ class TestDecodingPathway:
                                                [caps[i] for i in pick], forbid=forbid)
                 got = [decoding.best_hypothesis(pool, alpha) for pool in pools]
                 assert got == [want[i] for i in pick], (forbid, pick)
+
+
+def sharpened_chunk(seed=4):
+    """Five sources of unequal lengths and a tiny model whose decoded words
+    depend on source and prefix (sharpened decoder weights)."""
+    rng = np.random.default_rng(11)
+    gloss = Vocabulary({"A"}, GLOSS_SPECIALS)
+    text = Vocabulary({"u"}, TEXT_SPECIALS)
+    samples = [Sample(f"s{i}", rng.normal(size=(t, 5)).astype(np.float32), (), ())
+               for i, t in enumerate([6, 3, 8, 5, 2])]
+    batch = data.make_batch(samples, gloss, text)
+    m = tiny_model(seed=seed)
+    for name, p in m.named_parameters().items():
+        if name.startswith(("decoder.", "words.")) and p.ndim == 2:
+            p.data = p.data * 3.0
+    return m, m.encode_frames(batch.features, batch.src_mask).data, batch.src_mask
+
+
+class OracleCheckedSteps:
+    """The model's start/step pathway; every row of every step is checked
+    against prefix_logits_batch on the same source and prefix."""
+
+    def __init__(self, model):
+        self.model = model
+        self.rows = []  # (source, prefix) per row of the last step
+        self.checked = []  # prefix length of every row checked
+
+    def start(self, z_batch, mask_batch):
+        self.z_batch, self.mask_batch = z_batch, mask_batch
+        return self.model.start(z_batch, mask_batch)
+
+    def step(self, state, parent_rows, tokens):
+        if tokens is None:
+            self.rows = [(i, ()) for i in parent_rows]
+        else:
+            self.rows = [(self.rows[p][0], self.rows[p][1] + (w,))
+                         for p, w in zip(parent_rows, tokens)]
+        got = self.model.step(state, parent_rows, tokens)
+        want = self.model.prefix_logits_batch(self.z_batch, self.mask_batch,
+                                              [i for i, _ in self.rows],
+                                              [prefix for _, prefix in self.rows])
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12, self.rows
+        self.checked.extend(len(prefix) for _, prefix in self.rows)
+        return got
+
+
+class TestCachedSteps:
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_every_search_step_matches_the_prefix_oracle(self, width):
+        # unequal caps, and some hypotheses finish before their caps
+        m, z, mask = sharpened_chunk()
+        caps = [6, 2, 4, 5, 1]
+        checked = OracleCheckedSteps(m)
+        pools = decoding.ar_beam_pools(z, mask, checked, width, caps,
+                                       forbid=(data.TEXT_PAD, data.TEXT_BOS))
+        assert any(h.finished and len(h.tokens) < cap
+                   for pool, cap in zip(pools, caps) for h in pool)
+        assert max(checked.checked) == max(caps) - 1
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_permuted_and_repeated_parents(self, width):
+        m, z, mask = sharpened_chunk()
+        checked = OracleCheckedSteps(m)
+        state = checked.start(z, mask)
+        checked.step(state, [0, 1, 2, 3, 4], None)
+        checked.step(state, [3, 0, 4, 1, 2], [5, 6, 7, 8, 3])
+        checked.step(state, [1] * width, [4, 5, 6, 7][:width])
+        checked.step(state, list(range(width))[::-1], [3, 8, 4, 6][:width])
+        assert {source for source, _ in checked.rows} == {0}  # through row 1 of step 2
+
+    def test_one_word_at_a_time_reproduces_teacher_forcing(self):
+        m, z, mask = sharpened_chunk()
+        text_in = np.random.default_rng(12).integers(3, 9, size=(5, 6))
+        text_in[:, 0] = data.TEXT_BOS
+        full = m.word_logits(text_in, Tensor(z), mask).data
+        state = m.start(z, mask)
+        rows = list(range(5))
+        for u in range(6):
+            got = m.step(state, rows, None if u == 0 else text_in[:, u].tolist())
+            assert np.max(np.abs(got - full[:, u])) <= 1e-12, u
+
+    def test_source_without_keys_rejected_at_start(self):
+        m, z, mask = sharpened_chunk()
+        mask = mask.copy()
+        mask[2] = False
+        with pytest.raises(ContractError):
+            m.start(z, mask)
+        with pytest.raises(ContractError):
+            decoding.ar_greedy_batch(z, mask, m, 3)
 
 
 class TestLossRouting:

@@ -371,6 +371,63 @@ def tiny_checkpoint_bytes() -> bytes:
         return path.read_bytes()
 
 
+# name -> (footer key, or "object.field" for one field, new value, error text)
+FOOTER_EDITS = {
+    "optimizer_not_an_object": ("optimizer", 5, "'optimizer' is not an object"),
+    "empty_scheduler": ("scheduler", {}, "'scheduler' lacks 'patience'"),
+    "optimizer_without_lr": ("optimizer", {"step": 1}, "'optimizer' lacks 'lr'"),
+    "string_lr": ("optimizer.lr", "fast", "optimizer.lr is not a finite number"),
+    "nan_beta2": ("optimizer.beta2", float("nan"), "optimizer.beta2"),
+    "negative_step": ("optimizer.step", -1, "optimizer.step"),
+    "fractional_step": ("optimizer.step", 1.5, "optimizer.step"),
+    "string_minimize": ("scheduler.minimize", "yes", "scheduler.minimize"),
+    "string_best": ("scheduler.best", "42", "scheduler.best"),
+    "boolean_patience": ("scheduler.patience", True, "scheduler.patience"),
+    "unknown_protocol": ("protocol", "sign2speech", "no known protocol"),
+}
+
+
+class TestTrainingStateChecks:
+    """restore_training_state rejects malformed stored state with CheckpointError."""
+
+    def stored(self, tmp_path):
+        path, *_ = TestCheckpointFormat().saved(tmp_path)
+        ckpt = checkpoint_load(path)
+        return ckpt, restore_model(ckpt)[0]
+
+    @pytest.mark.parametrize("edit", FOOTER_EDITS)
+    def test_malformed_footer(self, tmp_path, edit):
+        ckpt, model = self.stored(tmp_path)
+        key, value, message = FOOTER_EDITS[edit]
+        footer = dict(ckpt.footer)
+        if "." in key:
+            key, field_name = key.split(".")
+            value = {**footer[key], field_name: value}
+        footer[key] = value
+        with pytest.raises(CheckpointError, match=message):
+            restore_training_state(Checkpoint(ckpt.tensors, footer), model)
+
+    @pytest.mark.parametrize("moment,edit", [
+        ("m", "nan"), ("v", "nan"), ("m", "shape"), ("v", "shape"), ("v", "missing"),
+    ])
+    def test_malformed_moments(self, tmp_path, moment, edit):
+        ckpt, model = self.stored(tmp_path)
+        name = f"adam.{moment}.decoder.word_proj.weight"
+        tensors = dict(ckpt.tensors)
+        if edit == "nan":
+            tensors[name] = tensors[name].copy()
+            tensors[name][0, 0] = np.nan
+            message = f"{name}: non-finite"
+        elif edit == "shape":
+            tensors[name] = tensors[name][:, :-1]
+            message = f"{name}: stored shape"
+        else:
+            del tensors[name]
+            message = f"missing tensor {name}"
+        with pytest.raises(CheckpointError, match=message):
+            restore_training_state(Checkpoint(tensors, ckpt.footer), model)
+
+
 class TestCheckpointFuzz:
     """Truncated or byte-flipped SLTC input fails only with CheckpointError."""
 

@@ -370,3 +370,79 @@ class TestParameterNaming:
         # per encoder layer: 8 attention + 4 ffn + 4 norm; stack adds 2 norm + 2 proj
         assert len(enc_names) == 2 * (8 + 4 + 4) + 4
         assert len(dec_names) == 2 * (16 + 4 + 6) + 4
+
+
+# --- the teacher-forced decoder as it was before decode caches ----------------
+
+
+def uncached_mha(queries, keys_values, mask, attn, train, rng, dropout_rate):
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if not np.all(mask.any(axis=-1)):
+            raise ContractError("attention mask leaves a query row with no keys")
+    dh = attn.d // attn.n_heads
+    q = tf._split_heads(tf._linear(queries, attn.wq, attn.bq), attn.n_heads)
+    k = tf._split_heads(tf._linear(keys_values, attn.wk, attn.bk), attn.n_heads)
+    v = tf._split_heads(tf._linear(keys_values, attn.wv, attn.bv), attn.n_heads)
+    kt_axes = list(range(k.ndim))
+    kt_axes[-2], kt_axes[-1] = kt_axes[-1], kt_axes[-2]
+    logits = ad.matmul(q, k.transpose(kt_axes)) * (1.0 / np.sqrt(dh))
+    if mask is not None:
+        fill = ~mask
+        if fill.ndim == 3:
+            fill = fill[:, None]
+        logits = ad.masked_fill(logits, fill, tf.MASK_FILL)
+    weights = ad.softmax(logits, axis=-1)
+    if train and dropout_rate > 0.0:
+        weights = ad.dropout(weights, dropout_rate, rng)
+    return tf._linear(tf._merge_heads(ad.matmul(weights, v)), attn.wo, attn.bo)
+
+
+def uncached_run_decoder(m_hat, z, src_pad_mask, stack, train, rng, dropout_rate):
+    batched = m_hat.ndim == 3
+    u = m_hat.shape[-2]
+    causal = np.tril(np.ones((u, u), dtype=bool))
+    src_mask = tf._key_mask(src_pad_mask, batched)
+    x = m_hat
+    for block in stack.blocks:
+        a = uncached_mha(x, x, causal, block.self_attn, train, rng, dropout_rate)
+        x = ad.layer_norm(x + a, block.norm1.gain, block.norm1.bias)
+        c = uncached_mha(x, z, src_mask, block.cross_attn, train, rng, dropout_rate)
+        x = ad.layer_norm(x + c, block.norm2.gain, block.norm2.bias)
+        f = tf._feed_forward(x, block.ffn, train, rng, dropout_rate)
+        x = ad.layer_norm(x + f, block.norm3.gain, block.norm3.bias)
+    h = ad.layer_norm(x, stack.final_norm.gain, stack.final_norm.bias)
+    return tf._linear(h, stack.word_w, stack.word_b)
+
+
+class TestTeacherForcedDecoderUnchanged:
+    @pytest.mark.parametrize("train", [False, True])
+    def test_logits_and_gradients_are_bitwise_the_reference(self, train):
+        # training hashes to the same weights only if the uncached decoder
+        # records the same tape as it did before caches existed
+        stack = tf.DecoderStack(2, D, H, DFF, 9, np.random.default_rng(80))
+        rng = np.random.default_rng(81)
+        m_hat = Tensor(rng.normal(size=(3, 5, D)), requires_grad=True)
+        z = Tensor(rng.normal(size=(3, 4, D)), requires_grad=True)
+        src_mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 0, 0]], dtype=bool)
+        probe = rng.normal(size=(3, 5, 9))
+        leaves = [m_hat, z] + [p for _, p in stack.named_parameters()]
+
+        def run(decoder):
+            for leaf in leaves:
+                leaf.grad = None
+            with Graph() as g:
+                logits = decoder(m_hat, z, src_mask, stack, train=train,
+                                 rng=np.random.default_rng(82), dropout_rate=0.3)
+                ad.backward(g, ad.tensor_sum(logits * probe))
+            return logits.data, [leaf.grad for leaf in leaves], len(g.nodes)
+
+        def reference(m, zz, mask, st, *, train, rng, dropout_rate):
+            return uncached_run_decoder(m, zz, mask, st, train, rng, dropout_rate)
+
+        got, got_grads, got_nodes = run(tf.run_decoder)
+        want, want_grads, want_nodes = run(reference)
+        assert np.array_equal(got, want)
+        assert got_nodes == want_nodes
+        for a, b in zip(got_grads, want_grads):
+            assert np.array_equal(a, b)
