@@ -5,6 +5,12 @@ tape (define-by-run); :func:`backward` replays the tape in reverse insertion
 order and accumulates gradients into the participating leaves. Without an
 active graph every operation is a plain numpy computation, which is what
 inference-time code paths use.
+
+:func:`linear` is the fused affine op the model's projections use: one tape
+node for ``x @ W + b``, whose backward folds the leading axes into a single
+weight-gradient GEMM. Gradient ownership: :func:`backward` never writes into
+a gradient array, and every leaf's ``grad`` owns memory no other leaf's
+``grad`` shares.
 """
 
 from __future__ import annotations
@@ -164,6 +170,12 @@ def backward(graph: Graph, loss: Tensor) -> None:
     Leaves that appear on the tape but do not feed the loss receive zero
     gradients. Replaying is deterministic: fixed node order, fixed
     accumulation order, so repeated calls produce bit-identical grads.
+
+    Gradient arrays are never written to: a parent's first gradient is kept
+    as the op returned it (ops may hand one array to several parents) and
+    later ones are summed out of place. A leaf whose gradient shares memory
+    with one already written out gets a copy, so no two leaves' ``grad``
+    alias each other.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -178,17 +190,29 @@ def backward(graph: Graph, loss: Tensor) -> None:
                 continue
             acc = grads.get(id(parent))
             if acc is None:
-                grads[id(parent)] = np.array(pgrad, dtype=np.float64, copy=True)
+                grads[id(parent)] = np.asarray(pgrad, dtype=np.float64)
             else:
-                acc += pgrad
+                # a sum of 0-d arrays is a NumPy scalar; keep every grad an array
+                grads[id(parent)] = np.asarray(acc + pgrad)
     # Write out leaf grads; untouched-but-recorded leaves get zeros.
     seen: set[int] = set()
+    owners: set[int] = set()
     for node in graph.nodes:
         for parent in node._parents:
             if parent.requires_grad and parent.is_leaf() and id(parent) not in seen:
                 seen.add(id(parent))
                 acc = grads.get(id(parent))
-                parent.grad = np.zeros_like(parent.data) if acc is None else acc
+                if acc is None:
+                    parent.grad = np.zeros_like(parent.data)
+                    continue
+                owner = acc
+                while isinstance(owner.base, np.ndarray):
+                    owner = owner.base
+                if id(owner) in owners:
+                    acc = acc.copy()
+                else:
+                    owners.add(id(owner))
+                parent.grad = acc
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +341,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _record(out, (a, b), bwd)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map x @ w + b over the last axis of x, recorded as one node.
+
+    The forward is bitwise np.matmul(x, w) + b. The backward folds the
+    leading axes of x into rows, so the input and weight gradients are one
+    GEMM each and the bias gradient one column sum.
+    """
+    if x.ndim < 2 or w.ndim != 2:
+        raise DimensionError(
+            f"linear needs x of >=2 dims and a 2-d weight, got {x.shape} @ {w.shape}"
+        )
+    if x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise DimensionError(f"linear shapes disagree: {x.shape} @ {w.shape} + {b.shape}")
+    out = np.matmul(x.data, w.data)
+    out += b.data  # the same sum as matmul(x, w) + b, without a second output array
+    x_data, w_data = x.data, w.data
+
+    def bwd(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        x2 = x_data.reshape(-1, x_data.shape[-1])
+        return (g2 @ w_data.T).reshape(x_data.shape), x2.T @ g2, g2.sum(axis=0)
+
+    return _record(out, (x, w, b), bwd)
 
 
 # ---------------------------------------------------------------------------

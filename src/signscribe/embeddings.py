@@ -106,7 +106,7 @@ class SpatialEmbedder:
             raise DimensionError(
                 f"expected frame features of width {self.d_in}, got {features.shape[-1]}"
             )
-        h = ad.matmul(features, self.weight) + self.bias
+        h = ad.linear(features, self.weight, self.bias)
         if self.train_mode:
             sel = h.data[np.asarray(mask, dtype=bool)]
             m = self.bn_momentum

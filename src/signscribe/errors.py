@@ -31,3 +31,7 @@ class CheckpointError(SignscribeError):
 
 class CompatibilityError(SignscribeError):
     """Artifacts that must agree (checkpoints, corpora) do not."""
+
+
+class NonFiniteLossError(SignscribeError):
+    """Training met a non-finite loss or gradient on too many consecutive steps."""

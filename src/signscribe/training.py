@@ -1,7 +1,9 @@
 """Optimization: Adam with weight decay, plateau scheduling, checkpoints.
 
 The training loop minimizes the weighted joint objective over shuffled
-batches, evaluates the dev split with greedy decoding every eval_every
+batches, skips (and counts in the log) any step whose loss or gradient is
+not finite, gives up with NonFiniteLossError after MAX_NONFINITE_STEPS such
+steps in a row, evaluates the dev split with greedy decoding every eval_every
 iterations, reduces the learning rate by a fixed factor after `patience`
 evaluations without improvement, and stops once a reduction would cross the
 floor (the rate is never set below it). The tracked metric is WER whenever
@@ -29,7 +31,13 @@ from . import autodiff as ad
 from .autodiff import Graph, Tensor
 from .config import RunConfig
 from .data import Vocabulary, atomic_write, load_corpus, make_batch
-from .errors import CheckpointError, ConfigError, ContractError, DimensionError
+from .errors import (
+    CheckpointError,
+    ConfigError,
+    ContractError,
+    DimensionError,
+    NonFiniteLossError,
+)
 from .evaluation import evaluate_corpus
 from .losses import LossWeights
 from .model import PROTOCOLS, JointModel, batch_losses
@@ -38,6 +46,9 @@ log = logging.getLogger("signscribe.training")
 
 CHECKPOINT_MAGIC = b"SLTC"
 CHECKPOINT_VERSION = 1
+
+# Consecutive steps with a non-finite loss or gradient after which training gives up.
+MAX_NONFINITE_STEPS = 5
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +493,8 @@ def train(
     batches = _batch_iterator(train_samples, cfg.batch_size, shuffle_rng)
 
     history: list[dict] = []
-    sums = {"loss": 0.0, "loss_r": 0.0, "loss_t": 0.0, "n": 0}
+    sums = {"loss": 0.0, "loss_r": 0.0, "loss_t": 0.0, "n": 0, "nonfinite": 0}
+    nonfinite_run = 0
     saved_best = None
     stop_reason = "max_iterations"
     iteration = 0
@@ -491,6 +503,7 @@ def train(
         for iteration in range(1, cfg.max_iterations + 1):
             batch = make_batch(next(batches), gloss_vocab, text_vocab,
                                max_batch=cfg.batch_size)
+            running_stats = (model.spatial.bn_running_mean, model.spatial.bn_running_var)
             with Graph() as graph:
                 total, loss_r, loss_t, skipped = batch_losses(
                     model, batch, weights, cfg.protocol, cfg.loss_mode,
@@ -503,14 +516,32 @@ def train(
                     )
                 if total is None:
                     continue
-                ad.backward(graph, total)
-            adam_step(params, optimizer)
-            sums["loss"] += float(total.data)
-            if loss_r is not None:
-                sums["loss_r"] += float(loss_r.data)
-            if loss_t is not None:
-                sums["loss_t"] += float(loss_t.data)
-            sums["n"] += 1
+                # relu turns NaN into 0, so NaN inputs can leave the loss finite
+                # and show only in the gradients
+                finite = bool(np.isfinite(total.data))
+                if finite:
+                    ad.backward(graph, total)
+                    finite = all(np.isfinite(p.grad).all() for p in params.values()
+                                 if p.grad is not None)
+            if finite:
+                nonfinite_run = 0
+                adam_step(params, optimizer)
+                sums["loss"] += float(total.data)
+                if loss_r is not None:
+                    sums["loss_r"] += float(loss_r.data)
+                if loss_t is not None:
+                    sums["loss_t"] += float(loss_t.data)
+                sums["n"] += 1
+            else:
+                # the step leaves the whole model as it was, buffers included
+                model.spatial.bn_running_mean, model.spatial.bn_running_var = running_stats
+                nonfinite_run += 1
+                sums["nonfinite"] += 1
+                if nonfinite_run >= MAX_NONFINITE_STEPS:
+                    raise NonFiniteLossError(
+                        f"non-finite training loss or gradient on {nonfinite_run} consecutive "
+                        f"steps (iterations {iteration - nonfinite_run + 1}-{iteration})"
+                    )
 
             if iteration % cfg.eval_every != 0:
                 continue
@@ -525,12 +556,13 @@ def train(
             tracked = dev_wer if cfg.lambda_r > 0 else dev_bleu.bleu4
             decision = scheduler_update(scheduler, optimizer.lr, tracked)
 
-            n = max(sums["n"], 1)
+            n = sums["n"]
             entry = {
                 "iteration": iteration,
-                "loss": sums["loss"] / n,
-                "loss_recognition": sums["loss_r"] / n if cfg.lambda_r > 0 else None,
-                "loss_translation": sums["loss_t"] / n if cfg.lambda_t > 0 else None,
+                "loss": sums["loss"] / n if n else None,
+                "loss_recognition": sums["loss_r"] / n if n and cfg.lambda_r > 0 else None,
+                "loss_translation": sums["loss_t"] / n if n and cfg.lambda_t > 0 else None,
+                "nonfinite_steps": sums["nonfinite"],
                 "lr": optimizer.lr,
                 "dev_wer": dev_wer,
                 "dev_bleu1": dev_bleu.bleu1 if dev_bleu else None,
@@ -542,7 +574,7 @@ def train(
             history.append(entry)
             log_file.write(json.dumps(entry, sort_keys=True) + "\n")
             log_file.flush()
-            sums = {"loss": 0.0, "loss_r": 0.0, "loss_t": 0.0, "n": 0}
+            sums = {"loss": 0.0, "loss_r": 0.0, "loss_t": 0.0, "n": 0, "nonfinite": 0}
 
             if decision.improved:
                 checkpoint_save(

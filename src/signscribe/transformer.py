@@ -26,10 +26,6 @@ MASK_FILL = -1e30
 DEFAULT_D_FF = 2048
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return ad.matmul(x, w) + b
-
-
 class NormParams:
     """Learnable gain and bias for one layer-norm site."""
 
@@ -102,8 +98,8 @@ def _merge_heads(x: Tensor) -> Tensor:
 
 def _project_keys_values(keys_values: Tensor, attn: AttentionParams) -> tuple[Tensor, Tensor]:
     """One attention site's keys and values of a (..., K, d) input, each (..., H, K, d/H)."""
-    k = _split_heads(_linear(keys_values, attn.wk, attn.bk), attn.n_heads)
-    v = _split_heads(_linear(keys_values, attn.wv, attn.bv), attn.n_heads)
+    k = _split_heads(ad.linear(keys_values, attn.wk, attn.bk), attn.n_heads)
+    v = _split_heads(ad.linear(keys_values, attn.wv, attn.bv), attn.n_heads)
     return k, v
 
 
@@ -141,7 +137,7 @@ def multi_head_attention(
         mask = _checked_mask(mask)
 
     dh = attn.d // attn.n_heads
-    q = _split_heads(_linear(queries, attn.wq, attn.bq), attn.n_heads)
+    q = _split_heads(ad.linear(queries, attn.wq, attn.bq), attn.n_heads)
     k, v = keys_values if projected else _project_keys_values(keys_values, attn)
 
     kt_axes = list(range(k.ndim))
@@ -156,7 +152,7 @@ def multi_head_attention(
     if train and dropout_rate > 0.0:
         weights = ad.dropout(weights, dropout_rate, rng)
     ctx = _merge_heads(ad.matmul(weights, v))
-    return _linear(ctx, attn.wo, attn.bo)
+    return ad.linear(ctx, attn.wo, attn.bo)
 
 
 def _feed_forward(
@@ -166,10 +162,10 @@ def _feed_forward(
     rng: np.random.Generator | None,
     dropout_rate: float,
 ) -> Tensor:
-    h = ad.relu(_linear(x, ffn.w1, ffn.b1))
+    h = ad.relu(ad.linear(x, ffn.w1, ffn.b1))
     if train and dropout_rate > 0.0:
         h = ad.dropout(h, dropout_rate, rng)
-    return _linear(h, ffn.w2, ffn.b2)
+    return ad.linear(h, ffn.w2, ffn.b2)
 
 
 class EncoderBlock:
@@ -299,7 +295,7 @@ def run_encoder(
 
 def gloss_logits(z: Tensor, stack: EncoderStack) -> Tensor:
     """Per-frame gloss scores; column 0 is reserved for the CTC blank."""
-    return _linear(z, stack.gloss_w, stack.gloss_b)
+    return ad.linear(z, stack.gloss_w, stack.gloss_b)
 
 
 class DecoderCache:
@@ -412,4 +408,4 @@ def run_decoder(
         f = _feed_forward(x, block.ffn, train, rng, dropout_rate)
         x = ad.layer_norm(x + f, block.norm3.gain, block.norm3.bias)
     h = ad.layer_norm(x, stack.final_norm.gain, stack.final_norm.bias)
-    return _linear(h, stack.word_w, stack.word_b)
+    return ad.linear(h, stack.word_w, stack.word_b)

@@ -4,7 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signscribe import autodiff as ad
+from signscribe import data
+from signscribe.data import GLOSS_SPECIALS, TEXT_SPECIALS, Sample, Vocabulary
 from signscribe.errors import ContractError, DimensionError
+from signscribe.losses import LossWeights
+from signscribe.model import JointModel, batch_losses
 
 from conftest import assert_grad_close, finite_difference_grad
 
@@ -303,3 +307,172 @@ def test_no_graph_means_no_recording():
     x = ad.Tensor([1.0, 2.0], requires_grad=True)
     y = x * 3.0
     assert not y.requires_grad and y.is_leaf()
+
+
+# ---------------------------------------------------------------------------
+# linear: one node for x @ W + b
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("x_shape", [(5, 4), (3, 5, 4)])
+@pytest.mark.parametrize("record", [False, True])
+def test_linear_forward_is_bitwise_matmul_plus_bias(x_shape, record):
+    rng = np.random.default_rng(20)
+    x0, w0, b0 = rng.normal(size=x_shape), rng.normal(size=(4, 6)), rng.normal(size=6)
+    want = np.matmul(x0, w0) + b0
+    x, w, b = (ad.Tensor(v, requires_grad=record) for v in (x0, w0, b0))
+    with ad.Graph() as g:
+        out = ad.linear(x, w, b)
+    assert np.array_equal(out.data, want)
+    assert len(g.nodes) == (1 if record else 0)
+    assert np.array_equal(ad.linear(ad.Tensor(x0), ad.Tensor(w0), ad.Tensor(b0)).data, want)
+
+
+@pytest.mark.parametrize("x_shape", [(5, 4), (3, 5, 4), (2, 3, 2, 4)])
+def test_linear_gradients_match_composed_ops(x_shape):
+    rng = np.random.default_rng(21)
+    x0, w0, b0 = rng.normal(size=x_shape), rng.normal(size=(4, 6)), rng.normal(size=6)
+    upstream = rng.normal(size=x_shape[:-1] + (6,))
+
+    def grads(op):
+        leaves = [ad.Tensor(v, requires_grad=True) for v in (x0, w0, b0)]
+        with ad.Graph() as g:
+            ad.backward(g, (op(*leaves) * upstream).sum())
+        return [t.grad for t in leaves]
+
+    fused = grads(ad.linear)
+    composed = grads(lambda x, w, b: ad.matmul(x, w) + b)
+    for got, want in zip(fused, composed):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_linear_gradients_match_finite_differences(which):
+    rng = np.random.default_rng(22 + which)
+    values = [rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)]
+    weights = rng.normal(size=(2, 3, 5))
+
+    def build(t):
+        args = [ad.Tensor(v) for v in values]
+        args[which] = t
+        return (ad.linear(*args) * weights).sum()
+
+    grad, _ = scalar_loss_grad(build, values[which])
+    fd = finite_difference_grad(lambda v: float(build(ad.Tensor(v)).data), values[which])
+    assert_grad_close(grad, fd)
+
+
+def test_linear_shape_errors():
+    x, w = ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 4)))
+    with pytest.raises(DimensionError):
+        ad.linear(x, ad.Tensor(np.zeros((2, 4))), ad.Tensor(np.zeros(4)))
+    with pytest.raises(DimensionError):
+        ad.linear(x, w, ad.Tensor(np.zeros(3)))
+    with pytest.raises(DimensionError):
+        ad.linear(ad.Tensor(np.zeros(3)), w, ad.Tensor(np.zeros(4)))
+    with pytest.raises(DimensionError):
+        ad.linear(x, ad.Tensor(np.zeros((1, 3, 4))), ad.Tensor(np.zeros(4)))
+
+
+# ---------------------------------------------------------------------------
+# backward: gradient ownership
+# ---------------------------------------------------------------------------
+
+
+def copying_backward(graph, loss):
+    """backward as it was before gradients were kept without copies."""
+    grads = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(graph.nodes):
+        out_grad = grads.pop(id(node), None)
+        if out_grad is None or node._backward is None:
+            continue
+        for parent, pgrad in zip(node._parents, node._backward(out_grad)):
+            if not parent.requires_grad or pgrad is None:
+                continue
+            acc = grads.get(id(parent))
+            if acc is None:
+                grads[id(parent)] = np.array(pgrad, dtype=np.float64, copy=True)
+            else:
+                acc += pgrad
+    seen = set()
+    for node in graph.nodes:
+        for parent in node._parents:
+            if parent.requires_grad and parent.is_leaf() and id(parent) not in seen:
+                seen.add(id(parent))
+                acc = grads.get(id(parent))
+                parent.grad = np.zeros_like(parent.data) if acc is None else acc
+
+
+def leaf_grads_both_ways(graph, loss, leaves):
+    ad.backward(graph, loss)
+    new = [t.grad for t in leaves]
+    copying_backward(graph, loss)
+    return new, [t.grad for t in leaves]
+
+
+def assert_no_shared_grads(grads):
+    for i, a in enumerate(grads):
+        for b in grads[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+def test_add_hands_one_gradient_to_two_leaves_without_aliasing():
+    a = ad.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    b = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+    c = ad.Tensor(np.ones((3, 2)), requires_grad=True)
+    with ad.Graph() as g:
+        # add passes one array to a and b; reshape passes a view of it on to c
+        loss = ((a + b) * 2.0 + c.reshape((2, 3))).sum()
+        ad.backward(g, loss)
+    assert_no_shared_grads([a.grad, b.grad, c.grad])
+    a.grad += 1.0  # a leaf's grad is its own to change
+    assert np.array_equal(a.grad, np.full((2, 3), 3.0))
+    assert np.array_equal(b.grad, np.full((2, 3), 2.0))
+    assert np.array_equal(c.grad, np.ones((3, 2)))
+    with ad.Graph() as g:
+        loss = ((a + b) * 2.0 + c.reshape((2, 3))).sum()
+        new, old = leaf_grads_both_ways(g, loss, [a, b, c])
+    for got, want in zip(new, old):
+        assert np.array_equal(got, want)
+
+
+def test_mixed_graph_grads_bitwise_equal_copying_backward():
+    rng = np.random.default_rng(23)
+    x = ad.Tensor(rng.normal(size=(2, 4, 6)), requires_grad=True)
+    w = ad.Tensor(rng.normal(size=(6, 6)), requires_grad=True)
+    bias = ad.Tensor(rng.normal(size=6), requires_grad=True)
+    gain = ad.Tensor(rng.normal(size=6), requires_grad=True)
+    table = ad.Tensor(rng.normal(size=(5, 6)), requires_grad=True)
+    leaves = [x, w, bias, gain, table]
+    with ad.Graph() as g:
+        h = ad.matmul(x, w) + bias
+        h = ad.layer_norm(h + x, gain, bias)
+        att = ad.softmax(ad.matmul(h, h.transpose((0, 2, 1))), axis=-1)
+        h = ad.matmul(att, h) + ad.embedding(table, np.array([[0, 1, 1, 4]] * 2))
+        loss = (h[:, 1:] * h[:, 1:]).mean() + ad.relu(h).sum() * 0.1 + (w * w).sum()
+        new, old = leaf_grads_both_ways(g, loss, leaves)
+    for got, want in zip(new, old):
+        assert np.array_equal(got, want)
+    assert_no_shared_grads(new)
+
+
+def test_model_step_grads_bitwise_equal_copying_backward():
+    rng = np.random.default_rng(24)
+    gloss = Vocabulary({"A", "B", "C"}, GLOSS_SPECIALS)
+    text = Vocabulary({"u", "v", "w"}, TEXT_SPECIALS)
+    samples = [
+        Sample("s0", rng.normal(size=(7, 5)).astype(np.float32), ("A", "B", "B"), ("u", "v")),
+        Sample("s1", rng.normal(size=(4, 5)).astype(np.float32), ("C",), ("w", "u", "w")),
+        Sample("s2", rng.normal(size=(5, 5)).astype(np.float32), ("A", "C"), ("v",)),
+    ]
+    batch = data.make_batch(samples, gloss, text)
+    model = JointModel(d_in=5, d=8, n_heads=2, n_enc_layers=2, n_dec_layers=2,
+                       n_glosses=len(gloss), n_words=len(text), d_ff=16, dropout=0.1, seed=3)
+    params = list(model.named_parameters().values())
+    with ad.Graph() as g:
+        total, *_ = batch_losses(model, batch, LossWeights(5.0, 1.0), "sign2gloss+text",
+                                 train=True, rng=np.random.default_rng(4))
+        new, old = leaf_grads_both_ways(g, total, params)
+    for got, want in zip(new, old):
+        assert np.array_equal(got, want)
+    assert_no_shared_grads(new)

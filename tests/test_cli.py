@@ -116,6 +116,22 @@ class TestTrainCommand:
         cfg_path.write_text(json.dumps({"corpus": str(corpus), "widht": 3}))
         assert cli.main(["train", "--config", str(cfg_path)]) == 2
 
+    def test_diverged_training_is_one_line_error(self, corpus, tmp_path, capsys,
+                                                 monkeypatch):
+        real = training.batch_losses
+
+        def nan_losses(*args, **kwargs):
+            total, *rest = real(*args, **kwargs)
+            return (total * np.nan, *rest)
+
+        monkeypatch.setattr(training, "batch_losses", nan_losses)
+        code = cli.main(train_args(corpus, tmp_path / "out", max_iterations=20))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite training loss or gradient on "
+                              f"{training.MAX_NONFINITE_STEPS} consecutive steps")
+        assert err.count("\n") == 1
+
 
 class TestEvaluateCommand:
     def test_greedy_report(self, corpus, joint_ckpt, capsys):

@@ -327,3 +327,148 @@ class TestBatchWrappers:
         assert np.all(x.grad[0, 2] == 0.0)
         assert np.all(x.grad[1, 1:] == 0.0)
         assert np.any(x.grad[0, 0] != 0.0)
+
+
+def per_sample_recognition_loss(lp, counts, targets, mode):
+    """The per-sequence path: one ctc_log_prob node per feasible member.
+
+    The terms are summed in batch order and scaled by 1/n, the way the
+    batch form must reproduce bit for bit. Returns (loss, grad, skipped).
+    """
+    skipped, terms = [], []
+    with Graph() as g:
+        x = Tensor(lp, requires_grad=True)
+        for i, (t_i, raw) in enumerate(zip(counts, targets)):
+            target = CtcTarget(tuple(raw))
+            if not target.feasible(int(t_i)):
+                skipped.append(i)
+                continue
+            logp = losses.ctc_log_prob(x[i, : int(t_i)], target)
+            terms.append(losses.recognition_loss(logp, mode))
+        if not terms:
+            return None, None, skipped
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        loss = total * (1.0 / len(terms))
+        ad.backward(g, loss * 5.0)
+    return loss.item(), x.grad, skipped
+
+
+def batched_recognition_loss(lp, counts, targets, mode):
+    with Graph() as g:
+        x = Tensor(lp, requires_grad=True)
+        loss, skipped = losses.recognition_loss_batch(
+            x, counts, [CtcTarget(tuple(t)) for t in targets], mode
+        )
+        if loss is None:
+            return None, None, skipped
+        ad.backward(g, loss * 5.0)
+        assert len(g.nodes) == 2  # one CTC node for the batch, then the scaling
+    return loss.item(), x.grad, skipped
+
+
+def random_batch(rng, b, t_max, k, max_n=5, repeats=False):
+    lp = np.stack([random_log_rows(t_max, k, rng) for _ in range(b)])
+    counts = rng.integers(1, t_max + 1, size=b)
+    counts[0] = t_max
+    targets = []
+    for _ in range(b):
+        n = int(rng.integers(0, max_n + 1))
+        if repeats:
+            targets.append(tuple(int(rng.choice([1, 2])) for _ in range(n)))
+        else:
+            targets.append(tuple(int(g) for g in rng.integers(1, k, size=n)))
+    return lp, counts, targets
+
+
+def assert_bitwise_same(got, want):
+    loss_g, grad_g, skipped_g = got
+    loss_w, grad_w, skipped_w = want
+    assert skipped_g == skipped_w
+    assert loss_g == loss_w
+    if grad_w is None:
+        assert grad_g is None
+    else:
+        assert grad_g.shape == grad_w.shape
+        assert np.array_equal(grad_g, grad_w)
+
+
+class TestBatchedCtcOracle:
+    """recognition_loss_batch runs one lattice; it must equal the per-sample path."""
+
+    @pytest.mark.parametrize("mode", losses.MODES)
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_batches_bitwise_equal_per_sample(self, seed, mode):
+        rng = np.random.default_rng(900 + seed)
+        b, t_max, k = int(rng.integers(2, 9)), int(rng.integers(3, 12)), int(rng.integers(3, 7))
+        lp, counts, targets = random_batch(rng, b, t_max, k, repeats=seed % 3 == 0)
+        want = per_sample_recognition_loss(lp, counts, targets, mode)
+        assert_bitwise_same(batched_recognition_loss(lp, counts, targets, mode), want)
+
+    @pytest.mark.parametrize("mode", losses.MODES)
+    def test_unequal_lengths_repeats_empty_and_infeasible(self, mode):
+        rng = np.random.default_rng(31)
+        lp = np.stack([random_log_rows(9, 4, rng) for _ in range(6)])
+        counts = [9, 4, 7, 2, 9, 3]
+        targets = [(1, 1, 2), (3,), (), (2, 2), (1, 2, 3, 1), (1, 1)]
+        got = batched_recognition_loss(lp, counts, targets, mode)
+        assert got[2] == [3]  # (2, 2) needs 3 frames; (1, 1) fits exactly 3
+        assert_bitwise_same(got, per_sample_recognition_loss(lp, counts, targets, mode))
+        # members' gradients stay inside their own frames; skipped rows get none
+        assert np.all(got[1][1, 4:] == 0.0) and np.all(got[1][3] == 0.0)
+
+    def test_all_infeasible_batch(self):
+        lp = np.stack([random_log_rows(2, 3, np.random.default_rng(3)) for _ in range(2)])
+        got = batched_recognition_loss(lp, [2, 1], [(1, 1), (1, 2)], "log-domain")
+        assert got == (None, None, [0, 1])
+
+    @pytest.mark.parametrize("mode", losses.MODES)
+    def test_batch_of_one(self, mode):
+        rng = np.random.default_rng(32)
+        lp = random_log_rows(5, 3, rng)[None]
+        for target in [(), (1,), (2, 2), (1, 2, 1)]:
+            got = batched_recognition_loss(lp, [5], [target], mode)
+            assert_bitwise_same(got, per_sample_recognition_loss(lp, [5], [target], mode))
+
+    def test_only_empty_targets(self):
+        rng = np.random.default_rng(33)
+        lp = np.stack([random_log_rows(4, 3, rng) for _ in range(3)])
+        got = batched_recognition_loss(lp, [4, 1, 3], [(), (), ()], "log-domain")
+        assert_bitwise_same(got, per_sample_recognition_loss(lp, [4, 1, 3], [(), (), ()],
+                                                             "log-domain"))
+        want = -np.mean([lp[0, :4, 0].sum(), lp[1, :1, 0].sum(), lp[2, :3, 0].sum()])
+        assert got[0] == pytest.approx(want, abs=1e-12)
+
+    def test_zero_probability_member_gets_no_gradient(self):
+        rng = np.random.default_rng(34)
+        lp = np.stack([random_log_rows(3, 3, rng) for _ in range(2)])
+        lp[1, :, 2] = -np.inf  # member 1's only gloss can never be emitted
+        got = batched_recognition_loss(lp, [3, 3], [(1,), (2,)], "log-domain")
+        assert got[0] == np.inf
+        assert np.all(got[1][1] == 0.0) and np.any(got[1][0] != 0.0)
+
+    def test_out_of_range_gloss_id(self):
+        lp = Tensor(np.stack([random_log_rows(3, 3, np.random.default_rng(35))] * 2))
+        with pytest.raises(VocabularyError):
+            losses.recognition_loss_batch(lp, [3, 3], [CtcTarget((1,)), CtcTarget((3,))])
+
+    def test_frame_count_beyond_padding(self):
+        lp = Tensor(np.stack([random_log_rows(3, 3, np.random.default_rng(36))] * 2))
+        with pytest.raises(DimensionError):
+            losses.recognition_loss_batch(lp, [3, 4], [CtcTarget((1,)), CtcTarget((2,))])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_brute_force_enumeration(self, seed):
+        rng = np.random.default_rng(950 + seed)
+        b, t_max, k = 4, 5, int(rng.integers(2, 4))
+        lp, counts, targets = random_batch(rng, b, t_max, k, max_n=3)
+        loss, skipped = losses.recognition_loss_batch(
+            Tensor(lp), counts, [CtcTarget(t) for t in targets]
+        )
+        terms = [-brute_force_log_prob(lp[i, : counts[i]], targets[i])
+                 for i in range(b) if i not in skipped]
+        if not terms:
+            assert loss is None
+            return
+        assert loss.item() == pytest.approx(np.mean(terms), abs=1e-10)

@@ -1,6 +1,7 @@
 """Optimizer, scheduler, checkpoint format, and training loop tests."""
 
 import functools
+import json
 import tempfile
 from pathlib import Path
 
@@ -12,10 +13,16 @@ from hypothesis import strategies as st
 from signscribe import data, training
 from signscribe.autodiff import Tensor
 from signscribe.config import RunConfig
-from signscribe.errors import CheckpointError, ContractError, DimensionError
+from signscribe.errors import (
+    CheckpointError,
+    ContractError,
+    DimensionError,
+    NonFiniteLossError,
+)
 from signscribe.evaluation import evaluate_corpus
 from signscribe.model import JointModel
 from signscribe.training import (
+    MAX_NONFINITE_STEPS,
     Checkpoint,
     OptimizerState,
     SchedulerState,
@@ -580,3 +587,77 @@ class TestTrainLoop:
         model2, gloss2, text2 = restore_model(checkpoint_load(path))
         after = evaluate_corpus(model2, dev, gloss2, text2, cfg.protocol)
         assert before == after
+
+
+def model_state(model):
+    arrays = {name: p.data.copy() for name, p in model.named_parameters().items()}
+    arrays.update({name: buf.copy() for name, buf in model.named_buffers().items()})
+    return arrays
+
+
+class TestNonFiniteLossGuard:
+    """A step whose loss or gradient is not finite changes nothing and is counted."""
+
+    @pytest.fixture
+    def nan_splits(self, small_corpus):
+        train_samples, gloss_vocab, text_vocab = data.load_corpus(small_corpus, "train")
+        dev_samples, _, _ = data.load_corpus(small_corpus, "dev")
+        nan_samples = [
+            data.Sample(x.id, np.full_like(x.features, np.nan), x.glosses, x.sentence)
+            for x in train_samples
+        ]
+        return dict(train_samples=nan_samples, dev_samples=dev_samples,
+                    gloss_vocab=gloss_vocab, text_vocab=text_vocab)
+
+    def test_nan_batches_leave_parameters_bitwise_unchanged(self, small_corpus, nan_splits,
+                                                            tmp_path, monkeypatch):
+        updates = []
+        monkeypatch.setattr(training, "adam_step", lambda *a: updates.append(a))
+        cfg = quick_cfg(small_corpus, tmp_path / "run", max_iterations=MAX_NONFINITE_STEPS - 1,
+                        eval_every=1)
+        result = train(cfg, **nan_splits)
+        assert updates == []
+        assert result.iterations == MAX_NONFINITE_STEPS - 1
+        fresh = JointModel(
+            d_in=16, d=cfg.d, n_heads=cfg.n_heads, n_enc_layers=1, n_dec_layers=1,
+            n_glosses=len(result.gloss_vocab), n_words=len(result.text_vocab),
+            d_ff=cfg.d_ff, dropout=cfg.dropout, seed=cfg.seed,
+        )
+        before, after = model_state(fresh), model_state(result.model)
+        assert before.keys() == after.keys()
+        for name in before:
+            assert np.array_equal(before[name], after[name]), name
+        logged = [json.loads(line) for line in
+                  (tmp_path / "run" / "train_log.jsonl").read_text().splitlines()]
+        assert logged == result.log
+        assert [e["nonfinite_steps"] for e in logged] == [1] * (MAX_NONFINITE_STEPS - 1)
+        assert all(e["loss"] is None for e in logged)
+
+    def test_consecutive_nan_steps_raise(self, small_corpus, nan_splits, tmp_path):
+        cfg = quick_cfg(small_corpus, tmp_path / "run", max_iterations=MAX_NONFINITE_STEPS + 3,
+                        eval_every=1)
+        with pytest.raises(NonFiniteLossError, match=f"{MAX_NONFINITE_STEPS} consecutive"):
+            train(cfg, **nan_splits)
+        logged = (tmp_path / "run" / "train_log.jsonl").read_text().splitlines()
+        assert len(logged) == MAX_NONFINITE_STEPS - 1
+
+    def test_finite_step_resets_the_run(self, small_corpus, tmp_path, monkeypatch):
+        real = training.batch_losses
+        calls = []
+
+        def finite_every_nth(*args, **kwargs):
+            total, loss_r, loss_t, skipped = real(*args, **kwargs)
+            calls.append(None)
+            if len(calls) % MAX_NONFINITE_STEPS:
+                total = total * np.nan
+            return total, loss_r, loss_t, skipped
+
+        monkeypatch.setattr(training, "batch_losses", finite_every_nth)
+        iterations = 3 * MAX_NONFINITE_STEPS
+        cfg = quick_cfg(small_corpus, tmp_path / "run", max_iterations=iterations,
+                        eval_every=iterations)
+        result = train(cfg)
+        assert result.iterations == iterations
+        (entry,) = result.log
+        assert entry["nonfinite_steps"] == 3 * (MAX_NONFINITE_STEPS - 1)
+        assert np.isfinite(entry["loss"])

@@ -381,9 +381,9 @@ def uncached_mha(queries, keys_values, mask, attn, train, rng, dropout_rate):
         if not np.all(mask.any(axis=-1)):
             raise ContractError("attention mask leaves a query row with no keys")
     dh = attn.d // attn.n_heads
-    q = tf._split_heads(tf._linear(queries, attn.wq, attn.bq), attn.n_heads)
-    k = tf._split_heads(tf._linear(keys_values, attn.wk, attn.bk), attn.n_heads)
-    v = tf._split_heads(tf._linear(keys_values, attn.wv, attn.bv), attn.n_heads)
+    q = tf._split_heads(ad.linear(queries, attn.wq, attn.bq), attn.n_heads)
+    k = tf._split_heads(ad.linear(keys_values, attn.wk, attn.bk), attn.n_heads)
+    v = tf._split_heads(ad.linear(keys_values, attn.wv, attn.bv), attn.n_heads)
     kt_axes = list(range(k.ndim))
     kt_axes[-2], kt_axes[-1] = kt_axes[-1], kt_axes[-2]
     logits = ad.matmul(q, k.transpose(kt_axes)) * (1.0 / np.sqrt(dh))
@@ -395,7 +395,7 @@ def uncached_mha(queries, keys_values, mask, attn, train, rng, dropout_rate):
     weights = ad.softmax(logits, axis=-1)
     if train and dropout_rate > 0.0:
         weights = ad.dropout(weights, dropout_rate, rng)
-    return tf._linear(tf._merge_heads(ad.matmul(weights, v)), attn.wo, attn.bo)
+    return ad.linear(tf._merge_heads(ad.matmul(weights, v)), attn.wo, attn.bo)
 
 
 def uncached_run_decoder(m_hat, z, src_pad_mask, stack, train, rng, dropout_rate):
@@ -412,7 +412,7 @@ def uncached_run_decoder(m_hat, z, src_pad_mask, stack, train, rng, dropout_rate
         f = tf._feed_forward(x, block.ffn, train, rng, dropout_rate)
         x = ad.layer_norm(x + f, block.norm3.gain, block.norm3.bias)
     h = ad.layer_norm(x, stack.final_norm.gain, stack.final_norm.bias)
-    return tf._linear(h, stack.word_w, stack.word_b)
+    return ad.linear(h, stack.word_w, stack.word_b)
 
 
 class TestTeacherForcedDecoderUnchanged:
