@@ -266,7 +266,8 @@ def neg(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
-    return _record(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+    # NaN fails both comparisons: the forward lets it through, the backward masks it
+    return _record(np.where(a.data <= 0, 0.0, a.data), (a,), lambda g: (g * mask,))
 
 
 def exp(a: Tensor) -> Tensor:

@@ -20,7 +20,7 @@ from . import decoding
 from .autodiff import Tensor
 from .data import GLOSS_BLANK, GLOSS_PAD, TEXT_BOS, TEXT_PAD, Vocabulary, make_batch
 from .decoding import DecodeConfig
-from .errors import CorpusError
+from .errors import ConfigError, CorpusError
 from .metrics import BleuReport, WerReport, bleu, wer
 from .model import GLOSS_INPUT, RECOGNITION, TRANSLATION, JointModel
 
@@ -228,6 +228,9 @@ def sweep_decode_parameters(
     entry of any BLEU-4 tie wins, so smaller widths are preferred.
     """
     _require_samples(samples)
+    if protocol not in TRANSLATION:
+        raise ConfigError(f"sweep: protocol {protocol!r} trains no sentence decoder, "
+                          f"so there is no width x alpha grid to search")
     encoded = encode_split(model, samples, gloss_vocab, text_vocab, protocol,
                            batch_size)
     refs = [list(s.sentence) for s in samples]

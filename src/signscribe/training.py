@@ -9,10 +9,12 @@ evaluations without improvement, and stops once a reduction would cross the
 floor (the rate is never set below it). The tracked metric is WER whenever
 recognition carries weight, otherwise BLEU-4.
 
-Checkpoints ("SLTC") store every named float array (parameters, batch-norm
-running statistics, Adam moments) as little-endian float64 plus a JSON
-footer for the scalars, so a round trip is bit-identical. A save replaces
-its target atomically.
+Checkpoints ("SLTC") store every named float array as little-endian float64
+plus a JSON footer for the scalars, so a round trip is bit-identical. A save
+replaces its target atomically. They exist to rebuild a model for decoding:
+`train` saves the parameters and batch-norm running statistics alone, and
+nothing here reads optimizer or scheduler state back, so a run cannot be
+resumed from one.
 """
 
 from __future__ import annotations
@@ -197,9 +199,12 @@ def checkpoint_save(
     scheduler: SchedulerState | None = None,
     extra: dict | None = None,
 ) -> Path:
-    """Serialize model + training state; identical state gives identical bytes.
+    """Serialize a model for decoding; identical state gives identical bytes.
 
-    A synced sibling temp file replaces path, so a failed save keeps the old file.
+    Given an optimizer and scheduler, their Adam moments ("adam.m.*",
+    "adam.v.*") and footer fields are written too, but no reader in the
+    package uses them: `restore_model` rebuilds the model alone. A synced
+    sibling temp file replaces path, so a failed save keeps the old file.
     """
     path = Path(path)
     tensors = _collect_tensors(model, optimizer)
@@ -352,67 +357,6 @@ def restore_model(ckpt: Checkpoint) -> tuple[JointModel, Vocabulary, Vocabulary]
     return model, gloss_vocab, text_vocab
 
 
-def _is_number(value) -> bool:
-    return type(value) in (int, float) and math.isfinite(value)
-
-
-def _is_count(value) -> bool:
-    return type(value) is int and value >= 0
-
-
-# The footer fields restore_training_state reads: (kind, check) per name.
-_OPTIMIZER_FIELDS = {
-    **{name: ("a finite number", _is_number)
-       for name in ("lr", "beta1", "beta2", "eps", "weight_decay")},
-    "step": ("a non-negative integer", _is_count),
-}
-_SCHEDULER_FIELDS = {
-    "patience": ("a non-negative integer", _is_count),
-    "factor": ("a finite number", _is_number),
-    "floor": ("a finite number", _is_number),
-    "minimize": ("a boolean", lambda value: type(value) is bool),
-    "best": ("null or a finite number", lambda value: value is None or _is_number(value)),
-    "evals_since_improvement": ("a non-negative integer", _is_count),
-}
-
-
-def _footer_object(footer: dict, key: str, fields: dict) -> dict | None:
-    """A stored optimizer or scheduler footer object with its fields checked."""
-    obj = footer.get(key)
-    if obj is None:
-        return None
-    if not isinstance(obj, dict):
-        raise CheckpointError(f"checkpoint footer field {key!r} is not an object")
-    for name, (kind, ok) in fields.items():
-        if name not in obj:
-            raise CheckpointError(f"checkpoint footer field {key!r} lacks {name!r}")
-        if not ok(obj[name]):
-            raise CheckpointError(f"checkpoint footer {key}.{name} is not {kind}: "
-                                  f"{obj[name]!r}")
-    return {name: obj[name] for name in fields}
-
-
-def restore_training_state(
-    ckpt: Checkpoint, model: JointModel
-) -> tuple[OptimizerState | None, SchedulerState | None]:
-    """Recover optimizer moments and scheduler progress, when stored."""
-    footer = ckpt.footer
-    optimizer = None
-    o = _footer_object(footer, "optimizer", _OPTIMIZER_FIELDS)
-    if o is not None:
-        if footer.get("protocol") not in PROTOCOLS:
-            raise CheckpointError(
-                f"checkpoint footer names no known protocol: {footer.get('protocol')!r}"
-            )
-        optimizer = OptimizerState(**o)
-        for name, p in model.trainable_parameters(footer["protocol"]).items():
-            optimizer.m[name] = _stored_tensor(ckpt, f"adam.m.{name}", p.data.shape)
-            optimizer.v[name] = _stored_tensor(ckpt, f"adam.v.{name}", p.data.shape)
-    s = _footer_object(footer, "scheduler", _SCHEDULER_FIELDS)
-    scheduler = None if s is None else SchedulerState(**s)
-    return optimizer, scheduler
-
-
 # ---------------------------------------------------------------------------
 # The loop
 # ---------------------------------------------------------------------------
@@ -516,8 +460,8 @@ def train(
                     )
                 if total is None:
                     continue
-                # relu turns NaN into 0, so NaN inputs can leave the loss finite
-                # and show only in the gradients
+                # a finite loss can still have a non-finite gradient (an inf
+                # activation, an overflowing backward), so both are checked
                 finite = bool(np.isfinite(total.data))
                 if finite:
                     ad.backward(graph, total)
@@ -579,7 +523,6 @@ def train(
             if decision.improved:
                 checkpoint_save(
                     best_path, model, gloss_vocab, text_vocab, cfg.protocol,
-                    optimizer, scheduler,
                     extra={
                         "iteration": iteration,
                         "lambda_r": cfg.lambda_r,

@@ -435,7 +435,7 @@ def test_criterion_6_joint_convergence(synthetic_corpus, tmp_path):
     reason="recognition weight 5 with sequence-mean recognition loss "
            "overweights the CTC gradient on the shared encoder; the joint run "
            "trails the translation-only run in every regime tried at this "
-           "scale (see the decisions ledger for the full sweep)",
+           "scale (ROADMAP item 4 makes the gradient balance measurable)",
     strict=False,
 )
 def test_criterion_7_joint_training_trend(synthetic_corpus, tmp_path):

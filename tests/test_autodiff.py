@@ -115,6 +115,16 @@ def test_layer_norm_normalizes_before_affine():
     np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-8)
 
 
+def test_relu_passes_nan_and_zeroes_the_rest():
+    x = np.array([np.nan, -0.0, -1.0, 2.0])
+    out = ad.relu(ad.Tensor(x)).data
+    assert np.isnan(out[0])
+    # bitwise what np.where(x > 0, x, 0.0) gives on every non-NaN input
+    assert out[1:].tobytes() == np.array([0.0, 0.0, 2.0]).tobytes()
+    grad, _ = scalar_loss_grad(lambda t: ad.relu(t).sum(), np.array([-0.0, -1.0, 2.0]))
+    assert np.array_equal(grad, [0.0, 0.0, 1.0])
+
+
 # ---------------------------------------------------------------------------
 # backward
 # ---------------------------------------------------------------------------

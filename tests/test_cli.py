@@ -188,6 +188,20 @@ class TestEvaluateCommand:
         assert "[sweep] chosen:" in out
         assert "[test]" in out
 
+    def test_sweep_without_translation_is_config_error(self, corpus, tmp_path, capsys):
+        out = tmp_path / "s2g"
+        assert cli.main(train_args(corpus, out, protocol="sign2gloss", lambda_t=0)) == 0
+        capsys.readouterr()
+        code = cli.main([
+            "evaluate", "--checkpoint", str(out / "best.sltc"),
+            "--corpus", str(corpus), "--sweep",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "[sweep]" not in captured.out
+        assert captured.err.startswith("configuration error: sweep: protocol 'sign2gloss'")
+        assert captured.err.count("\n") == 1
+
 
 class TestTranslateCommand:
     def test_translate_feature_file(self, corpus, joint_ckpt, capsys):
