@@ -51,7 +51,6 @@ def _add_config_overrides(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--protocol", choices=PROTOCOLS)
     sub.add_argument("--lambda-r", dest="lambda_r", type=float)
     sub.add_argument("--lambda-t", dest="lambda_t", type=float)
-    sub.add_argument("--loss-mode", dest="loss_mode")
     sub.add_argument("--d", type=int)
     sub.add_argument("--n-heads", dest="n_heads", type=int)
     sub.add_argument("--n-enc-layers", dest="n_enc_layers", type=int)

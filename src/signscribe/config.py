@@ -7,7 +7,6 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .losses import MODES
 from .model import PROTOCOLS, RECOGNITION, TRANSLATION
 
 
@@ -18,6 +17,8 @@ class RunConfig:
     Defaults follow the reference setup (512-wide, 8-head, 3-layer stacks;
     Adam at 1e-3 with additive weight decay; plateau scheduling with patience
     8, factor 0.7, floor 1e-6). Desk-scale runs override the model dims.
+    lambda_r and lambda_t weigh the two log-domain losses of `losses`, the
+    only training objective.
     """
 
     corpus: str = ""
@@ -25,7 +26,6 @@ class RunConfig:
     protocol: str = "sign2gloss+text"
     lambda_r: float = 5.0
     lambda_t: float = 1.0
-    loss_mode: str = "log-domain"
     # model
     d: int = 512
     n_heads: int = 8
@@ -55,8 +55,6 @@ class RunConfig:
             raise ConfigError(
                 f"protocol: {self.protocol!r} is not one of {PROTOCOLS}"
             )
-        if self.loss_mode not in MODES:
-            raise ConfigError(f"loss_mode: {self.loss_mode!r} is not one of {MODES}")
         self._check_weights()
         if self.d < 1 or self.n_heads < 1 or self.d % self.n_heads != 0:
             raise ConfigError(

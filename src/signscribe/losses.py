@@ -2,10 +2,10 @@
 
 The recognition loss marginalizes frame-level gloss probabilities over every
 alignment that collapses to the target gloss sequence (CTC). The translation
-loss is word-level cross-entropy over the shifted target sentence. Both have
-two modes: the one-minus-prob forms 1 - p and 1 - prod(q), and log-domain
-forms -log p and -sum(log q). The linear forms vanish numerically for long
-sequences, so log-domain is the default; the minimizers are identical.
+loss is word-level cross-entropy over the shifted target sentence. Both are
+trained in the log domain, -log p and -sum(log q). The paper writes them as
+1 - p and 1 - prod(q); those forms have the same minimizers but vanish
+numerically for long sequences.
 
 One CTC lattice recursion gives both the prefix (alpha) and the suffix
 (beta) variables: beta is alpha of the mirrored lattice. The recursion runs
@@ -32,13 +32,6 @@ from .autodiff import Tensor
 from .errors import ConfigError, ContractError, DimensionError, VocabularyError
 
 BLANK = 0
-
-MODES = ("log-domain", "one-minus-prob")
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ConfigError(f"unknown loss mode {mode!r}, expected one of {MODES}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +83,8 @@ def _ctc_lattice(emit: np.ndarray, ext: np.ndarray) -> np.ndarray:
     emit[t, b, s] is the log-probability of emitting ext[b, s] at frame t. The
     skip transition s-2 -> s is legal only between distinct non-blank labels.
     A cell depends only on earlier frames and lower states, so padding after a
-    lattice's last frame or last state never reaches its real cells.
+    lattice's last frame or last state never reaches its real cells. NaN
+    emissions propagate without a warning; the caller sees a NaN loss.
     """
     n_frames, b, s = emit.shape
     skip_ok = (ext[:, 2:] != BLANK) & (ext[:, 2:] != ext[:, :-2])  # indexed by s - 2
@@ -98,14 +92,15 @@ def _ctc_lattice(emit: np.ndarray, ext: np.ndarray) -> np.ndarray:
     alpha[0, :, :2] = emit[0, :, :2]
     step = np.full((b, s), -np.inf)
     skip = np.full((b, s), -np.inf)
-    for t in range(1, n_frames):
-        prev = alpha[t - 1]
-        step[:, 1:] = prev[:, :-1]
-        np.copyto(skip[:, 2:], prev[:, :-2], where=skip_ok)
-        out = alpha[t]
-        np.logaddexp(prev, step, out=out)
-        np.logaddexp(out, skip, out=out)
-        out += emit[t]
+    with np.errstate(invalid="ignore"):
+        for t in range(1, n_frames):
+            prev = alpha[t - 1]
+            step[:, 1:] = prev[:, :-1]
+            np.copyto(skip[:, 2:], prev[:, :-2], where=skip_ok)
+            out = alpha[t]
+            np.logaddexp(prev, step, out=out)
+            np.logaddexp(out, skip, out=out)
+            out += emit[t]
     return alpha
 
 
@@ -132,7 +127,8 @@ def _ctc_batch(lp: np.ndarray, frame_counts: np.ndarray, targets: list[CtcTarget
     # end on the last label or on the closing blank
     last = alpha[last_t, rows, states - 1]
     label = alpha[last_t, rows, np.maximum(states - 2, 0)]
-    logp = np.where(states >= 2, np.logaddexp(label, last), last)
+    with np.errstate(invalid="ignore"):
+        logp = np.where(states >= 2, np.logaddexp(label, last), last)
 
     def grad(g: np.ndarray) -> np.ndarray:
         live = np.isfinite(logp)
@@ -188,22 +184,12 @@ def _check_glosses(target: CtcTarget, k: int) -> None:
         )
 
 
-def recognition_loss(log_p: Tensor, mode: str = "log-domain") -> Tensor:
-    """Loss on the marginal gloss-sequence probability; 0 iff p = 1."""
-    _check_mode(mode)
-    lp = log_p if isinstance(log_p, Tensor) else Tensor(log_p)
-    if mode == "one-minus-prob":
-        return 1.0 - ad.exp(lp)
-    return ad.neg(lp)
-
-
-def translation_loss(word_logits: Tensor, reference, mode: str = "log-domain") -> Tensor:
-    """Word-level loss of a decoded sentence against its reference.
+def translation_loss(word_logits: Tensor, reference) -> Tensor:
+    """Word-level loss -sum(log q) of a decoded sentence against its reference.
 
     Row u of word_logits scores the prediction for reference[u]; the
     reference includes the closing end-of-sentence token.
     """
-    _check_mode(mode)
     ref = np.asarray(reference, dtype=np.int64)
     if word_logits.ndim != 2 or word_logits.shape[0] != ref.shape[0]:
         raise DimensionError(
@@ -212,10 +198,7 @@ def translation_loss(word_logits: Tensor, reference, mode: str = "log-domain") -
         )
     logq = ad.log_softmax(word_logits, axis=-1)
     picked = ad.take_along_last(logq, ref)
-    total = ad.tensor_sum(picked)
-    if mode == "one-minus-prob":
-        return 1.0 - ad.exp(total)
-    return ad.neg(total)
+    return ad.neg(ad.tensor_sum(picked))
 
 
 @dataclass(frozen=True)
@@ -234,9 +217,8 @@ def recognition_loss_batch(
     gloss_log_probs: Tensor,
     frame_counts,
     targets,
-    mode: str = "log-domain",
 ) -> tuple[Tensor | None, list[int]]:
-    """Average per-sequence recognition loss over the feasible batch members.
+    """Average per-sequence recognition loss -log p over the feasible members.
 
     gloss_log_probs is (B, T_max, K); frame_counts gives each sample's real
     length. Returns (loss, skipped) where skipped lists the batch indices
@@ -245,7 +227,6 @@ def recognition_loss_batch(
     The per-member terms are summed in batch order, then scaled by 1/n, so
     the value and gradient equal those of summing the per-sequence forms.
     """
-    _check_mode(mode)
     x = gloss_log_probs
     if x.ndim != 3:
         raise DimensionError(f"expected B x T x K log-probs, got shape {x.shape}")
@@ -271,11 +252,7 @@ def recognition_loss_batch(
 
     lp = x.data[rows]
     logp, ctc_grad = _ctc_batch(lp, np.array(counts), live_targets)
-    if mode == "one-minus-prob":
-        prob = np.exp(logp)
-        terms = 1.0 - prob
-    else:
-        terms = -logp
+    terms = -logp
     total = terms[0]
     for term in terms[1:]:
         total = total + term
@@ -284,8 +261,6 @@ def recognition_loss_batch(
     def bwd(g):
         g_term = g * scale
         g_logp = np.full(len(rows), -g_term)
-        if mode == "one-minus-prob":
-            g_logp = g_logp * prob
         gx = np.zeros_like(x.data)
         gx[rows] = ctc_grad(g_logp)
         return (gx,)
@@ -297,15 +272,11 @@ def translation_loss_batch(
     word_logits: Tensor,
     references: np.ndarray,
     pad_id: int,
-    mode: str = "log-domain",
 ) -> Tensor:
-    """Batch translation loss.
+    """Batch translation loss: -log q averaged over all non-padded tokens.
 
-    Log-domain averages -log q over all non-padded reference tokens; the
-    one-minus-prob mode averages the per-sequence 1 - prod(q) over the batch.
     references is (B, U_max) padded with pad_id.
     """
-    _check_mode(mode)
     refs = np.asarray(references, dtype=np.int64)
     if word_logits.ndim != 3 or word_logits.shape[:2] != refs.shape:
         raise DimensionError(
@@ -317,7 +288,4 @@ def translation_loss_batch(
     logq = ad.log_softmax(word_logits, axis=-1)
     picked = ad.take_along_last(logq, np.where(real, refs, 0))
     picked = ad.masked_fill(picked, ~real, 0.0)
-    if mode == "one-minus-prob":
-        per_seq = 1.0 - ad.exp(ad.tensor_sum(picked, axis=1))
-        return ad.tensor_mean(per_seq)
     return ad.neg(ad.tensor_sum(picked)) * (1.0 / int(real.sum()))

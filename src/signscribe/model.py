@@ -276,7 +276,6 @@ def batch_losses(
     batch,
     weights: LossWeights,
     protocol: str,
-    mode: str = "log-domain",
     *,
     train: bool = False,
     rng=None,
@@ -301,14 +300,12 @@ def batch_losses(
             CtcTarget(tuple(int(g) for g in batch.gloss_ids[i, :n]))
             for i, n in enumerate(batch.gloss_counts)
         ]
-        loss_r, skipped = recognition_loss_batch(
-            log_p, batch.frame_counts, targets, mode
-        )
+        loss_r, skipped = recognition_loss_batch(log_p, batch.frame_counts, targets)
 
     loss_t = None
     if protocol in TRANSLATION:
         logits = model.word_logits(batch.text_in, z, src_mask, train=train, rng=rng)
-        loss_t = translation_loss_batch(logits, batch.text_out, TEXT_PAD, mode)
+        loss_t = translation_loss_batch(logits, batch.text_out, TEXT_PAD)
 
     parts = []
     if loss_r is not None and weights.lambda_r > 0:

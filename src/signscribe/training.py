@@ -450,7 +450,7 @@ def train(
             running_stats = (model.spatial.bn_running_mean, model.spatial.bn_running_var)
             with Graph() as graph:
                 total, loss_r, loss_t, skipped = batch_losses(
-                    model, batch, weights, cfg.protocol, cfg.loss_mode,
+                    model, batch, weights, cfg.protocol,
                     train=True, rng=dropout_rng,
                 )
                 for j in skipped:
@@ -527,7 +527,6 @@ def train(
                         "iteration": iteration,
                         "lambda_r": cfg.lambda_r,
                         "lambda_t": cfg.lambda_t,
-                        "loss_mode": cfg.loss_mode,
                         "tracked_metric": "wer" if cfg.lambda_r > 0 else "bleu4",
                         "dev_score": tracked,
                     },

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from signscribe import cli, data, evaluation, training
+from signscribe.config import RunConfig
 from signscribe.metrics import bleu
 
 
@@ -115,6 +116,18 @@ class TestTrainCommand:
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"corpus": str(corpus), "widht": 3}))
         assert cli.main(["train", "--config", str(cfg_path)]) == 2
+
+    def test_every_override_flag_is_a_config_field(self):
+        # overrides are read by RunConfig field name, so a flag without a
+        # field would parse and then be silently ignored
+        dests = set(vars(cli.build_parser().parse_args(["train"])))
+        assert dests - {"command", "func", "config"} <= set(RunConfig().to_dict())
+
+    def test_retired_loss_mode_flag_is_usage_error(self, corpus, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(train_args(corpus, tmp_path / "out", loss_mode="log-domain"))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --loss-mode" in capsys.readouterr().err
 
     def test_diverged_training_is_one_line_error(self, corpus, tmp_path, capsys,
                                                  monkeypatch):

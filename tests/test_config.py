@@ -30,6 +30,9 @@ class TestValidation:
         # the decoding commands only
         with pytest.raises(ConfigError, match="unknown config keys: beam_width"):
             config_from_dict({"beam_width": 4})
+        # the log-domain losses are the only objective; the key is retired
+        with pytest.raises(ConfigError, match="unknown config keys: loss_mode"):
+            config_from_dict({"loss_mode": "log-domain"})
 
     @pytest.mark.parametrize(
         "protocol,lambda_r,lambda_t",
@@ -83,7 +86,6 @@ class TestValidation:
             ("eval_every", 0),
             ("patience", 0),
             ("max_len_cap", 0),
-            ("loss_mode", "probability"),
         ],
     )
     def test_out_of_range_fields(self, field, value):

@@ -166,35 +166,30 @@ class TestCtcLogProb:
         assert g.nodes == []
 
 
-class TestRecognitionLoss:
-    def test_perfect_recognition_is_zero_both_modes(self):
-        assert losses.recognition_loss(Tensor(0.0)).item() == 0.0
-        assert losses.recognition_loss(Tensor(0.0), "one-minus-prob").item() == 0.0
+def one_frame_loss(log_p):
+    """recognition_loss_batch of one frame emitting the target gloss with log p."""
+    lp = np.array([[[np.log(0.5), log_p]]])
+    loss, skipped = losses.recognition_loss_batch(Tensor(lp), [1], [CtcTarget((1,))])
+    assert skipped == []
+    return loss.item()
 
-    def test_one_minus_prob_from_ctc_example(self):
-        out = losses.recognition_loss(Tensor(np.log(0.75)), "one-minus-prob")
-        assert out.item() == pytest.approx(0.25, abs=1e-12)
+
+class TestRecognitionLoss:
+    def test_perfect_recognition_is_zero(self):
+        assert one_frame_loss(0.0) == 0.0
 
     def test_limits_as_p_vanishes(self):
-        assert losses.recognition_loss(Tensor(-np.inf)).item() == np.inf
-        assert losses.recognition_loss(Tensor(-np.inf), "one-minus-prob").item() == 1.0
+        assert one_frame_loss(-np.inf) == np.inf
 
     def test_log_domain_is_negated_log(self):
-        assert losses.recognition_loss(Tensor(-2.5)).item() == 2.5
-
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigError):
-            losses.recognition_loss(Tensor(0.0), "linear")
+        assert one_frame_loss(-2.5) == 2.5
 
     @given(st.floats(min_value=-20.0, max_value=0.0))
     @settings(max_examples=50, deadline=None)
-    def test_both_modes_monotone_in_p(self, log_p):
-        # Larger p must mean smaller loss in either mode.
+    def test_monotone_in_p(self, log_p):
+        # Larger p must mean smaller loss.
         eps = 0.01
-        for mode in losses.MODES:
-            lo = losses.recognition_loss(Tensor(min(log_p + eps, 0.0)), mode).item()
-            hi = losses.recognition_loss(Tensor(log_p), mode).item()
-            assert lo <= hi + 1e-12
+        assert one_frame_loss(min(log_p + eps, 0.0)) <= one_frame_loss(log_p) + 1e-12
 
 
 class TestTranslationLoss:
@@ -203,8 +198,7 @@ class TestTranslationLoss:
         ref = [2, 0, 3]
         for u, r in enumerate(ref):
             logits[u, r] = 30.0
-        for mode in losses.MODES:
-            assert losses.translation_loss(Tensor(logits), ref, mode).item() < 1e-9
+        assert losses.translation_loss(Tensor(logits), ref).item() < 1e-9
 
     def test_uniform_single_step(self):
         out = losses.translation_loss(Tensor(np.zeros((1, 4))), [2])
@@ -212,8 +206,6 @@ class TestTranslationLoss:
 
     def test_two_halves(self):
         logits = np.zeros((2, 2))
-        lit = losses.translation_loss(Tensor(logits), [0, 1], "one-minus-prob")
-        assert lit.item() == pytest.approx(0.75, abs=1e-12)
         logd = losses.translation_loss(Tensor(logits), [0, 1])
         assert logd.item() == pytest.approx(2 * np.log(2), abs=1e-12)
 
@@ -236,14 +228,13 @@ class TestTranslationLoss:
         rng = np.random.default_rng(8)
         logits = rng.normal(size=(4, 5))
         ref = [1, 4, 0, 2]
-        for mode in losses.MODES:
-            with Graph() as g:
-                x = Tensor(logits, requires_grad=True)
-                ad.backward(g, losses.translation_loss(x, ref, mode))
-            num = finite_difference_grad(
-                lambda v: losses.translation_loss(Tensor(v), ref, mode).item(), logits
-            )
-            assert_grad_close(x.grad, num)
+        with Graph() as g:
+            x = Tensor(logits, requires_grad=True)
+            ad.backward(g, losses.translation_loss(x, ref))
+        num = finite_difference_grad(
+            lambda v: losses.translation_loss(Tensor(v), ref).item(), logits
+        )
+        assert_grad_close(x.grad, num)
 
 
 class TestJointLoss:
@@ -329,7 +320,7 @@ class TestBatchWrappers:
         assert np.any(x.grad[0, 0] != 0.0)
 
 
-def per_sample_recognition_loss(lp, counts, targets, mode):
+def per_sample_recognition_loss(lp, counts, targets):
     """The per-sequence path: one ctc_log_prob node per feasible member.
 
     The terms are summed in batch order and scaled by 1/n, the way the
@@ -344,7 +335,7 @@ def per_sample_recognition_loss(lp, counts, targets, mode):
                 skipped.append(i)
                 continue
             logp = losses.ctc_log_prob(x[i, : int(t_i)], target)
-            terms.append(losses.recognition_loss(logp, mode))
+            terms.append(ad.neg(logp))
         if not terms:
             return None, None, skipped
         total = terms[0]
@@ -355,11 +346,11 @@ def per_sample_recognition_loss(lp, counts, targets, mode):
     return loss.item(), x.grad, skipped
 
 
-def batched_recognition_loss(lp, counts, targets, mode):
+def batched_recognition_loss(lp, counts, targets):
     with Graph() as g:
         x = Tensor(lp, requires_grad=True)
         loss, skipped = losses.recognition_loss_batch(
-            x, counts, [CtcTarget(tuple(t)) for t in targets], mode
+            x, counts, [CtcTarget(tuple(t)) for t in targets]
         )
         if loss is None:
             return None, None, skipped
@@ -395,48 +386,51 @@ def assert_bitwise_same(got, want):
 
 
 class TestBatchedCtcOracle:
-    """recognition_loss_batch runs one lattice; it must equal the per-sample path."""
+    """recognition_loss_batch runs one lattice; it must equal the per-sample path.
 
-    @pytest.mark.parametrize("mode", losses.MODES)
+    The one-value "mode" parameter names the loss form in the test ids: -log p,
+    the only one the package trains.
+    """
+
+    @pytest.mark.parametrize("mode", ["log-domain"])
     @pytest.mark.parametrize("seed", range(12))
     def test_random_batches_bitwise_equal_per_sample(self, seed, mode):
         rng = np.random.default_rng(900 + seed)
         b, t_max, k = int(rng.integers(2, 9)), int(rng.integers(3, 12)), int(rng.integers(3, 7))
         lp, counts, targets = random_batch(rng, b, t_max, k, repeats=seed % 3 == 0)
-        want = per_sample_recognition_loss(lp, counts, targets, mode)
-        assert_bitwise_same(batched_recognition_loss(lp, counts, targets, mode), want)
+        want = per_sample_recognition_loss(lp, counts, targets)
+        assert_bitwise_same(batched_recognition_loss(lp, counts, targets), want)
 
-    @pytest.mark.parametrize("mode", losses.MODES)
+    @pytest.mark.parametrize("mode", ["log-domain"])
     def test_unequal_lengths_repeats_empty_and_infeasible(self, mode):
         rng = np.random.default_rng(31)
         lp = np.stack([random_log_rows(9, 4, rng) for _ in range(6)])
         counts = [9, 4, 7, 2, 9, 3]
         targets = [(1, 1, 2), (3,), (), (2, 2), (1, 2, 3, 1), (1, 1)]
-        got = batched_recognition_loss(lp, counts, targets, mode)
+        got = batched_recognition_loss(lp, counts, targets)
         assert got[2] == [3]  # (2, 2) needs 3 frames; (1, 1) fits exactly 3
-        assert_bitwise_same(got, per_sample_recognition_loss(lp, counts, targets, mode))
+        assert_bitwise_same(got, per_sample_recognition_loss(lp, counts, targets))
         # members' gradients stay inside their own frames; skipped rows get none
         assert np.all(got[1][1, 4:] == 0.0) and np.all(got[1][3] == 0.0)
 
     def test_all_infeasible_batch(self):
         lp = np.stack([random_log_rows(2, 3, np.random.default_rng(3)) for _ in range(2)])
-        got = batched_recognition_loss(lp, [2, 1], [(1, 1), (1, 2)], "log-domain")
+        got = batched_recognition_loss(lp, [2, 1], [(1, 1), (1, 2)])
         assert got == (None, None, [0, 1])
 
-    @pytest.mark.parametrize("mode", losses.MODES)
+    @pytest.mark.parametrize("mode", ["log-domain"])
     def test_batch_of_one(self, mode):
         rng = np.random.default_rng(32)
         lp = random_log_rows(5, 3, rng)[None]
         for target in [(), (1,), (2, 2), (1, 2, 1)]:
-            got = batched_recognition_loss(lp, [5], [target], mode)
-            assert_bitwise_same(got, per_sample_recognition_loss(lp, [5], [target], mode))
+            got = batched_recognition_loss(lp, [5], [target])
+            assert_bitwise_same(got, per_sample_recognition_loss(lp, [5], [target]))
 
     def test_only_empty_targets(self):
         rng = np.random.default_rng(33)
         lp = np.stack([random_log_rows(4, 3, rng) for _ in range(3)])
-        got = batched_recognition_loss(lp, [4, 1, 3], [(), (), ()], "log-domain")
-        assert_bitwise_same(got, per_sample_recognition_loss(lp, [4, 1, 3], [(), (), ()],
-                                                             "log-domain"))
+        got = batched_recognition_loss(lp, [4, 1, 3], [(), (), ()])
+        assert_bitwise_same(got, per_sample_recognition_loss(lp, [4, 1, 3], [(), (), ()]))
         want = -np.mean([lp[0, :4, 0].sum(), lp[1, :1, 0].sum(), lp[2, :3, 0].sum()])
         assert got[0] == pytest.approx(want, abs=1e-12)
 
@@ -444,9 +438,19 @@ class TestBatchedCtcOracle:
         rng = np.random.default_rng(34)
         lp = np.stack([random_log_rows(3, 3, rng) for _ in range(2)])
         lp[1, :, 2] = -np.inf  # member 1's only gloss can never be emitted
-        got = batched_recognition_loss(lp, [3, 3], [(1,), (2,)], "log-domain")
+        got = batched_recognition_loss(lp, [3, 3], [(1,), (2,)])
         assert got[0] == np.inf
         assert np.all(got[1][1] == 0.0) and np.any(got[1][0] != 0.0)
+
+    def test_nan_member_gives_non_finite_loss_without_warning(self, recwarn):
+        rng = np.random.default_rng(14)
+        lp = np.stack([random_log_rows(4, 3, rng) for _ in range(2)])
+        lp[1, 2] = np.nan
+        loss, skipped = losses.recognition_loss_batch(
+            Tensor(lp), [4, 4], [CtcTarget((1, 2)), CtcTarget((2,))]
+        )
+        assert skipped == [] and not np.isfinite(loss.item())
+        assert len(recwarn) == 0
 
     def test_out_of_range_gloss_id(self):
         lp = Tensor(np.stack([random_log_rows(3, 3, np.random.default_rng(35))] * 2))
