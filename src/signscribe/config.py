@@ -3,11 +3,22 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
 from .model import PROTOCOLS, RECOGNITION, TRANSLATION
+
+
+# field annotation (a string, under postponed evaluation) -> (test, what it
+# admits); type() rather than isinstance keeps bools out of the numbers
+_TYPES = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (lambda v: type(v) is int or type(v) is float and math.isfinite(v),
+              "a finite number"),
+    "str": (lambda v: type(v) is str, "a string"),
+}
 
 
 @dataclass(frozen=True)
@@ -51,6 +62,10 @@ class RunConfig:
     max_len_cap: int = 60
 
     def __post_init__(self):
+        for f in fields(self):
+            admits, what = _TYPES[f.type]
+            if not admits(getattr(self, f.name)):
+                raise ConfigError(f"{f.name}: must be {what}, got {getattr(self, f.name)!r}")
         if self.protocol not in PROTOCOLS:
             raise ConfigError(
                 f"protocol: {self.protocol!r} is not one of {PROTOCOLS}"
@@ -66,19 +81,16 @@ class RunConfig:
                 raise ConfigError(f"{name}: must be >= 1, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout: must be in [0, 1), got {self.dropout}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr: must be positive, got {self.lr}")
+        for name in ("lr", "eps", "lr_floor"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name}: must be positive, got {getattr(self, name)}")
         for name in ("beta1", "beta2"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ConfigError(f"{name}: must be in (0, 1), got {getattr(self, name)}")
-        if self.eps <= 0:
-            raise ConfigError(f"eps: must be positive, got {self.eps}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay: must be >= 0, got {self.weight_decay}")
         if not 0.0 < self.lr_factor < 1.0:
             raise ConfigError(f"lr_factor: must be in (0, 1), got {self.lr_factor}")
-        if self.lr_floor <= 0:
-            raise ConfigError(f"lr_floor: must be positive, got {self.lr_floor}")
 
     def _check_weights(self):
         p, lr_, lt_ = self.protocol, self.lambda_r, self.lambda_t
@@ -106,10 +118,7 @@ def config_from_dict(values: dict) -> RunConfig:
     unknown = sorted(set(values) - _FIELD_NAMES)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    try:
-        return RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(**values)
 
 
 def load_config(path) -> RunConfig:

@@ -405,15 +405,25 @@ def generate_synthetic(
     only its sub-unit, never the gloss, so frame-level recognition labels
     carry structure that sentence-level supervision has to discover on its
     own. min/max_frames_per_gloss are ignored in this mode.
+
+    Settings that admit no corpus raise ConfigError before anything is
+    written.
     """
-    if sub_units:
-        if sub_units < 2:
-            raise ConfigError("compositional emission needs at least 2 sub-units")
-        if n_glosses > sub_units * (sub_units - 1) ** 2:
-            raise ConfigError(
-                f"{sub_units} sub-units admit only {sub_units * (sub_units - 1) ** 2} "
-                f"distinct codes, fewer than {n_glosses} glosses"
-            )
+    n_codes = sub_units * (sub_units - 1) ** 2  # triples with distinct neighbours
+    for holds, rule in (
+        (n_glosses >= 2, "n_glosses >= 2, as adjacent glosses differ"),
+        (1 <= min_glosses <= max_glosses, "1 <= min_glosses <= max_glosses"),
+        (1 <= min_frames_per_gloss <= max_frames_per_gloss,
+         "1 <= min_frames_per_gloss <= max_frames_per_gloss"),
+        (d_in >= 1, "d_in >= 1"),
+        (min(n_train, n_dev, n_test) >= 0, "sample counts >= 0"),
+        (np.isfinite(frame_noise) and frame_noise >= 0, "a finite frame_noise >= 0"),
+        (sub_units == 0 or sub_units >= 2, "0 sub-units, or at least 2"),
+        (sub_units == 0 or n_glosses <= n_codes,
+         f"at most {n_codes} glosses, the distinct codes of {sub_units} sub-units"),
+    ):
+        if not holds:
+            raise ConfigError(f"synthetic corpus needs {rule}")
     root = Path(out_dir)
     (root / "features").mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

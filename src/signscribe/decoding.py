@@ -20,10 +20,9 @@ scores of the next word for every row. The first call passes tokens=None:
 its rows start their sentences, and the pathway feeds the start-of-sentence
 token itself. Beams are reordered, repeated and dropped through
 parent_rows alone, so the model's step feeds only each row's newest
-positions, not its whole prefix, against cached keys and values. The search
-runs over a whole batch of
-sources in lockstep, one row per live beam of every source still under its
-cap.
+position, not its whole prefix, against cached keys and values. The search
+runs over a whole batch of sources in lockstep, one row per live beam of
+every source still under its cap.
 
 A decoder with only the stateless
 

@@ -18,10 +18,10 @@ The model exposes the decoding pathway the search routines expect. start
 builds a decode state for a batch of encoder outputs, projecting each
 decoder layer's cross-attention keys and values once; step grows every
 row's prefix by one word and returns the next-word logits, feeding only the
-row's newest positions against the cached keys and values. prefix_logits_batch
+row's newest position against the cached keys and values. prefix_logits_batch
 scores the next word after whole bos-free prefixes with one teacher-forced
-forward each: it is the oracle the cached steps are tested against, and
-prefix_logits is its batch of one.
+forward each: it is the oracle the cached steps are tested against (they
+agree up to round-off), and prefix_logits is its batch of one.
 """
 
 from __future__ import annotations
@@ -223,18 +223,13 @@ class JointModel:
         Row r continues row parent_rows[r] of the step before, or source
         parent_rows[r] at the first step, and appends tokens[r]. At the
         first step tokens is None: the rows start their sentences, so the
-        word fed is <bos>. Later steps feed each row's previous position
-        again (the cache holds it back) ahead of the new one.
+        word fed is <bos>. Each step feeds one position per row.
         """
         state.select(parent_rows)
-        if tokens is None:
-            bos = np.full((len(state.sources), 1), TEXT_BOS, dtype=np.int64)
-            m = self.words.embed(bos) + self._positions(1)
-        else:
-            t = state.length + 1
-            new = self.words.embed(np.asarray(tokens, dtype=np.int64)[:, None])
-            new = new + self._positions(t + 1).data[t]
-            m = Tensor(np.concatenate([state.held.data, new.data], axis=1))
+        words = np.full(len(state.sources), TEXT_BOS) if tokens is None else tokens
+        t = state.length
+        m = self.words.embed(np.asarray(words, dtype=np.int64)[:, None])
+        m = m + self._positions(t + 1).data[t]
         logits = run_decoder(m, None, None, self.decoder, cache=state)
         return np.asarray(logits.data[:, -1, :])
 

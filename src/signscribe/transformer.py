@@ -309,58 +309,49 @@ class DecoderCache:
     run_decoder call appends the positions it feeds.
 
     The cache keeps the self-attention keys and values of every position
-    fed but each call's last, and holds that position's input instead; the
-    next call feeds it again ahead of its new position. Every product then
-    has at least two rows per sequence after the first call, as in the
-    stateless forward of a prefix. A one-row product runs on BLAS's vector
-    kernel, whose rounding differs from the matrix kernel's, while a row of
-    a matrix product mostly does not depend on how many rows the product
-    has. So cached logits equal a whole-prefix forward's bit for bit in the
-    shapes where that holds, and otherwise differ by round-off. Inference
-    only: nothing in the cache is on a tape.
+    fed, so a decoding step feeds only each row's new position. Cached
+    logits equal a whole-prefix forward's up to round-off: a one-row
+    product may run on another BLAS kernel than the matrix product over the
+    prefix, and round differently. Inference only: nothing in the cache is
+    on a tape.
     """
 
     def __init__(self, z: Tensor, src_pad_mask, stack: DecoderStack):
         self._src_mask = _checked_mask(_key_mask(src_pad_mask, True))  # (B, 1, S)
         self._cross = [_project_keys_values(z, block.cross_attn) for block in stack.blocks]
         self.sources = np.arange(z.shape[0])  # the source each row decodes
-        self.cross: list[tuple[Tensor, Tensor]] = []  # per layer, gathered per row
+        self.cross = self._cross  # per layer, gathered per row
         self.cross_mask = self._src_mask
-        self.self_kv: list[tuple[np.ndarray, np.ndarray]] = []  # per layer, (R, H, length, d/H)
-        self.held: Tensor | None = None  # (R, 1, d), the last position's input
+        # per layer, (R, H, length, d/H); no position yet
+        self.self_kv = [(k.data[..., :0, :], v.data[..., :0, :]) for k, v in self._cross]
 
     @property
     def length(self) -> int:
         """Positions whose keys and values every row keeps."""
-        return self.self_kv[-1][0].shape[-2] if self.self_kv else 0
+        return self.self_kv[-1][0].shape[-2]
 
     def select(self, parent_rows) -> None:
         """Row r now continues row parent_rows[r]; a row may be picked many times."""
         parents = np.asarray(parent_rows, dtype=np.int64)
         sources = self.sources[parents]
-        if not self.cross or not np.array_equal(sources, self.sources):
+        if not np.array_equal(sources, self.sources):
             self.cross = [(Tensor(k.data[sources]), Tensor(v.data[sources]))
                           for k, v in self._cross]
             self.cross_mask = self._src_mask[sources]
         self.sources = sources
         self.self_kv = [(k[parents], v[parents]) for k, v in self.self_kv]
-        if self.held is not None:
-            self.held = Tensor(self.held.data[parents])
 
     def extend(self, layer: int, x: Tensor, attn: AttentionParams) -> tuple[Tensor, Tensor]:
         """One layer's keys and values for attending from new positions x (R, U, d).
 
-        Returns the kept positions' followed by x's, and keeps all but the last.
+        Returns the kept positions' followed by x's, and keeps them all.
         """
-        k, v = _project_keys_values(x, attn)
-        if layer < len(self.self_kv):
-            old_k, old_v = self.self_kv[layer]
-            k = Tensor(np.concatenate([old_k, k.data], axis=-2))
-            v = Tensor(np.concatenate([old_v, v.data], axis=-2))
-            self.self_kv[layer] = k.data[..., :-1, :], v.data[..., :-1, :]
-        else:
-            self.self_kv.append((k.data[..., :-1, :], v.data[..., :-1, :]))
-        return k, v
+        new_k, new_v = _project_keys_values(x, attn)
+        old_k, old_v = self.self_kv[layer]
+        k = np.concatenate([old_k, new_k.data], axis=-2)
+        v = np.concatenate([old_v, new_v.data], axis=-2)
+        self.self_kv[layer] = k, v
+        return Tensor(k), Tensor(v)
 
 
 def run_decoder(
@@ -380,19 +371,15 @@ def run_decoder(
     which is what lets one forward pass score a whole shifted sequence.
 
     With a cache, m_hat (R, U, d) holds the positions that follow the
-    cache.length ones each row keeps, starting with cache.held when there
-    is one: self-attention also reads the kept keys and values, and
-    cross-attention reads the cache's, so z and src_pad_mask are unused.
+    cache.length ones each row keeps: self-attention also reads the kept
+    keys and values, and cross-attention reads the cache's, so z and
+    src_pad_mask are unused.
     """
     batched = m_hat.ndim == 3
     u = m_hat.shape[-2]
     past = 0 if cache is None else cache.length
     causal = np.tril(np.ones((u, past + u), dtype=bool), k=past)
-    if cache is None:
-        src_mask = _key_mask(src_pad_mask, batched)
-    else:
-        src_mask = cache.cross_mask
-        cache.held = Tensor(m_hat.data[:, -1:])
+    src_mask = _key_mask(src_pad_mask, batched) if cache is None else cache.cross_mask
     x = m_hat
     for i, block in enumerate(stack.blocks):
         keys = x if cache is None else cache.extend(i, x, block.self_attn)

@@ -355,6 +355,7 @@ def _edit_distance(ref, hyp):
     return prev[n]
 
 
+@pytest.mark.slow
 def test_criterion_5_metric_fixtures():
     start = time.time()
     seqs = []
@@ -404,6 +405,7 @@ def synthetic_corpus(tmp_path_factory):
     return root
 
 
+@pytest.mark.slow
 def test_criterion_6_joint_convergence(synthetic_corpus, tmp_path):
     logging.disable(logging.WARNING)
     try:
@@ -429,6 +431,7 @@ def test_criterion_6_joint_convergence(synthetic_corpus, tmp_path):
     assert elapsed < 300.0
 
 
+@pytest.mark.slow
 @pytest.mark.xfail(
     reason="recognition weight 5 with sequence-mean recognition loss "
            "overweights the CTC gradient on the shared encoder; the joint run "

@@ -84,6 +84,27 @@ class TestGenSynthetic:
         assert ((tmp_path / "a" / "train.jsonl").read_bytes()
                 == (tmp_path / "b" / "train.jsonl").read_bytes())
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--glosses", "1"], "n_glosses >= 2"),
+        (["--glosses", "0"], "n_glosses >= 2"),
+        (["--max-glosses", "2"], "min_glosses <= max_glosses"),
+        (["--d-in", "0"], "d_in >= 1"),
+        (["--train", "-3"], "sample counts >= 0"),
+        (["--test", "-1"], "sample counts >= 0"),
+        (["--frame-noise", "-1"], "frame_noise"),
+        (["--frame-noise", "nan"], "frame_noise"),
+        (["--frame-noise", "inf"], "frame_noise"),
+    ])
+    def test_unusable_settings_are_one_line_config_error(self, tmp_path, capsys,
+                                                         flags, message):
+        out = tmp_path / "c"
+        code = cli.main(["gen-synthetic", "--out", str(out), "--train", "2",
+                         "--dev", "1", "--test", "1", *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err, err
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_missing_corpus_is_config_error(self, tmp_path):
@@ -116,6 +137,13 @@ class TestTrainCommand:
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"corpus": str(corpus), "widht": 3}))
         assert cli.main(["train", "--config", str(cfg_path)]) == 2
+
+    def test_wrong_typed_config_value_is_config_error(self, corpus, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"corpus": str(corpus), "max_iterations": 2.5}))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: max_iterations: must be an integer, got 2.5\n"
 
     def test_every_override_flag_is_a_config_field(self):
         # overrides are read by RunConfig field name, so a flag without a

@@ -86,6 +86,20 @@ class TestValidation:
             ("eval_every", 0),
             ("patience", 0),
             ("max_len_cap", 0),
+            # wrong types, as a --config file can give them
+            ("max_iterations", 2.5),
+            ("d", 16.0),
+            ("seed", "x"),
+            ("seed", True),
+            ("corpus", 5),
+            ("protocol", None),
+            ("lambda_t", "1"),
+            ("dropout", False),
+            ("lr", float("nan")),
+            ("lr", float("inf")),
+            ("eps", float("nan")),
+            ("weight_decay", float("inf")),
+            ("weight_decay", float("nan")),
         ],
     )
     def test_out_of_range_fields(self, field, value):

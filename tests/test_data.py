@@ -489,6 +489,19 @@ class TestGenerateSynthetic:
                     centers.append(row)
         assert len(centers) == 5
 
+    @pytest.mark.parametrize("settings", [
+        {"min_glosses": 0},
+        {"min_glosses": 4, "max_glosses": 3},
+        {"min_frames_per_gloss": 0},
+        {"min_frames_per_gloss": 3, "max_frames_per_gloss": 2},
+        {"n_dev": -1},
+    ])
+    def test_settings_without_a_corpus_rejected_before_writing(self, tmp_path, settings):
+        with pytest.raises(ConfigError):
+            data.generate_synthetic(tmp_path / "c", seed=8, **{
+                "n_train": 1, "n_dev": 1, "n_test": 1, **settings})
+        assert not (tmp_path / "c").exists()
+
     def test_sub_unit_pool_too_small_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             data.generate_synthetic(

@@ -378,7 +378,8 @@ class TestDecodingPathway:
                     return m.word_logits(tokens, Tensor(z[i]), mask).data[-1]
 
                 got = decoding.ar_beam_search(z[i], mask, m, cfg, forbid=forbid)
-                assert got == oracle_beam_search(score, cfg, forbid=forbid), (seed, i)
+                assert_same_hypotheses([got], [oracle_beam_search(score, cfg, forbid=forbid)],
+                                       (seed, i))
 
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
@@ -403,7 +404,15 @@ class TestDecodingPathway:
                 pools = decoding.ar_beam_pools(z[pick], mask[pick], m, width,
                                                [caps[i] for i in pick], forbid=forbid)
                 got = [decoding.best_hypothesis(pool, alpha) for pool in pools]
-                assert got == [want[i] for i in pick], (forbid, pick)
+                assert_same_hypotheses(got, [want[i] for i in pick], (forbid, pick))
+
+
+def assert_same_hypotheses(got, want, msg):
+    """The same tokens and finished flags, and scores equal up to float64
+    round-off: a cached step may round differently from the oracle's
+    whole-prefix forward."""
+    assert [(h.tokens, h.finished) for h in got] == [(h.tokens, h.finished) for h in want], msg
+    assert all(abs(g.log_prob - w.log_prob) <= 1e-12 for g, w in zip(got, want)), msg
 
 
 def sharpened_chunk(seed=4):
@@ -463,6 +472,36 @@ class TestCachedSteps:
         assert any(h.finished and len(h.tokens) < cap
                    for pool, cap in zip(pools, caps) for h in pool)
         assert max(checked.checked) == max(caps) - 1
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_each_step_feeds_one_position_per_row(self, width, monkeypatch):
+        m, z, mask = sharpened_chunk()
+        fed = []  # m_hat shape of every cached decoder call
+        run_decoder = jm.run_decoder
+
+        def counted(m_hat, *args, cache=None, **kwargs):
+            if cache is not None:
+                fed.append(m_hat.shape)
+            return run_decoder(m_hat, *args, cache=cache, **kwargs)
+
+        monkeypatch.setattr(jm, "run_decoder", counted)
+        lengths = []  # (prefix length, state.length after the step) per step
+
+        class Recorded:
+            def start(self, z_batch, mask_batch):
+                return m.start(z_batch, mask_batch)
+
+            def step(self, state, parent_rows, tokens):
+                prefix = 0 if tokens is None else lengths[-1][0] + 1
+                logits = m.step(state, parent_rows, tokens)
+                lengths.append((prefix, state.length))
+                return logits
+
+        decoding.ar_beam_pools(z, mask, Recorded(), width, [6, 2, 4, 5, 1],
+                               forbid=(data.TEXT_PAD, data.TEXT_BOS))
+        assert len(fed) == len(lengths) > 1
+        assert all(shape[1:] == (1, m.d) for shape in fed), fed
+        assert all(length == prefix + 1 for prefix, length in lengths), lengths
 
     @pytest.mark.parametrize("width", [1, 2, 3, 4])
     def test_permuted_and_repeated_parents(self, width):
