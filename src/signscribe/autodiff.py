@@ -266,8 +266,9 @@ def neg(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
-    # NaN fails both comparisons: the forward lets it through, the backward masks it
-    return _record(np.where(a.data <= 0, 0.0, a.data), (a,), lambda g: (g * mask,))
+    # np.maximum passes NaN through and, with x first, turns -0.0 into 0.0; the
+    # backward masks NaN, which fails the comparison
+    return _record(np.maximum(a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -376,9 +377,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Max-subtracted softmax; outputs sum to 1 along ``axis``."""
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def bwd(g):
         dot = (out * g).sum(axis=axis, keepdims=True)
@@ -403,20 +404,21 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     eps sits inside the square root: y = (x - mu) / sqrt(var + eps) * gain + bias.
     """
     d = x.shape[-1]
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    # the same bits as np.var: the mean of the squared centred values
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv_std
-    out = xhat * gain.data + bias.data
+    xhat *= inv_std
+    out = xhat * gain.data
+    out += bias.data
     gain_data = gain.data
 
     def bwd(g):
         gg = g * gain_data
-        gx = inv_std * (
-            gg
-            - gg.mean(axis=-1, keepdims=True)
-            - xhat * (gg * xhat).mean(axis=-1, keepdims=True)
-        )
+        gx = gg - gg.mean(axis=-1, keepdims=True)
+        gg *= xhat
+        gx -= xhat * gg.mean(axis=-1, keepdims=True)
+        gx *= inv_std
         lead = tuple(range(g.ndim - 1))
         dgain = (g * xhat).sum(axis=lead) if lead else g * xhat
         dbias = g.sum(axis=lead) if lead else g.copy()

@@ -1,7 +1,10 @@
 """Inference-time search.
 
 Gloss decoding works on frame-level log-probabilities: a greedy best-path
-collapse and a prefix beam search over collapsed label sequences. Sentence
+collapse and a prefix beam search over collapsed label sequences. The prefix
+beam (`ctc_beam_search_batch`) searches a whole encoded chunk at once with a
+fixed set of array ops per frame, and a sequence decodes to the same glosses
+whatever chunk it is in; `ctc_beam_search` is its batch of one. Sentence
 decoding drives the autoregressive decoder with one beam search, whose
 width-1 case is greedy decoding; the ((5+u)/6)^alpha length penalty ranks
 the final candidates.
@@ -121,65 +124,122 @@ def ctc_greedy(log_probs) -> tuple[int, ...]:
     return collapse_path(np.argmax(lp, axis=1))
 
 
-_LOG2 = math.log(2.0)
+def _slot_tuple(prefixes, lengths, n, beam, sym) -> tuple[int, ...]:
+    """The prefix of sequence n's beam, extended by sym unless sym is the blank."""
+    base = tuple(prefixes[n, beam, :lengths[n, beam]].tolist())
+    return base + (int(sym),) if sym else base
 
 
-def _log_add(a: float, b: float) -> float:
-    """log(exp(a) + exp(b)) for Python floats; np.logaddexp's formula, bit for bit."""
-    if a == b:
-        return a + _LOG2  # also inf + log 2 = inf and -inf + log 2 = -inf
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
-    d = a - b
-    if d > 0:
-        return a + math.log1p(math.exp(-d))
-    return b + math.log1p(math.exp(d))
+def ctc_beam_search_batch(log_probs, frame_counts, width: int) -> list[tuple[int, ...]]:
+    """Prefix beam search over a chunk of sequences at once.
 
+    log_probs is (N, T, K) frame-level log-probabilities with the blank at
+    index 0; sequence n reads its first frame_counts[n] frames. Each live
+    prefix carries two scores: probability mass of paths ending in a blank
+    and mass ending in the prefix's last symbol. Extending by a repeated
+    symbol is only legal from the blank side, which is exactly the collapse
+    rule.
 
-def ctc_beam_search(log_probs, width: int) -> tuple[int, ...]:
-    """Prefix beam search over collapsed gloss sequences.
-
-    Each live prefix carries two scores: probability mass of paths ending in
-    a blank and mass ending in the prefix's last symbol. Extending by a
-    repeated symbol is only legal from the blank side, which is exactly the
-    collapse rule.
+    Every frame is a fixed set of array ops over all N x width beams: the
+    blank stay, the repeat stay and the width x (K - 1) extensions. An
+    extension that equals a live beam (that beam minus its last symbol is
+    the extended prefix) merges into the beam's stay. The top width
+    candidates by total score survive; ties order by the prefix tuple, so
+    where the width-th and the next score are equal the tied candidates are
+    ranked as tuples. A sequence past its frame count keeps its beams.
     """
     if width < 1:
         raise ConfigError(f"beam width must be >= 1, got {width}")
-    lp = log_probs.data if hasattr(log_probs, "data") else np.asarray(log_probs)
-    n_frames, k = lp.shape
-    lp = lp.tolist()  # Python floats keep _log_add's scalar math cheap
+    lp = np.asarray(log_probs, dtype=np.float64)
+    n, n_frames, k = lp.shape
+    counts = np.asarray(frame_counts, dtype=np.int64)
+    if counts.shape != (n,) or (n and (counts.min() < 0 or counts.max() > n_frames)):
+        raise ContractError(f"frame_counts must be {n} counts in [0, {n_frames}]")
+    w = width
+    rows = np.arange(n)[:, None]
+    cols = np.arange(w)[None, :]
     ninf = -np.inf
-    # prefix -> (log mass ending in blank, log mass ending in last symbol)
-    beams: dict[tuple[int, ...], tuple[float, float]] = {(): (0.0, ninf)}
+    pb = np.full((n, w), ninf)
+    pb[:, 0] = 0.0
+    pnb = np.full((n, w), ninf)
+    valid = np.zeros((n, w), dtype=bool)
+    valid[:, 0] = True
+    prefixes = np.zeros((n, w, n_frames), dtype=np.int64)  # 0-padded; symbols are >= 1
+    lengths = np.zeros((n, w), dtype=np.int64)
+    # candidate slots: the width stays, then each beam's K - 1 extensions
+    slot_beam = np.concatenate([np.arange(w), np.repeat(np.arange(w), k - 1)])
+    slot_sym = np.concatenate([np.zeros(w, dtype=np.int64), np.tile(np.arange(1, k), w)])
+    no_ext = np.full((n, w * (k - 1)), ninf)
     for t in range(n_frames):
-        grown: dict[tuple[int, ...], list[float]] = {}
+        active = counts > t
+        if not active.any():
+            break
+        frame = lp[:, t]
+        total = np.logaddexp(pb, pnb)
+        last = prefixes[rows, cols, np.maximum(lengths - 1, 0)]  # 0 for the empty prefix
+        stay_b = total + frame[:, :1]
+        stay_nb = np.where(lengths > 0, pnb + frame[rows, last], ninf)
+        repeat = np.arange(1, k) == last[:, :, None]
+        ext = np.where(repeat, pb[:, :, None], total[:, :, None]) + frame[:, None, 1:]
+        ext_valid = np.broadcast_to(valid[:, :, None], ext.shape).copy()
+        # beam j is beam i extended by its last symbol when j's parent equals i
+        head = prefixes[:, :, :t]
+        parent = head.copy()
+        has_parent = valid & (lengths > 0)
+        nn, jj = np.nonzero(has_parent)
+        parent[nn, jj, lengths[nn, jj] - 1] = 0
+        match = ((head[:, :, None] == parent[:, None]).all(axis=-1)
+                 & valid[:, :, None] & has_parent[:, None, :])
+        nn, ii, jj = np.nonzero(match)
+        merged = last[nn, jj] - 1
+        stay_nb[nn, jj] = np.logaddexp(stay_nb[nn, jj], ext[nn, ii, merged])
+        ext_valid[nn, ii, merged] = False
+        # keys sort best first; NaN marks a slot that holds no candidate
+        keys = np.concatenate([np.where(valid, -np.logaddexp(stay_b, stay_nb), np.nan),
+                               np.where(ext_valid, -ext, np.nan).reshape(n, -1)], axis=1)
+        if keys.shape[1] > w:
+            # the best w in any order, then the next best: a tie across the
+            # cut is ranked by the candidates' prefix tuples
+            part = np.argpartition(keys, w, axis=1)
+            chosen = part[:, :w]
+            cut = keys[rows[:, 0], part[:, w]]
+            for r in np.flatnonzero(active & (keys[rows, chosen].max(axis=1) == cut)):
+                better = np.flatnonzero(keys[r] < cut[r])
+                tied = sorted(np.flatnonzero(keys[r] == cut[r]).tolist(),
+                              key=lambda c: _slot_tuple(prefixes, lengths, r, slot_beam[c],
+                                                        slot_sym[c]))
+                chosen[r] = np.concatenate([better, tied[:w - len(better)]])
+        else:
+            chosen = np.broadcast_to(np.arange(w), (n, w))
+        src = slot_beam[chosen]
+        sym = slot_sym[chosen]
+        new_prefixes = prefixes[rows, src]
+        new_lengths = lengths[rows, src]
+        new_prefixes[rows, cols, new_lengths] += sym  # a length is at most t here
+        new_lengths += sym > 0
+        new_valid = ~np.isnan(keys[rows, chosen])
+        keep = active[:, None]
+        # a slot left without a candidate scores -inf, so it adds nothing later
+        for old, cand in ((pb, np.concatenate([stay_b, no_ext], axis=1)),
+                          (pnb, np.concatenate([stay_nb, ext.reshape(n, -1)], axis=1))):
+            scores = np.where(new_valid, cand[rows, chosen], ninf)
+            old[...] = np.where(keep, scores, old)
+        valid = np.where(keep, new_valid, valid)
+        lengths = np.where(keep, new_lengths, lengths)
+        prefixes = np.where(keep[:, :, None], new_prefixes, prefixes)
+    keys = np.where(valid, -np.logaddexp(pb, pnb), np.nan)
+    order = np.argsort(keys, axis=1, kind="stable")
+    out = []
+    for r in range(n):
+        tied = np.flatnonzero(keys[r] == keys[r, order[r, 0]]).tolist()
+        out.append(min(_slot_tuple(prefixes, lengths, r, j, 0) for j in tied))
+    return out
 
-        def bucket(prefix):
-            return grown.setdefault(prefix, [ninf, ninf])
 
-        for prefix, (pb, pnb) in beams.items():
-            total = _log_add(pb, pnb)
-            slot = bucket(prefix)
-            slot[0] = _log_add(slot[0], total + lp[t][BLANK])
-            if prefix:
-                # same symbol again without an intervening blank: still one symbol
-                slot[1] = _log_add(slot[1], pnb + lp[t][prefix[-1]])
-            for c in range(1, k):
-                ext = bucket(prefix + (c,))
-                if prefix and c == prefix[-1]:
-                    contrib = pb + lp[t][c]  # repeat requires the blank side
-                else:
-                    contrib = total + lp[t][c]
-                ext[1] = _log_add(ext[1], contrib)
-        ranked = sorted(
-            grown.items(), key=lambda item: (-_log_add(item[1][0], item[1][1]), item[0])
-        )
-        beams = {prefix: (pb, pnb) for prefix, (pb, pnb) in ranked[:width]}
-    best = min(beams.items(), key=lambda item: (-_log_add(item[1][0], item[1][1]), item[0]))
-    return best[0]
+def ctc_beam_search(log_probs, width: int) -> tuple[int, ...]:
+    """Prefix beam search of one (T, K) sequence: ctc_beam_search_batch on a batch of one."""
+    lp = np.asarray(getattr(log_probs, "data", log_probs))  # a Tensor or an array
+    return ctc_beam_search_batch(lp[None], [lp.shape[0]], width)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,8 @@ def encode_split(model: JointModel, samples, gloss_vocab, text_vocab, protocol,
     as an empty row encodes one <pad>) for gloss input, frames / 3 for
     frame input.
     """
+    if batch_size < 1:
+        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
     out = []
     for chunk in _chunks(samples, batch_size):
         batch = make_batch(chunk, gloss_vocab, text_vocab, max_batch=batch_size)
@@ -117,19 +119,21 @@ def encode_split(model: JointModel, samples, gloss_vocab, text_vocab, protocol,
 
 def decode_glosses(model: JointModel, encoded, gloss_vocab: Vocabulary,
                    beam_width: int = 0) -> list[list[str]]:
-    """CTC-decode every sample; returns gloss token sequences."""
+    """CTC-decode every sample; returns gloss token sequences.
+
+    Width 0 collapses each sample's best path; a wider beam searches each
+    encoded chunk with one batched prefix beam.
+    """
     hyps = []
     for batch, z, _mask, _est in encoded:
         log_p = model.frame_gloss_log_probs(Tensor(z)).data
-        for i, t in enumerate(batch.frame_counts):
-            frame_scores = log_p[i, :t]
-            if beam_width == 0:
-                ids = decoding.ctc_greedy(frame_scores)
-            else:
-                ids = decoding.ctc_beam_search(frame_scores, beam_width)
-            hyps.append(
-                [gloss_vocab.token(g) for g in ids if g not in (GLOSS_BLANK, GLOSS_PAD)]
-            )
+        if beam_width == 0:
+            chunk = [decoding.ctc_greedy(log_p[i, :t])
+                     for i, t in enumerate(batch.frame_counts)]
+        else:
+            chunk = decoding.ctc_beam_search_batch(log_p, batch.frame_counts, beam_width)
+        hyps.extend([gloss_vocab.token(g) for g in ids if g not in (GLOSS_BLANK, GLOSS_PAD)]
+                    for ids in chunk)
     return hyps
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -98,3 +100,52 @@ def oracle_chunk(scorers, caps, width, alpha, *, forbid=()):
                            forbid=forbid)
         for score, cap in zip(scorers, caps)
     ]
+
+
+_LOG2 = math.log(2.0)
+
+
+def log_add(a: float, b: float) -> float:
+    """log(exp(a) + exp(b)) for Python floats; np.logaddexp's formula, bit for bit."""
+    if a == b:
+        return a + _LOG2  # also inf + log 2 = inf and -inf + log 2 = -inf
+    if a == -math.inf:
+        return b
+    if b == -math.inf:
+        return a
+    d = a - b
+    if d > 0:
+        return a + math.log1p(math.exp(-d))
+    return b + math.log1p(math.exp(d))
+
+
+def oracle_ctc_beam_search(log_probs, width: int) -> tuple[int, ...]:
+    """CTC prefix beam search over one (T, K) sequence, prefix by prefix in Python floats.
+
+    This is the scalar search the package ran before gloss decoding was
+    batched: every live prefix keeps its blank-ending and symbol-ending log
+    mass in a dict, each frame grows every prefix by the blank stay, the
+    repeat stay and every extension, and the top `width` by (-score,
+    prefix) survive. The blank is index 0.
+    """
+    lp = np.asarray(log_probs, dtype=np.float64)
+    n_frames, k = lp.shape
+    lp = lp.tolist()
+    ninf = -math.inf
+    beams: dict[tuple[int, ...], tuple[float, float]] = {(): (0.0, ninf)}
+    for t in range(n_frames):
+        grown: dict[tuple[int, ...], list[float]] = {}
+        for prefix, (pb, pnb) in beams.items():
+            total = log_add(pb, pnb)
+            slot = grown.setdefault(prefix, [ninf, ninf])
+            slot[0] = log_add(slot[0], total + lp[t][0])
+            if prefix:
+                # same symbol again without an intervening blank: still one symbol
+                slot[1] = log_add(slot[1], pnb + lp[t][prefix[-1]])
+            for c in range(1, k):
+                ext = grown.setdefault(prefix + (c,), [ninf, ninf])
+                contrib = (pb if prefix and c == prefix[-1] else total) + lp[t][c]
+                ext[1] = log_add(ext[1], contrib)
+        ranked = sorted(grown.items(), key=lambda item: (-log_add(*item[1]), item[0]))
+        beams = {prefix: (pb, pnb) for prefix, (pb, pnb) in ranked[:width]}
+    return min(beams.items(), key=lambda item: (-log_add(*item[1]), item[0]))[0]

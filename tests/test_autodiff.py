@@ -125,6 +125,59 @@ def test_relu_passes_nan_and_zeroes_the_rest():
     assert np.array_equal(grad, [0.0, 0.0, 1.0])
 
 
+def awkward_values(shape, seed):
+    """Random values salted with NaN, +-0.0 and large magnitudes (no overflow in x - max)."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape) * rng.choice([1e-3, 1.0, 30.0, 1e120], size=shape)
+    flat = x.reshape(-1)
+    picks = rng.choice(flat.size, size=3 * max(1, flat.size // 16), replace=False)
+    third = len(picks) // 3
+    flat[picks[:third]] = np.nan
+    flat[picks[third:2 * third]] = 0.0
+    flat[picks[2 * third:]] = -0.0
+    return x
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_relu_is_bitwise_the_where_formula(seed):
+    x = awkward_values((6, 5, 16), seed)
+    assert_same_bits(ad.relu(ad.Tensor(x)).data, np.where(x <= 0, 0.0, x))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_softmax_is_bitwise_the_exp_over_sum_formula(seed):
+    x = awkward_values((6, 5, 16), 10 + seed)
+    for axis in (-1, 1):
+        e = np.exp(x - x.max(axis=axis, keepdims=True))
+        assert_same_bits(ad.softmax(ad.Tensor(x), axis=axis).data,
+                         e / e.sum(axis=axis, keepdims=True))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_layer_norm_is_bitwise_the_var_formula_forward_and_backward(seed):
+    rng = np.random.default_rng(20 + seed)
+    x = awkward_values((6, 5, 16), 20 + seed)
+    gain, bias, g = rng.normal(size=16), rng.normal(size=16), rng.normal(size=x.shape)
+    # the formulas the op used before it centred once and scaled in place
+    inv_std = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-6)
+    xhat = (x - x.mean(axis=-1, keepdims=True)) * inv_std
+    gg = g * gain
+    gx = inv_std * (gg - gg.mean(axis=-1, keepdims=True)
+                    - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
+    leaves = [ad.Tensor(v, requires_grad=True) for v in (x, gain, bias)]
+    with ad.Graph() as graph:
+        out = ad.layer_norm(*leaves)
+        ad.backward(graph, (out * ad.Tensor(g)).sum())
+    assert_same_bits(out.data, xhat * gain + bias)
+    assert_same_bits(leaves[0].grad, gx)
+    assert_same_bits(leaves[1].grad, (g * xhat).sum(axis=(0, 1)))
+
+
 # ---------------------------------------------------------------------------
 # backward
 # ---------------------------------------------------------------------------

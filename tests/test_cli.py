@@ -323,6 +323,25 @@ class TestTranslateCommand:
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, size", [
+    ("evaluate", "0"), ("evaluate", "-1"), ("sweep", "0"), ("sweep", "-1"),
+    ("pipeline", "0"), ("pipeline", "-1"),
+])
+def test_batch_size_below_one_is_one_line_config_error(corpus, joint_ckpt, gloss2text_ckpt,
+                                                       capsys, command, size):
+    if command == "pipeline":
+        argv = ["pipeline", "--recognizer", str(joint_ckpt),
+                "--translator", str(gloss2text_ckpt)]
+    else:
+        argv = ["evaluate", "--checkpoint", str(joint_ckpt)]
+        argv += ["--sweep"] if command == "sweep" else []
+    capsys.readouterr()
+    assert cli.main(argv + ["--corpus", str(corpus), "--batch-size", size]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: batch size must be >= 1, got {size}\n"
+    assert "[sweep]" not in captured.out and "[stage1]" not in captured.out
+
+
 class TestPipelineCommand:
     def test_two_stage_run(self, corpus, joint_ckpt, gloss2text_ckpt, capsys):
         code = cli.main([

@@ -11,7 +11,7 @@ from signscribe import decoding as dec
 from signscribe.decoding import DecodeConfig, Hypothesis
 from signscribe.errors import ConfigError, ContractError
 
-from conftest import oracle_beam_search, oracle_chunk
+from conftest import log_add, oracle_beam_search, oracle_chunk, oracle_ctc_beam_search
 
 EOS = 2
 
@@ -170,6 +170,93 @@ class TestCtcBeamSearch:
         beam_seq = dec.ctc_beam_search(lp, 64)
         greedy_seq = dec.ctc_greedy(lp)
         assert scores[beam_seq] >= scores.get(greedy_seq, -np.inf) - 1e-12
+
+
+def ragged_batch(rng, n, n_frames, k, *, rounded=False):
+    """(n, n_frames, k) log-probabilities and n frame counts in [0, n_frames].
+
+    rounded=True returns logits rounded to integers, so many path scores tie
+    exactly; padded frames past a count hold garbage the search must ignore.
+    """
+    x = rng.normal(size=(n, n_frames, k)) * 2.0
+    if rounded:
+        lp = np.round(x)
+    else:
+        lp = x - np.log(np.exp(x).sum(axis=-1, keepdims=True))
+    counts = rng.integers(0, n_frames + 1, size=n)
+    return lp, counts
+
+
+def oracle_batch(lp, counts, width):
+    return [oracle_ctc_beam_search(lp[i, :t], width) for i, t in enumerate(counts)]
+
+
+class TestCtcBeamSearchBatch:
+    def test_width_must_be_positive(self):
+        with pytest.raises(ConfigError):
+            dec.ctc_beam_search_batch(np.zeros((1, 2, 2)), [2], 0)
+
+    def test_frame_counts_must_fit_the_array(self):
+        with pytest.raises(ContractError):
+            dec.ctc_beam_search_batch(np.zeros((2, 3, 2)), [3, 4], 2)
+        with pytest.raises(ContractError):
+            dec.ctc_beam_search_batch(np.zeros((2, 3, 2)), [3], 2)
+
+    @pytest.mark.parametrize("width", range(1, 7))
+    def test_ragged_batches_match_the_scalar_oracle(self, width):
+        rng = np.random.default_rng(500 + width)
+        for _ in range(8):
+            lp, counts = ragged_batch(rng, int(rng.integers(1, 7)), int(rng.integers(1, 9)),
+                                      int(rng.integers(1, 6)))
+            assert dec.ctc_beam_search_batch(lp, counts, width) == oracle_batch(lp, counts, width)
+
+    @pytest.mark.parametrize("width", range(1, 7))
+    def test_exact_score_ties_match_the_scalar_oracle(self, width):
+        # integer logits make many candidates tie at the width-th place, and
+        # those ties are ranked by the prefix tuple
+        rng = np.random.default_rng(600 + width)
+        for _ in range(8):
+            lp, counts = ragged_batch(rng, int(rng.integers(1, 7)), int(rng.integers(1, 9)),
+                                      int(rng.integers(2, 6)), rounded=True)
+            assert dec.ctc_beam_search_batch(lp, counts, width) == oracle_batch(lp, counts, width)
+        flat = np.zeros((3, 6, 4))
+        assert dec.ctc_beam_search_batch(flat, [6, 3, 1], width) == oracle_batch(
+            flat, [6, 3, 1], width)
+
+    def test_width_above_the_candidate_count(self):
+        rng = np.random.default_rng(700)
+        for rounded in (False, True):
+            lp, counts = ragged_batch(rng, 5, 4, 3, rounded=rounded)
+            assert dec.ctc_beam_search_batch(lp, counts, 64) == oracle_batch(lp, counts, 64)
+
+    @pytest.mark.parametrize("width", (1, 3, 64))
+    def test_zero_and_one_frames(self, width):
+        rng = np.random.default_rng(800 + width)
+        lp, _ = ragged_batch(rng, 4, 3, 4)
+        counts = [0, 1, 0, 1]
+        got = dec.ctc_beam_search_batch(lp, counts, width)
+        assert got == oracle_batch(lp, counts, width)
+        assert got[0] == got[2] == ()
+        assert dec.ctc_beam_search_batch(np.zeros((2, 0, 3)), [0, 0], width) == [(), ()]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_sequence_decodes_alike_in_any_subset_or_order(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        lp, counts = ragged_batch(rng, 6, 7, 4, rounded=seed % 2 == 1)
+        whole = dec.ctc_beam_search_batch(lp, counts, 3)
+        perm = rng.permutation(6)
+        assert dec.ctc_beam_search_batch(lp[perm], counts[perm], 3) == [whole[i] for i in perm]
+        subset = np.sort(rng.choice(6, size=3, replace=False))
+        # the subset keeps only as many frames as its longest sequence
+        trimmed = lp[subset][:, :max(1, counts[subset].max())]
+        assert dec.ctc_beam_search_batch(trimmed, counts[subset], 3) == [whole[i] for i in subset]
+
+    def test_single_search_is_the_batch_of_one(self):
+        rng = np.random.default_rng(1000)
+        lp, counts = ragged_batch(rng, 4, 6, 5)
+        for i, t in enumerate(counts):
+            assert dec.ctc_beam_search(lp[i, :t], 4) == dec.ctc_beam_search_batch(
+                lp, counts, 4)[i] == oracle_ctc_beam_search(lp[i, :t], 4)
 
 
 class TestHypothesis:
@@ -467,17 +554,20 @@ class TestGreedyIsWidthOneBeam:
 
 
 class TestLogAdd:
+    """The scalar oracle's log_add is np.logaddexp bit for bit, so the oracle
+    search and the batched one add the same floats."""
+
     def test_matches_numpy_bit_for_bit(self):
         grid = [-np.inf, np.inf, -800.0, -40.0, -1.5, -1e-300, 0.0, 1e-300, 0.3, 2.0, 700.0]
         rng = np.random.default_rng(9)
         grid += list(rng.normal(size=40) * rng.choice([1e-3, 1.0, 50.0], size=40))
         for a in grid:
             for b in grid:
-                got = dec._log_add(float(a), float(b))
+                got = log_add(float(a), float(b))
                 want = float(np.logaddexp(a, b))
                 assert got == want, (a, b, got, want)
 
     def test_equal_arguments_add_log_two(self):
         for a in (-3.0, 0.0, 12.5):
-            assert dec._log_add(a, a) == a + np.log(2.0)
-        assert dec._log_add(-np.inf, -np.inf) == -np.inf
+            assert log_add(a, a) == a + np.log(2.0)
+        assert log_add(-np.inf, -np.inf) == -np.inf
