@@ -8,9 +8,12 @@ inference-time code paths use.
 
 :func:`linear` is the fused affine op the model's projections use: one tape
 node for ``x @ W + b``, whose backward folds the leading axes into a single
-weight-gradient GEMM. Gradient ownership: :func:`backward` never writes into
-a gradient array, and every leaf's ``grad`` owns memory no other leaf's
-``grad`` shares.
+weight-gradient GEMM. :func:`attention` is one node from queries, keys and
+values to the weighted values, and :func:`layer_norm` can take a residual
+add. :func:`add`, :func:`mul` and :func:`linear` build no gradient for a
+parent that does not require one. Gradient ownership: :func:`backward`
+never writes into a gradient array, and every leaf's ``grad`` owns memory
+no other leaf's ``grad`` shares.
 """
 
 from __future__ import annotations
@@ -224,7 +227,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _record(out, (a, b), bwd)
 
@@ -243,7 +247,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     a_data, b_data = a.data, b.data
 
     def bwd(g):
-        return _unbroadcast(g * b_data, a.shape), _unbroadcast(g * a_data, b.shape)
+        return (_unbroadcast(g * b_data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a_data, b.shape) if b.requires_grad else None)
 
     return _record(out, (a, b), bwd)
 
@@ -365,7 +370,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         g2 = g.reshape(-1, g.shape[-1])
         x2 = x_data.reshape(-1, x_data.shape[-1])
-        return (g2 @ w_data.T).reshape(x_data.shape), x2.T @ g2, g2.sum(axis=0)
+        return ((g2 @ w_data.T).reshape(x_data.shape) if x.requires_grad else None,
+                x2.T @ g2 if w.requires_grad else None,
+                g2.sum(axis=0) if b.requires_grad else None)
 
     return _record(out, (x, w, b), bwd)
 
@@ -398,13 +405,19 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6, *,
+               residual: Tensor | None = None) -> Tensor:
     """Normalize the last axis to mean 0 / variance 1, then apply gain and bias.
 
     eps sits inside the square root: y = (x - mu) / sqrt(var + eps) * gain + bias.
+    With a residual, the input is x + residual, added in this one node: both
+    get the input's gradient, the same array, as an add node would give them.
     """
     d = x.shape[-1]
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    if residual is not None and residual.shape != x.shape:
+        raise DimensionError(f"layer_norm residual {residual.shape} must match {x.shape}")
+    xs = x.data if residual is None else x.data + residual.data
+    xhat = xs - xs.mean(axis=-1, keepdims=True)
     # the same bits as np.var: the mean of the squared centred values
     var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + eps)
@@ -422,13 +435,67 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
         lead = tuple(range(g.ndim - 1))
         dgain = (g * xhat).sum(axis=lead) if lead else g * xhat
         dbias = g.sum(axis=lead) if lead else g.copy()
-        return gx, dgain, dbias
+        return (gx, dgain, dbias) if residual is None else (gx, gx, dgain, dbias)
 
     if gain.shape != (d,) or bias.shape != (d,):
         raise DimensionError(
             f"layer_norm gain/bias must have shape ({d},), got {gain.shape}/{bias.shape}"
         )
-    return _record(out, (x, gain, bias), bwd)
+    parents = (x, gain, bias) if residual is None else (x, residual, gain, bias)
+    return _record(out, parents, bwd)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, fill=None,
+              fill_value: float = -1e30, dropout_rate: float = 0.0,
+              rng: np.random.Generator | None = None) -> Tensor:
+    """Scaled dot-product attention softmax(q @ kᵀ * scale) @ v as one node.
+
+    q is (..., Q, dk), k is (..., K, dk) and v is (..., K, dv), with the same
+    leading axes. Where the boolean fill (broadcast to (..., Q, K)) is true,
+    the scaled score is replaced by fill_value before the softmax. With a
+    dropout rate, the attention weights pass through inverted dropout
+    before they weight v. The forward keeps the order of the composed ops
+    (matmul, scale, fill, softmax, dropout, matmul), and the backward is
+    their closed form, dS = P * (dP - rowsum(dP * P)), so both are bitwise
+    what the composed graph computes.
+    """
+    if not (q.ndim == k.ndim == v.ndim >= 2):
+        raise DimensionError(f"attention needs operands of one rank >= 2, got "
+                             f"{q.shape}, {k.shape}, {v.shape}")
+    if (q.shape[:-2] != k.shape[:-2] or k.shape[:-1] != v.shape[:-1]
+            or q.shape[-1] != k.shape[-1]):
+        raise DimensionError(f"attention shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}")
+    q_data, k_data, v_data = q.data, k.data, v.data
+    probs = np.matmul(q_data, np.swapaxes(k_data, -1, -2))
+    probs *= scale
+    if fill is not None:
+        probs = np.where(fill, fill_value, probs)
+    # the softmax, in place
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    weights = probs
+    if dropout_rate > 0.0:
+        factor = (rng.random(probs.shape) >= dropout_rate) * (1.0 / (1.0 - dropout_rate))
+        weights = probs * factor
+    out = np.matmul(weights, v_data)
+
+    def bwd(g):
+        g_weights = np.matmul(g, np.swapaxes(v_data, -1, -2))
+        gv = np.matmul(np.swapaxes(weights, -1, -2), g)
+        if dropout_rate > 0.0:
+            g_weights *= factor
+        dot = (probs * g_weights).sum(axis=-1, keepdims=True)
+        g_weights -= dot
+        g_scores = probs * g_weights
+        if fill is not None:
+            g_scores = np.where(fill, 0.0, g_scores)
+        g_scores *= scale
+        gq = np.matmul(g_scores, k_data)
+        gk = np.swapaxes(np.matmul(np.swapaxes(q_data, -1, -2), g_scores), -1, -2)
+        return gq, gk, gv
+
+    return _record(out, (q, k, v), bwd)
 
 
 def embedding(table: Tensor, indices: np.ndarray) -> Tensor:

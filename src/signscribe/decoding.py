@@ -25,7 +25,8 @@ token itself. Beams are reordered, repeated and dropped through
 parent_rows alone, so the model's step feeds only each row's newest
 position, not its whole prefix, against cached keys and values. The search
 runs over a whole batch of sources in lockstep, one row per live beam of
-every source still under its cap.
+every track still under its cap; at the first call, parent_rows may name a
+source more than once.
 
 A decoder with only the stateless
 
@@ -39,6 +40,10 @@ independent of embedding details and lets tests drive it with hand-built
 tables; the model's own prefix_logits_batch is the oracle its steps are
 tested against.
 
+The search runs tracks: a track is one source searched at one width up to
+one length cap, and tracks may share a source. `ar_greedy_batch` runs one
+width-1 track per source; `ar_beam_pools` runs each source's greedy track
+and its beam track in one search, so every decoder step serves both.
 Beam search prunes on raw log-probability; the length penalty enters only
 when a candidate pool is ranked. So one search per width yields the pools
 for every alpha (`ar_beam_pools`), and `best_hypothesis` ranks a pool.
@@ -289,29 +294,33 @@ class _PrefixReplay:
             [prefix for _, prefix in state.rows])
 
 
-def _search(z_batch, mask_batch, decoder, width, caps, eos_id, forbid) -> list[list[Hypothesis]]:
-    """Beam-search many sources in lockstep; returns each source's final beams.
+def _search(z_batch, mask_batch, decoder, tracks, eos_id, forbid) -> list[list[Hypothesis]]:
+    """Beam-search many tracks in lockstep; returns each track's final beams.
 
-    Each step scores the live beams of every source still under its cap with
-    one decoder step: every live beam has grown one token per step, and each
-    names the row of the step before that it extends. Scores use the model's
-    full log-softmax; forbidden ids are only excluded from selection, so
-    scores stay comparable across widths. A row offers only its `width`
+    A track is a (source, width, cap) triple: one search of that source at
+    that width, up to that many tokens. Tracks may share a source, as a
+    source's greedy rollout (width 1) and its beam do. Each step scores the
+    live beams of every track still under its cap with one decoder step:
+    every live beam has grown one token per step, and each names the row of
+    the step before that it extends. Scores use the model's full
+    log-softmax; forbidden ids are only excluded from selection, so scores
+    stay comparable across widths. A row offers only its track's `width`
     best extensions, since no other can survive the cut. Pruning and
-    tie-breaking stay per source, so a source's beams never depend on which
-    others share its batch. A source whose rows give no finite score keeps
+    tie-breaking stay per track, so a track's beams never depend on which
+    others share its batch. A track whose rows give no finite score keeps
     its beams from the step before.
     """
     pathway = decoder if hasattr(decoder, "step") else _PrefixReplay(decoder)
     state = pathway.start(z_batch, mask_batch)
-    n = len(caps)
+    widths = [width for _, width, _ in tracks]
+    caps = [cap for *_, cap in tracks]
     # a beam is (tokens, log_prob, finished, row): row is its parent's row in
     # the last step, or at the first step its source
-    beams = [[((), 0.0, False, i)] for i in range(n)]
+    beams = [[((), 0.0, False, source)] for source, _, _ in tracks]
     for step in range(max(caps)):
         # a beam kept back by a step with no finite score is shorter than
         # step and stays as it is
-        rows = [(i, tokens, lp, row) for i in range(n) if step < caps[i]
+        rows = [(i, tokens, lp, row) for i in range(len(tracks)) if step < caps[i]
                 for tokens, lp, finished, row in beams[i]
                 if not finished and len(tokens) == step]
         if not rows:
@@ -328,20 +337,21 @@ def _search(z_batch, mask_batch, decoder, width, caps, eos_id, forbid) -> list[l
         scores = np.array([lp for _, _, lp, _ in rows])[:, None] + logq
         # a stable sort keeps the lower id first among equal scores, as the
         # final (-score, tokens) order does
-        top = np.argsort(-scores, axis=1, kind="stable")[:, :width]
+        top = np.argsort(-scores, axis=1, kind="stable")[:, :max(widths)]
         best = np.take_along_axis(scores, top, axis=1)
         candidates: dict[int, list] = {}
         for r, ((i, tokens, _, _), words, totals) in enumerate(zip(rows, top.tolist(),
                                                                    best.tolist())):
             cands = candidates.setdefault(i, [beam for beam in beams[i] if beam[2]])
             cands.extend((tokens + (w,), total, w == eos_id, r)
-                         for w, total in zip(words, totals) if math.isfinite(total))
+                         for w, total in zip(words[:widths[i]], totals)
+                         if math.isfinite(total))
         for i, cands in candidates.items():
             # token tuples are unique, so the order does not depend on the
             # order candidates were appended in
             cands.sort(key=lambda c: (-c[1], c[0]))
-            beams[i] = cands[:width] or beams[i]
-    return [[Hypothesis(*beam[:3]) for beam in source] for source in beams]
+            beams[i] = cands[:widths[i]] or beams[i]
+    return [[Hypothesis(*beam[:3]) for beam in track] for track in beams]
 
 
 def ar_greedy(z, src_pad_mask, decoder, max_len: int, *,
@@ -359,8 +369,8 @@ def ar_greedy_batch(z_batch, mask_batch, decoder, max_len, *,
     may be a single cap or one per source; a source's result never depends
     on which others share its batch.
     """
-    caps = _length_caps(z_batch, max_len)
-    return [beams[0] for beams in _search(z_batch, mask_batch, decoder, 1, caps,
+    tracks = [(i, 1, cap) for i, cap in enumerate(_length_caps(z_batch, max_len))]
+    return [beams[0] for beams in _search(z_batch, mask_batch, decoder, tracks,
                                           eos_id, forbid)]
 
 
@@ -370,22 +380,28 @@ def ar_beam_pools(z_batch, mask_batch, decoder, width: int, max_len, *,
 
     A pool holds the source's final beams followed by its greedy rollout;
     width 0 gives the greedy rollout alone, and width 1, whose one beam is
-    the greedy rollout, runs no search of its own. greedy, one Hypothesis per
-    source, stands in for the greedy pass when the caller already has it.
-    max_len is a single cap or one per source.
+    the greedy rollout, runs no search of its own. Wider, each source's
+    greedy track and beam track are rows of one search, so every decoder
+    step serves both. greedy, one Hypothesis per source, stands in for the
+    greedy tracks when the caller already has them. max_len is a single cap
+    or one per source.
     """
     if width < 0:
         raise ConfigError(f"beam width must be >= 0, got {width}")
     caps = _length_caps(z_batch, max_len)
+    if width <= 1:
+        if greedy is None:
+            greedy = ar_greedy_batch(z_batch, mask_batch, decoder, caps,
+                                     eos_id=eos_id, forbid=forbid)
+        # width 1's one beam is the greedy rollout
+        return [[g] * (width + 1) for g in greedy]
+    tracks = [(i, width, cap) for i, cap in enumerate(caps)]
     if greedy is None:
-        greedy = ar_greedy_batch(z_batch, mask_batch, decoder, caps,
-                                 eos_id=eos_id, forbid=forbid)
-    if width == 0:
-        return [[g] for g in greedy]
-    if width == 1:  # the width-1 search is the greedy pass
-        return [[g, g] for g in greedy]
-    beams = _search(z_batch, mask_batch, decoder, width, caps, eos_id, forbid)
-    return [source + [g] for source, g in zip(beams, greedy)]
+        tracks += [(i, 1, cap) for i, cap in enumerate(caps)]
+    found = _search(z_batch, mask_batch, decoder, tracks, eos_id, forbid)
+    if greedy is None:
+        greedy = [beams[0] for beams in found[len(caps):]]
+    return [beams + [g] for beams, g in zip(found, greedy)]
 
 
 def best_hypothesis(pool, alpha: float) -> Hypothesis:

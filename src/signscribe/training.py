@@ -105,11 +105,23 @@ def adam_step(params: dict[str, Tensor], state: OptimizerState) -> None:
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if state.weight_decay:
             g = g + state.weight_decay * p.data
-        state.m[name] = state.beta1 * m + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        # in place, in the operand order of m = b1*m + (1-b1)*g,
+        # v = b2*v + (1-b2)*g*g and lr*m_hat / (sqrt(v_hat) + eps)
+        v = state.v[name]
+        scratch = (1.0 - state.beta1) * g
+        m *= state.beta1
+        m += scratch
+        np.multiply(1.0 - state.beta2, g, out=scratch)
+        scratch *= g
+        v *= state.beta2
+        v += scratch
+        np.divide(v, bc2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += state.eps
+        update = m / bc1
+        update *= state.lr
+        update /= scratch
+        p.data -= update
 
 
 # ---------------------------------------------------------------------------

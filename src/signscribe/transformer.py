@@ -10,6 +10,11 @@ All forwards accept a single sequence (S, d) or a batch (B, S, d). Disallowed
 attention logits are filled with a large negative constant rather than -inf so
 every stored value stays finite; the fill underflows to an exact zero weight
 after softmax, which keeps masking bitwise-exact.
+
+On the tape, the scores, mask fill, softmax, attention dropout and weighting
+of the values are one `autodiff.attention` node per attention site, and each
+residual add is taken by the layer norm that follows it (`residual=`). Both
+give the bits of the separate ops they replace.
 """
 
 from __future__ import annotations
@@ -131,6 +136,9 @@ def multi_head_attention(
     unrestricted attention. Every query row must keep at least one key; a
     mask that comes with a projected pair is not checked again, as whoever
     projected the pair checked it then.
+
+    The heads' scaled scores, mask fill, softmax, dropout (in training) and
+    weighted values are one autodiff.attention node.
     """
     projected = isinstance(keys_values, tuple)
     if mask is not None and not projected:
@@ -140,18 +148,15 @@ def multi_head_attention(
     q = _split_heads(ad.linear(queries, attn.wq, attn.bq), attn.n_heads)
     k, v = keys_values if projected else _project_keys_values(keys_values, attn)
 
-    kt_axes = list(range(k.ndim))
-    kt_axes[-2], kt_axes[-1] = kt_axes[-1], kt_axes[-2]
-    logits = ad.matmul(q, k.transpose(kt_axes)) * (1.0 / np.sqrt(dh))
+    fill = None
     if mask is not None:
         fill = ~mask
         if fill.ndim == 3:  # (B, Q, K) gains a head axis
             fill = fill[:, None]
-        logits = ad.masked_fill(logits, fill, MASK_FILL)
-    weights = ad.softmax(logits, axis=-1)
-    if train and dropout_rate > 0.0:
-        weights = ad.dropout(weights, dropout_rate, rng)
-    ctx = _merge_heads(ad.matmul(weights, v))
+    ctx = _merge_heads(ad.attention(
+        q, k, v, 1.0 / np.sqrt(dh), fill, MASK_FILL,
+        dropout_rate=dropout_rate if train else 0.0, rng=rng,
+    ))
     return ad.linear(ctx, attn.wo, attn.bo)
 
 
@@ -287,9 +292,9 @@ def run_encoder(
         a = multi_head_attention(
             x, x, mask, block.attn, train=train, rng=rng, dropout_rate=dropout_rate
         )
-        x = ad.layer_norm(x + a, block.norm1.gain, block.norm1.bias)
+        x = ad.layer_norm(x, block.norm1.gain, block.norm1.bias, residual=a)
         f = _feed_forward(x, block.ffn, train, rng, dropout_rate)
-        x = ad.layer_norm(x + f, block.norm2.gain, block.norm2.bias)
+        x = ad.layer_norm(x, block.norm2.gain, block.norm2.bias, residual=f)
     return ad.layer_norm(x, stack.final_norm.gain, stack.final_norm.bias)
 
 
@@ -378,7 +383,9 @@ def run_decoder(
     batched = m_hat.ndim == 3
     u = m_hat.shape[-2]
     past = 0 if cache is None else cache.length
-    causal = np.tril(np.ones((u, past + u), dtype=bool), k=past)
+    # a cached one-position step may attend to every kept position
+    causal = None if cache is not None and u == 1 else np.tril(
+        np.ones((u, past + u), dtype=bool), k=past)
     src_mask = _key_mask(src_pad_mask, batched) if cache is None else cache.cross_mask
     x = m_hat
     for i, block in enumerate(stack.blocks):
@@ -386,13 +393,13 @@ def run_decoder(
         a = multi_head_attention(
             x, keys, causal, block.self_attn, train=train, rng=rng, dropout_rate=dropout_rate
         )
-        x = ad.layer_norm(x + a, block.norm1.gain, block.norm1.bias)
+        x = ad.layer_norm(x, block.norm1.gain, block.norm1.bias, residual=a)
         c = multi_head_attention(
             x, z if cache is None else cache.cross[i], src_mask, block.cross_attn,
             train=train, rng=rng, dropout_rate=dropout_rate,
         )
-        x = ad.layer_norm(x + c, block.norm2.gain, block.norm2.bias)
+        x = ad.layer_norm(x, block.norm2.gain, block.norm2.bias, residual=c)
         f = _feed_forward(x, block.ffn, train, rng, dropout_rate)
-        x = ad.layer_norm(x + f, block.norm3.gain, block.norm3.bias)
+        x = ad.layer_norm(x, block.norm3.gain, block.norm3.bias, residual=f)
     h = ad.layer_norm(x, stack.final_norm.gain, stack.final_norm.bias)
     return ad.linear(h, stack.word_w, stack.word_b)

@@ -101,6 +101,16 @@ _W34 = _W43.T
 _MASK = np.array([[False, True, False, True]] * 3)
 _IDX = np.array([2, 0, 1])
 
+_ATT_FILL = np.array([[False, True, False], [True, False, False], [False, False, True]])
+
+
+def _attend(x, fill, rate):
+    k = x * 0.6 + Tensor(_W34[::-1])
+    v = x * x - x * 0.5
+    return ad.attention(x, k, v, 0.5, fill, -1e30, dropout_rate=rate,
+                        rng=np.random.default_rng(7))
+
+
 # Each entry: scalar-valued build over one (3, 4) input. custom_op has no
 # entry of its own; ctc_log_prob below is implemented through it.
 _OPS = [
@@ -136,6 +146,17 @@ _OPS = [
     ),
     # identical rng per call keeps the mask fixed across the h-perturbations
     ("dropout", lambda x: (ad.dropout(x, 0.25, np.random.default_rng(7)) * _W34).sum()),
+    (
+        "layer_norm_residual",
+        lambda x: (
+            ad.layer_norm(x, Tensor([1.1, 0.9, 1.3, 0.8]), Tensor([0.1, -0.2, 0.0, 0.4]),
+                          residual=x * x) * _W34
+        ).sum(),
+    ),
+    # x is the queries; the keys and values are other functions of x
+    ("attention", lambda x: (_attend(x, None, 0.0) * _W34).sum()),
+    ("attention_masked", lambda x: (_attend(x, _ATT_FILL, 0.0) * _W34).sum()),
+    ("attention_dropout", lambda x: (_attend(x, _ATT_FILL, 0.25) * _W34).sum()),
 ]
 
 

@@ -438,6 +438,135 @@ def test_linear_shape_errors():
 
 
 # ---------------------------------------------------------------------------
+# constant parents: no gradient is built for them
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("op,shapes", [
+    (ad.add, [(2, 3, 4), (3, 4)]),  # a batch plus constant positions
+    (ad.add, [(3, 4), (2, 3, 4)]),
+    (ad.mul, [(2, 3, 4), (2, 3, 4)]),
+    (ad.linear, [(2, 3, 4), (4, 5), (5,)]),
+])
+def test_constant_parents_get_none_and_the_rest_keep_their_bits(op, shapes):
+    rng = np.random.default_rng(25)
+    values = [rng.normal(size=s) for s in shapes]
+    out_shape = op(*(ad.Tensor(v) for v in values)).shape
+    upstream = rng.normal(size=out_shape)
+
+    def grads(trainable):
+        parents = [ad.Tensor(v, requires_grad=t) for v, t in zip(values, trainable)]
+        with ad.Graph() as g:
+            out = op(*parents)
+            ad.backward(g, (out * upstream).sum())
+        return [p.grad for p in parents], out._backward(upstream)
+
+    everything, _ = grads([True] * len(values))
+    for constant in range(len(values)):
+        trainable = [i != constant for i in range(len(values))]
+        got, returned = grads(trainable)
+        assert returned[constant] is None
+        for i in range(len(values)):
+            if trainable[i]:
+                assert_same_bits(got[i], everything[i])
+
+
+# ---------------------------------------------------------------------------
+# attention and the residual layer norm: one node each
+# ---------------------------------------------------------------------------
+
+
+def composed_attention(q, k, v, scale, fill=None, fill_value=0.0, dropout_rate=0.0, rng=None):
+    """The attention ops as they were recorded before the fused node."""
+    axes = list(range(k.ndim))
+    axes[-2], axes[-1] = axes[-1], axes[-2]
+    scores = ad.matmul(q, k.transpose(axes)) * scale
+    if fill is not None:
+        scores = ad.masked_fill(scores, fill, fill_value)
+    weights = ad.softmax(scores, axis=-1)
+    if dropout_rate > 0.0:
+        weights = ad.dropout(weights, dropout_rate, rng)
+    return ad.matmul(weights, v)
+
+
+ATTENTION_CASES = {"unmasked": (False, 0.0), "masked": (True, 0.0), "dropout": (True, 0.3)}
+
+
+@pytest.mark.parametrize("case", ATTENTION_CASES)
+@pytest.mark.parametrize("shapes", [
+    ((2, 3, 4, 5), (2, 3, 6, 5), (2, 3, 6, 7), (2, 1, 4, 6)),  # batch, heads; fill per item
+    ((3, 4, 5), (3, 6, 5), (3, 6, 5), (4, 6)),  # heads only; one fill for all
+])
+def test_attention_is_bitwise_the_composed_ops(case, shapes):
+    masked, rate = ATTENTION_CASES[case]
+    *operand_shapes, fill_shape = shapes
+    rng = np.random.default_rng(26)
+    values = [rng.normal(size=s) * 3.0 for s in operand_shapes]
+    fill = None
+    if masked:
+        fill = rng.random(fill_shape) < 0.5
+        fill[..., 0] = False  # every query keeps a key
+    upstream = rng.normal(size=operand_shapes[0][:-1] + operand_shapes[2][-1:])
+
+    def run(op):
+        leaves = [ad.Tensor(v, requires_grad=True) for v in values]
+        with ad.Graph() as g:
+            out = op(*leaves, 1.0 / np.sqrt(5), fill, -1e30, dropout_rate=rate,
+                     rng=np.random.default_rng(27))
+            ad.backward(g, (out * upstream).sum())
+        return out.data, [t.grad for t in leaves], len(g.nodes) - 2  # not the loss's
+
+    got, got_grads, got_nodes = run(ad.attention)
+    want, want_grads, want_nodes = run(composed_attention)
+    assert_same_bits(got, want)
+    for a, b in zip(got_grads, want_grads):
+        assert_same_bits(a, b)
+    assert got_nodes == 1
+    # transpose, matmul, scale, [fill], softmax, [dropout], matmul
+    assert want_nodes == 5 + masked + (rate > 0.0)
+
+
+def test_attention_shape_errors():
+    q, k = ad.Tensor(np.zeros((2, 3, 4))), ad.Tensor(np.zeros((2, 5, 4)))
+    with pytest.raises(DimensionError):
+        ad.attention(q, k, ad.Tensor(np.zeros((2, 4, 4))), 1.0)  # keys and values disagree
+    with pytest.raises(DimensionError):
+        ad.attention(q, ad.Tensor(np.zeros((2, 5, 3))), ad.Tensor(np.zeros((2, 5, 4))), 1.0)
+    with pytest.raises(DimensionError):
+        ad.attention(q, ad.Tensor(np.zeros((1, 5, 4))), ad.Tensor(np.zeros((1, 5, 4))), 1.0)
+    with pytest.raises(DimensionError):
+        ad.attention(q, ad.Tensor(np.zeros((5, 4))), ad.Tensor(np.zeros((5, 4))), 1.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_residual_layer_norm_is_bitwise_norm_of_the_sum(seed):
+    rng = np.random.default_rng(28 + seed)
+    x, a = awkward_values((6, 5, 16), 28 + seed), rng.normal(size=(6, 5, 16))
+    gain, bias, g = rng.normal(size=16), rng.normal(size=16), rng.normal(size=x.shape)
+
+    def run(fused):
+        leaves = [ad.Tensor(v, requires_grad=True) for v in (x, a, gain, bias)]
+        xt, at, gt, bt = leaves
+        with ad.Graph() as graph:
+            if fused:
+                out = ad.layer_norm(xt, gt, bt, residual=at)
+            else:
+                out = ad.layer_norm(xt + at, gt, bt)
+            ad.backward(graph, (out * ad.Tensor(g)).sum())
+        return out.data, [t.grad for t in leaves], len(graph.nodes) - 2  # not the loss's
+
+    got, got_grads, got_nodes = run(True)
+    want, want_grads, want_nodes = run(False)
+    assert_same_bits(got, want)
+    for b, c in zip(got_grads, want_grads):
+        assert_same_bits(b, c)
+    assert (got_nodes, want_nodes) == (1, 2)
+    with pytest.raises(DimensionError):
+        ad.layer_norm(ad.Tensor(x), ad.Tensor(gain), ad.Tensor(bias),
+                      residual=ad.Tensor(a[:, :1]))
+
+
+# ---------------------------------------------------------------------------
 # backward: gradient ownership
 # ---------------------------------------------------------------------------
 

@@ -496,6 +496,14 @@ class TestChunkBeamSearch:
         assert [pool[-1] for pool in pools] == greedy
         assert pools == dec.ar_beam_pools(sources, [None] * 8, ChunkDecoder(), 2, caps)
         assert decoder.calls <= max(caps)  # the greedy pass was not repeated
+        for width in (2, 3, 5):
+            # without a given greedy pass, the greedy and beam tracks share
+            # every step: one decoder call per step, as with greedy given
+            decoder = ChunkDecoder()
+            one_pass = dec.ar_beam_pools(sources, [None] * 8, decoder, width, caps)
+            assert decoder.calls <= max(caps), width
+            assert one_pass == dec.ar_beam_pools(sources, [None] * 8, ChunkDecoder(), width,
+                                                 caps, greedy=greedy)
 
     def test_bad_width_and_caps_rejected(self):
         sources, caps = mixed_chunk()

@@ -5,9 +5,11 @@ import pytest
 
 from signscribe import autodiff as ad
 from signscribe import data, decoding, model as jm
+from signscribe import transformer as tf
 from signscribe.autodiff import Graph, Tensor
 from signscribe.data import GLOSS_SPECIALS, TEXT_EOS, TEXT_SPECIALS, Sample, Vocabulary
 from signscribe.errors import ConfigError, ContractError
+from signscribe.evaluation import FORBIDDEN_WORDS, encode_split
 from signscribe.losses import LossWeights, ctc_log_prob, translation_loss
 from signscribe.model import JointModel, batch_losses
 
@@ -525,6 +527,33 @@ class TestCachedSteps:
             got = m.step(state, rows, None if u == 0 else text_in[:, u].tolist())
             assert np.max(np.abs(got - full[:, u])) <= 1e-12, u
 
+    def test_one_position_steps_need_no_causal_mask(self, monkeypatch):
+        # a new position may attend to every kept one, so a cached step
+        # passes no self-attention mask; an all-true one gives the same bits
+        m, z, mask = sharpened_chunk()
+        text_in = np.random.default_rng(13).integers(3, 9, size=(5, 6))
+
+        def steps():
+            state = m.start(z, mask)
+            return [m.step(state, [4, 3, 2, 1, 0] if u else list(range(5)),
+                           text_in[:, u].tolist() if u else None) for u in range(6)]
+
+        without = steps()
+        attention = tf.multi_head_attention
+        unmasked = []
+
+        def all_true(queries, keys_values, mask, attn, **kwargs):
+            if mask is None:
+                unmasked.append(keys_values[0].shape[-2])
+                mask = np.ones((1, keys_values[0].shape[-2]), dtype=bool)
+            return attention(queries, keys_values, mask, attn, **kwargs)
+
+        monkeypatch.setattr(tf, "multi_head_attention", all_true)
+        with_mask = steps()
+        assert unmasked == [u + 1 for u in range(6) for _ in m.decoder.blocks]
+        for got, want in zip(without, with_mask):
+            assert got.tobytes() == want.tobytes()
+
     def test_source_without_keys_rejected_at_start(self):
         m, z, mask = sharpened_chunk()
         mask = mask.copy()
@@ -533,6 +562,40 @@ class TestCachedSteps:
             m.start(z, mask)
         with pytest.raises(ContractError):
             decoding.ar_greedy_batch(z, mask, m, 3)
+
+
+@pytest.fixture(scope="module")
+def acceptance_chunks(tmp_path_factory):
+    """Dev chunks of a corpus drawn with the acceptance corpus's settings,
+    encoded by a random model with sharpened decoder weights."""
+    root = data.generate_synthetic(tmp_path_factory.mktemp("corpus"), seed=106, n_train=200,
+                                   n_dev=20, n_test=4, n_glosses=12, max_glosses=6)
+    dev, gloss, text = data.load_corpus(root, "dev")
+    m = JointModel(d_in=dev[0].features.shape[1], d=16, n_heads=2, n_enc_layers=2,
+                   n_dec_layers=2, n_glosses=len(gloss), n_words=len(text), d_ff=32,
+                   dropout=0.0, seed=8)
+    for name, p in m.named_parameters().items():
+        if name.startswith(("decoder.", "words.")) and p.ndim == 2:
+            p.data = p.data * 3.0
+    return m, encode_split(m, dev, gloss, text, "sign2gloss+text", batch_size=7)
+
+
+class TestOnePassPools:
+    @pytest.mark.parametrize("width", range(2, 11))
+    def test_one_pass_equals_greedy_then_beam(self, width, acceptance_chunks):
+        # the greedy and beam tracks of one search give bitwise the pools of
+        # a greedy pass followed by a beam pass
+        m, encoded = acceptance_chunks
+        finished = set()
+        for _batch, z, mask, estimates in encoded:
+            caps = [max(1, 3 * e - i % 4) for i, e in enumerate(estimates)]
+            greedy = decoding.ar_greedy_batch(z, mask, m, caps, forbid=FORBIDDEN_WORDS)
+            beams = decoding._search(z, mask, m, [(i, width, c) for i, c in enumerate(caps)],
+                                     TEXT_EOS, FORBIDDEN_WORDS)
+            pools = decoding.ar_beam_pools(z, mask, m, width, caps, forbid=FORBIDDEN_WORDS)
+            assert pools == [b + [g] for b, g in zip(beams, greedy)]
+            finished |= {h.finished for pool in pools for h in pool}
+        assert finished == {True, False}
 
 
 class TestLossRouting:

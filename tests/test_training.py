@@ -133,6 +133,48 @@ class TestAdam:
         assert np.all(np.abs(p.data) < 0.5)
 
 
+def former_adam_step(params, state):
+    """adam_step as it was before it updated the moments in place."""
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - state.beta1 ** t
+    bc2 = 1.0 - state.beta2 ** t
+    for name, p in params.items():
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        if state.weight_decay:
+            g = g + state.weight_decay * p.data
+        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
+        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
+        m_hat = state.m[name] / bc1
+        v_hat = state.v[name] / bc2
+        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+def test_in_place_adam_is_bitwise_the_former_formula(weight_decay):
+    rng = np.random.default_rng(31)
+    shapes = {"w": (6, 5), "b": (5,), "skipped": (3,)}
+    values = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    sides = []
+    for step_fn in (adam_step, former_adam_step):
+        params = {name: leaf(v.copy()) for name, v in values.items()}
+        state = init_optimizer(params, lr=3e-3, weight_decay=weight_decay)
+        sides.append((step_fn, params, state))
+    for step in range(20):
+        grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)
+                 for name, shape in shapes.items()}
+        grads["skipped"] = None if step % 3 else grads["skipped"]  # a head without grads
+        for step_fn, params, state in sides:
+            for name, p in params.items():
+                p.grad = None if grads[name] is None else grads[name].copy()
+            step_fn(params, state)
+        (_, new, new_state), (_, old, old_state) = sides
+        for name in shapes:
+            assert new[name].data.tobytes() == old[name].data.tobytes(), (step, name)
+            assert new_state.m[name].tobytes() == old_state.m[name].tobytes()
+            assert new_state.v[name].tobytes() == old_state.v[name].tobytes()
+
+
 class TestScheduler:
     def test_first_eval_counts_as_improvement(self):
         state = SchedulerState(minimize=True)
