@@ -353,9 +353,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map x @ w + b over the last axis of x, recorded as one node.
 
-    The forward is bitwise np.matmul(x, w) + b. The backward folds the
-    leading axes of x into rows, so the input and weight gradients are one
-    GEMM each and the bias gradient one column sum.
+    The leading axes of x fold into rows, so the forward is one 2-D GEMM
+    plus the bias, and the backward's input and weight gradients one GEMM
+    each and its bias gradient one column sum. Over rows of several
+    positions the forward is bitwise np.matmul(x, w) + b; over (R, 1, d)
+    rows it is one GEMM where np.matmul runs R vector products, and it can
+    round differently from them in the last bits.
     """
     if x.ndim < 2 or w.ndim != 2:
         raise DimensionError(
@@ -363,9 +366,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         )
     if x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
         raise DimensionError(f"linear shapes disagree: {x.shape} @ {w.shape} + {b.shape}")
-    out = np.matmul(x.data, w.data)
-    out += b.data  # the same sum as matmul(x, w) + b, without a second output array
     x_data, w_data = x.data, w.data
+    out = x_data.reshape(-1, x_data.shape[-1]) @ w_data
+    out += b.data  # the same sum as (x @ w) + b, without a second output array
+    out = out.reshape(*x_data.shape[:-1], w_data.shape[1])
 
     def bwd(g):
         g2 = g.reshape(-1, g.shape[-1])

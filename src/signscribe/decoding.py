@@ -306,9 +306,10 @@ def _search(z_batch, mask_batch, decoder, tracks, eos_id, forbid) -> list[list[H
     log-softmax; forbidden ids are only excluded from selection, so scores
     stay comparable across widths. A row offers only its track's `width`
     best extensions, since no other can survive the cut. Pruning and
-    tie-breaking stay per track, so a track's beams never depend on which
-    others share its batch. A track whose rows give no finite score keeps
-    its beams from the step before.
+    tie-breaking stay per track, so a track's beams depend on which others
+    share its batch only through the round-off of the decoder's scores. A
+    track whose rows give no finite score keeps its beams from the step
+    before.
     """
     pathway = decoder if hasattr(decoder, "step") else _PrefixReplay(decoder)
     state = pathway.start(z_batch, mask_batch)
@@ -366,8 +367,10 @@ def ar_greedy_batch(z_batch, mask_batch, decoder, max_len, *,
     """Greedy decode many sources in lockstep: the width-1 beam search.
 
     Each source extends by its best token until <eos> or its cap. max_len
-    may be a single cap or one per source; a source's result never depends
-    on which others share its batch.
+    may be a single cap or one per source. A source decodes to the same
+    tokens whichever others share its batch, and to the same score up to
+    float64 round-off: the model's step projects all its rows with one
+    GEMM, whose last bits depend on the number of rows.
     """
     tracks = [(i, 1, cap) for i, cap in enumerate(_length_caps(z_batch, max_len))]
     return [beams[0] for beams in _search(z_batch, mask_batch, decoder, tracks,

@@ -10,6 +10,8 @@ the decode parameters.
 evaluate, translate (a one-sample split) and the two-stage pipeline (whose
 second stage encodes the recognized glosses) all go through encode_split,
 which calls JointModel.encode, and through the one decoder decode_sentences.
+encode_split alone decides which samples share a chunk: it chunks the split
+in order of input length. Every decoder returns its results in split order.
 """
 
 from __future__ import annotations
@@ -87,14 +89,17 @@ def _require_samples(samples) -> None:
         raise CorpusError("cannot score an empty split")
 
 
-def _chunks(samples, size):
-    for start in range(0, len(samples), size):
-        yield samples[start : start + size]
-
-
 def encode_split(model: JointModel, samples, gloss_vocab, text_vocab, protocol,
                  batch_size: int = 32):
-    """Encode a split once; returns (batch, z ndarray, key mask, estimates) per chunk.
+    """Encode a split once; returns (batch, z ndarray, key mask, estimates,
+    positions) per chunk.
+
+    The split is chunked in order of input length (frames, or glosses for
+    gloss input), ties in split order, so each chunk holds samples of
+    similar length: less padding to encode and to search, and caps that
+    end together. positions holds the split position of each chunk row;
+    decode_glosses and decode_sentences put every result back at it, so
+    their output follows the split's order.
 
     estimates holds each sample's expected gloss count, from which
     decode_sentences sets its generation cap: the true count (at least 1,
@@ -103,17 +108,28 @@ def encode_split(model: JointModel, samples, gloss_vocab, text_vocab, protocol,
     """
     if batch_size < 1:
         raise ConfigError(f"batch size must be >= 1, got {batch_size}")
+    gloss_input = protocol in GLOSS_INPUT
+    lengths = [len(s.glosses) if gloss_input else s.n_frames for s in samples]
+    # frames per gloss average 3 on the synthetic task; the estimate only
+    # sets a generation cap, exactness does not matter
+    estimates = [max(1, n if gloss_input else round(n / 3)) for n in lengths]
+    order = sorted(range(len(samples)), key=lambda i: (lengths[i], i))
     out = []
-    for chunk in _chunks(samples, batch_size):
-        batch = make_batch(chunk, gloss_vocab, text_vocab, max_batch=batch_size)
+    for start in range(0, len(order), batch_size):
+        positions = order[start:start + batch_size]
+        batch = make_batch([samples[i] for i in positions], gloss_vocab, text_vocab,
+                           max_batch=batch_size)
         z, mask = model.encode(batch, protocol)
-        if protocol in GLOSS_INPUT:
-            estimates = [max(1, n) for n in batch.gloss_counts]
-        else:
-            # frames per gloss average 3 on the synthetic task; the estimate
-            # only sets a generation cap, exactness does not matter
-            estimates = [max(1, round(t / 3)) for t in batch.frame_counts]
-        out.append((batch, z.data, mask, estimates))
+        out.append((batch, z.data, mask, [estimates[i] for i in positions], positions))
+    return out
+
+
+def _in_split_order(encoded, chunk_results) -> list:
+    """Each chunk's per-row results, put back at the rows' split positions."""
+    out = [None] * sum(len(entry[-1]) for entry in encoded)
+    for entry, results in zip(encoded, chunk_results):
+        for position, result in zip(entry[-1], results):
+            out[position] = result
     return out
 
 
@@ -124,17 +140,17 @@ def decode_glosses(model: JointModel, encoded, gloss_vocab: Vocabulary,
     Width 0 collapses each sample's best path; a wider beam searches each
     encoded chunk with one batched prefix beam.
     """
-    hyps = []
-    for batch, z, _mask, _est in encoded:
+    chunks = []
+    for batch, z, *_ in encoded:
         log_p = model.frame_gloss_log_probs(Tensor(z)).data
         if beam_width == 0:
             chunk = [decoding.ctc_greedy(log_p[i, :t])
                      for i, t in enumerate(batch.frame_counts)]
         else:
             chunk = decoding.ctc_beam_search_batch(log_p, batch.frame_counts, beam_width)
-        hyps.extend([gloss_vocab.token(g) for g in ids if g not in (GLOSS_BLANK, GLOSS_PAD)]
-                    for ids in chunk)
-    return hyps
+        chunks.append([[gloss_vocab.token(g) for g in ids if g not in (GLOSS_BLANK, GLOSS_PAD)]
+                       for ids in chunk])
+    return _in_split_order(encoded, chunks)
 
 
 def _sentence_pools(model: JointModel, encoded, beam_width: int, max_len_cap: int,
@@ -142,16 +158,17 @@ def _sentence_pools(model: JointModel, encoded, beam_width: int, max_len_cap: in
     """Every sample's candidate pool, searched one encoded chunk at a time.
 
     A sample generates at most min(max_len_cap, 3 x its estimated gloss
-    count) tokens. greedy, one Hypothesis per sample, replaces the greedy
-    pass. Only the z, mask and estimates of each encoded entry are read.
+    count) tokens. greedy, one Hypothesis per sample in split order,
+    replaces the greedy pass. Only the z, mask, estimates and positions of
+    each encoded entry are read; the pools come back in split order.
     """
-    pools = []
-    for _batch, z, mask, estimates in encoded:
+    chunks = []
+    for _batch, z, mask, estimates, positions in encoded:
         caps = [min(max_len_cap, 3 * e) for e in estimates]
-        chunk_greedy = None if greedy is None else greedy[len(pools):len(pools) + len(caps)]
-        pools.extend(decoding.ar_beam_pools(z, mask, model, beam_width, caps,
-                                            greedy=chunk_greedy, forbid=FORBIDDEN_WORDS))
-    return pools
+        chunk_greedy = None if greedy is None else [greedy[p] for p in positions]
+        chunks.append(decoding.ar_beam_pools(z, mask, model, beam_width, caps,
+                                             greedy=chunk_greedy, forbid=FORBIDDEN_WORDS))
+    return _in_split_order(encoded, chunks)
 
 
 def _ranked_words(pools, alpha: float, text_vocab: Vocabulary) -> list[list[str]]:

@@ -315,10 +315,12 @@ class DecoderCache:
 
     The cache keeps the self-attention keys and values of every position
     fed, so a decoding step feeds only each row's new position. Cached
-    logits equal a whole-prefix forward's up to round-off: a one-row
-    product may run on another BLAS kernel than the matrix product over the
-    prefix, and round differently. Inference only: nothing in the cache is
-    on a tape.
+    logits equal a whole-prefix forward's up to round-off: a step projects
+    its rows' new positions as one matrix product, which may run on another
+    BLAS kernel than the product over a whole prefix and round differently.
+    For the same reason a row's logits depend on how many rows share the
+    step, again only up to round-off. Inference only: nothing in the cache
+    is on a tape.
     """
 
     def __init__(self, z: Tensor, src_pad_mask, stack: DecoderStack):

@@ -1,10 +1,31 @@
-"""Shared numerical test helpers."""
+"""Shared numerical test helpers and fixtures."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+import pytest
+
+from signscribe import data
+from signscribe.model import JointModel
+
+
+@pytest.fixture(scope="session")
+def acceptance_dev(tmp_path_factory):
+    """A dev split drawn with the acceptance corpus's settings and a random
+    model with sharpened decoder weights, so decoded words depend on the
+    source and the decode setting: (model, dev samples, gloss vocab, text vocab)."""
+    root = data.generate_synthetic(tmp_path_factory.mktemp("corpus"), seed=106, n_train=200,
+                                   n_dev=20, n_test=4, n_glosses=12, max_glosses=6)
+    dev, gloss, text = data.load_corpus(root, "dev")
+    m = JointModel(d_in=dev[0].features.shape[1], d=16, n_heads=2, n_enc_layers=2,
+                   n_dec_layers=2, n_glosses=len(gloss), n_words=len(text), d_ff=32,
+                   dropout=0.0, seed=8)
+    for name, p in m.named_parameters().items():
+        if name.startswith(("decoder.", "words.")) and p.ndim == 2:
+            p.data = p.data * 3.0
+    return m, dev, gloss, text
 
 
 def finite_difference_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

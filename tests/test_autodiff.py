@@ -377,12 +377,17 @@ def test_no_graph_means_no_recording():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("x_shape", [(5, 4), (3, 5, 4)])
+@pytest.mark.parametrize("x_shape", [(5, 4), (3, 5, 4), (7, 1, 4)])
 @pytest.mark.parametrize("record", [False, True])
 def test_linear_forward_is_bitwise_matmul_plus_bias(x_shape, record):
+    # rows of several positions give np.matmul's bits; one-position rows
+    # (a decode step's) are one GEMM over all rows, not one product per row
     rng = np.random.default_rng(20)
     x0, w0, b0 = rng.normal(size=x_shape), rng.normal(size=(4, 6)), rng.normal(size=6)
-    want = np.matmul(x0, w0) + b0
+    if x_shape[-2] == 1:
+        want = (x0.reshape(-1, 4) @ w0 + b0).reshape(x_shape[:-1] + (6,))
+    else:
+        want = np.matmul(x0, w0) + b0
     x, w, b = (ad.Tensor(v, requires_grad=record) for v in (x0, w0, b0))
     with ad.Graph() as g:
         out = ad.linear(x, w, b)

@@ -12,6 +12,7 @@ from signscribe.evaluation import (
     corpus_wer,
     evaluate_corpus,
     encode_split,
+    decode_glosses,
     decode_sentences,
     sweep_decode_parameters,
 )
@@ -132,17 +133,103 @@ class TestEmptyGlossInput:
         with_empty = samples[:2] + [empty] + samples[2:]
         encoded = encode_split(model, with_empty, gloss, text, "gloss2text")
         alone = encode_split(model, samples, gloss, text, "gloss2text")
-        (_, z, mask, estimates), = encoded
-        (_, z_alone, mask_alone, estimates_alone), = alone
-        assert estimates == [2, 1, 1, 3]
-        assert mask[2].tolist() == [True, False, False]
+        (_, z, mask, estimates, positions), = encoded
+        (_, z_alone, mask_alone, _, positions_alone), = alone
+        # the chunk row of each split position (chunks are length-sorted)
+        rows, rows_alone = np.argsort(positions), np.argsort(positions_alone)
+        assert [estimates[r] for r in rows] == [2, 1, 1, 3]
+        assert mask[rows[2]].tolist() == [True, False, False]
         keep = [0, 1, 3]
-        assert np.array_equal(mask[keep], mask_alone)
-        assert np.array_equal(z[keep], z_alone)
+        assert np.array_equal(mask[rows[keep]], mask_alone[rows_alone])
+        assert np.array_equal(z[rows[keep]], z_alone[rows_alone])
         for width in (0, 2):
             got = decode_sentences(model, encoded, text, width, 1.0)
             want = decode_sentences(model, alone, text, width, 1.0)
             assert [got[i] for i in keep] == want
+
+
+class TestSplitOrder:
+    """encode_split chunks a split by input length; every decoder returns
+    its results in the caller's order, so a permuted split decodes to the
+    permuted results."""
+
+    PROTOCOL = "sign2gloss+text"
+
+    @pytest.fixture(scope="class")
+    def splits(self, acceptance_dev):
+        m, dev, gloss, text = acceptance_dev
+        perm = np.random.default_rng(13).permutation(len(dev))
+        return m, dev, [dev[i] for i in perm], perm, gloss, text
+
+    @pytest.mark.parametrize("protocol", ["sign2gloss+text", "gloss2text"])
+    def test_chunks_cover_the_split_in_length_order(self, splits, protocol):
+        m, dev, permuted, _, gloss, text = splits
+
+        def length(sample):
+            return len(sample.glosses) if protocol == "gloss2text" else sample.n_frames
+
+        for split in (dev, permuted):
+            encoded = encode_split(m, split, gloss, text, protocol, batch_size=7)
+            assert [len(positions) for *_, positions in encoded] == [7, 7, 6]
+            order = [p for *_, positions in encoded for p in positions]
+            assert sorted(order) == list(range(len(split)))
+            lengths = [length(split[p]) for p in order]
+            assert lengths == sorted(lengths)
+            assert [length(s) for s in split] != lengths  # the split itself is not sorted
+            for batch, *_, positions in encoded:
+                assert batch.ids == tuple(split[p].id for p in positions)
+
+    @pytest.mark.parametrize("width", [0, 4])
+    def test_glosses_follow_the_callers_order(self, splits, width):
+        m, dev, permuted, perm, gloss, text = splits
+        got = decode_glosses(m, encode_split(m, dev, gloss, text, self.PROTOCOL, 7),
+                             gloss, width)
+        got_permuted = decode_glosses(m, encode_split(m, permuted, gloss, text,
+                                                      self.PROTOCOL, 7), gloss, width)
+        assert got_permuted == [got[i] for i in perm]
+        alone = [decode_glosses(m, encode_split(m, [s], gloss, text, self.PROTOCOL), gloss,
+                                width)[0] for s in dev]
+        assert got == alone
+        assert len({tuple(g) for g in got}) > 1
+
+    @pytest.mark.parametrize("width", [0, 1, 4])
+    def test_sentences_follow_the_callers_order(self, splits, width):
+        m, dev, permuted, perm, gloss, text = splits
+        got = decode_sentences(m, encode_split(m, dev, gloss, text, self.PROTOCOL, 7),
+                               text, width, 1.0)
+        got_permuted = decode_sentences(m, encode_split(m, permuted, gloss, text,
+                                                        self.PROTOCOL, 7), text, width, 1.0)
+        assert got_permuted == [got[i] for i in perm]
+        alone = [decode_sentences(m, encode_split(m, [s], gloss, text, self.PROTOCOL), text,
+                                  width, 1.0)[0] for s in dev]
+        assert got == alone
+        assert len({tuple(s) for s in got}) > 1
+
+    def test_sweep_is_order_free(self, splits, monkeypatch):
+        # the untrained model scores BLEU-4 0 everywhere, so the sentences
+        # each grid point scores are compared as well
+        m, dev, permuted, perm, gloss, text = splits
+        widths, alphas = (0, 1, 2, 4), (0.0, 1.0, 2.0)
+        scored = []
+
+        def recording_bleu(refs, hyps):
+            scored.append(hyps)
+            return bleu(refs, hyps)
+
+        monkeypatch.setattr(evaluation, "bleu", recording_bleu)
+        kwargs = dict(batch_size=7, widths=widths, alphas=alphas)
+        result = sweep_decode_parameters(m, dev, gloss, text, self.PROTOCOL, **kwargs)
+        result_permuted = sweep_decode_parameters(m, permuted, gloss, text, self.PROTOCOL,
+                                                  **kwargs)
+        monkeypatch.undo()
+        assert result_permuted == result
+        grid = [(w, a) for w in widths for a in alphas]
+        hyps, hyps_permuted = scored[:len(grid)], scored[len(grid):]
+        encoded = encode_split(m, dev, gloss, text, self.PROTOCOL, 7)
+        for (width, alpha), got, got_permuted in zip(grid, hyps, hyps_permuted):
+            assert got == decode_sentences(m, encoded, text, width, alpha), (width, alpha)
+            assert got_permuted == [got[i] for i in perm], (width, alpha)
+        assert len({repr(h) for h in hyps}) > 1
 
 
 class TestDecodedSentences:
@@ -187,7 +274,8 @@ class TestDecodeCost:
         # chunk, however many sources it holds; width 1 is the greedy pass
         text = Vocabulary({"u", "v", "w", "x"}, TEXT_SPECIALS)
         estimates = [1 + i % 3 for i in range(n_sources)]
-        encoded = [(None, list(range(n_sources)), [None] * n_sources, estimates)]
+        encoded = [(None, list(range(n_sources)), [None] * n_sources, estimates,
+                    list(range(n_sources)))]
         model = CountingDecoder(len(text))
         sentences = decode_sentences(model, encoded, text, width, 1.0)
         caps = [3 * e for e in estimates]
