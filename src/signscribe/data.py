@@ -259,7 +259,8 @@ class Batch:
     """Padded, mask-delimited views of a list of samples.
 
     text_in rows are <bos> followed by the sentence; text_out rows are the
-    sentence followed by <eos>; both share target_mask. Gloss rows are padded
+    sentence followed by <eos>, both padded with the text <pad> id, which
+    marks the positions the translation loss skips. Gloss rows are padded
     with the gloss <pad> id; gloss_mask marks their real positions and
     gloss_counts carries their true lengths for CTC.
     """
@@ -273,7 +274,6 @@ class Batch:
     gloss_counts: tuple[int, ...]
     text_in: np.ndarray  # (B, U_max+1) int64
     text_out: np.ndarray  # (B, U_max+1) int64
-    target_mask: np.ndarray  # (B, U_max+1) bool
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -291,13 +291,10 @@ def pad_ids(sequences, pad_id: int) -> tuple[np.ndarray, np.ndarray]:
     return ids, mask
 
 
-def make_batch(samples, gloss_vocab: Vocabulary, text_vocab: Vocabulary,
-               max_batch: int = 32) -> Batch:
+def make_batch(samples, gloss_vocab: Vocabulary, text_vocab: Vocabulary) -> Batch:
     """Right-pad a group of samples into dense arrays with masks."""
     if not samples:
         raise ContractError("cannot batch zero samples")
-    if len(samples) > max_batch:
-        raise ContractError(f"{len(samples)} samples exceed the batch cap {max_batch}")
     b = len(samples)
     d_in = samples[0].features.shape[1]
     t_max = max(s.n_frames for s in samples)
@@ -317,7 +314,7 @@ def make_batch(samples, gloss_vocab: Vocabulary, text_vocab: Vocabulary,
     )
     words = [text_vocab.encode(s.sentence) for s in samples]
     text_in, _ = pad_ids([[TEXT_BOS, *w] for w in words], TEXT_PAD)
-    text_out, target_mask = pad_ids([[*w, TEXT_EOS] for w in words], TEXT_PAD)
+    text_out, _ = pad_ids([[*w, TEXT_EOS] for w in words], TEXT_PAD)
 
     return Batch(
         ids=tuple(s.id for s in samples),
@@ -329,7 +326,6 @@ def make_batch(samples, gloss_vocab: Vocabulary, text_vocab: Vocabulary,
         gloss_counts=tuple(len(s.glosses) for s in samples),
         text_in=text_in,
         text_out=text_out,
-        target_mask=target_mask,
     )
 
 

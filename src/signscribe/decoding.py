@@ -62,10 +62,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import GLOSS_BLANK, TEXT_EOS
 from .errors import ConfigError, ContractError
-
-BLANK = 0
-DEFAULT_EOS = 2
 
 
 @dataclass(frozen=True)
@@ -80,9 +78,9 @@ class Hypothesis:
         if self.log_prob > 1e-9:
             raise ContractError(f"hypothesis log-probability {self.log_prob} > 0")
 
-    def words(self, eos_id: int = DEFAULT_EOS) -> tuple[int, ...]:
+    def words(self) -> tuple[int, ...]:
         """Tokens with the closing end-of-sentence marker stripped."""
-        if self.tokens and self.tokens[-1] == eos_id:
+        if self.tokens and self.tokens[-1] == TEXT_EOS:
             return self.tokens[:-1]
         return self.tokens
 
@@ -112,12 +110,12 @@ def length_penalty(n_tokens: int, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def collapse_path(path, blank: int = BLANK) -> tuple[int, ...]:
+def collapse_path(path) -> tuple[int, ...]:
     """Squash consecutive repeats, then drop blanks."""
     out = []
     prev = None
     for sym in path:
-        if sym != prev and sym != blank:
+        if sym != prev and sym != GLOSS_BLANK:
             out.append(int(sym))
         prev = sym
     return tuple(out)
@@ -294,7 +292,7 @@ class _PrefixReplay:
             [prefix for _, prefix in state.rows])
 
 
-def _search(z_batch, mask_batch, decoder, tracks, eos_id, forbid) -> list[list[Hypothesis]]:
+def _search(z_batch, mask_batch, decoder, tracks, forbid) -> list[list[Hypothesis]]:
     """Beam-search many tracks in lockstep; returns each track's final beams.
 
     A track is a (source, width, cap) triple: one search of that source at
@@ -344,7 +342,7 @@ def _search(z_batch, mask_batch, decoder, tracks, eos_id, forbid) -> list[list[H
         for r, ((i, tokens, _, _), words, totals) in enumerate(zip(rows, top.tolist(),
                                                                    best.tolist())):
             cands = candidates.setdefault(i, [beam for beam in beams[i] if beam[2]])
-            cands.extend((tokens + (w,), total, w == eos_id, r)
+            cands.extend((tokens + (w,), total, w == TEXT_EOS, r)
                          for w, total in zip(words[:widths[i]], totals)
                          if math.isfinite(total))
         for i, cands in candidates.items():
@@ -355,15 +353,13 @@ def _search(z_batch, mask_batch, decoder, tracks, eos_id, forbid) -> list[list[H
     return [[Hypothesis(*beam[:3]) for beam in track] for track in beams]
 
 
-def ar_greedy(z, src_pad_mask, decoder, max_len: int, *,
-              eos_id: int = DEFAULT_EOS, forbid=()) -> Hypothesis:
+def ar_greedy(z, src_pad_mask, decoder, max_len: int, *, forbid=()) -> Hypothesis:
     """Greedy rollout of one source: ar_greedy_batch on a batch of one."""
-    return ar_greedy_batch([z], [src_pad_mask], decoder, max_len,
-                           eos_id=eos_id, forbid=forbid)[0]
+    return ar_greedy_batch([z], [src_pad_mask], decoder, max_len, forbid=forbid)[0]
 
 
 def ar_greedy_batch(z_batch, mask_batch, decoder, max_len, *,
-                    eos_id: int = DEFAULT_EOS, forbid=()) -> list[Hypothesis]:
+                    forbid=()) -> list[Hypothesis]:
     """Greedy decode many sources in lockstep: the width-1 beam search.
 
     Each source extends by its best token until <eos> or its cap. max_len
@@ -373,12 +369,11 @@ def ar_greedy_batch(z_batch, mask_batch, decoder, max_len, *,
     GEMM, whose last bits depend on the number of rows.
     """
     tracks = [(i, 1, cap) for i, cap in enumerate(_length_caps(z_batch, max_len))]
-    return [beams[0] for beams in _search(z_batch, mask_batch, decoder, tracks,
-                                          eos_id, forbid)]
+    return [beams[0] for beams in _search(z_batch, mask_batch, decoder, tracks, forbid)]
 
 
 def ar_beam_pools(z_batch, mask_batch, decoder, width: int, max_len, *,
-                  greedy=None, eos_id: int = DEFAULT_EOS, forbid=()) -> list[list[Hypothesis]]:
+                  greedy=None, forbid=()) -> list[list[Hypothesis]]:
     """Beam-search many sources in lockstep; returns each source's candidate pool.
 
     A pool holds the source's final beams followed by its greedy rollout;
@@ -394,14 +389,13 @@ def ar_beam_pools(z_batch, mask_batch, decoder, width: int, max_len, *,
     caps = _length_caps(z_batch, max_len)
     if width <= 1:
         if greedy is None:
-            greedy = ar_greedy_batch(z_batch, mask_batch, decoder, caps,
-                                     eos_id=eos_id, forbid=forbid)
+            greedy = ar_greedy_batch(z_batch, mask_batch, decoder, caps, forbid=forbid)
         # width 1's one beam is the greedy rollout
         return [[g] * (width + 1) for g in greedy]
     tracks = [(i, width, cap) for i, cap in enumerate(caps)]
     if greedy is None:
         tracks += [(i, 1, cap) for i, cap in enumerate(caps)]
-    found = _search(z_batch, mask_batch, decoder, tracks, eos_id, forbid)
+    found = _search(z_batch, mask_batch, decoder, tracks, forbid)
     if greedy is None:
         greedy = [beams[0] for beams in found[len(caps):]]
     return [beams + [g] for beams, g in zip(found, greedy)]
@@ -416,8 +410,7 @@ def best_hypothesis(pool, alpha: float) -> Hypothesis:
     )
 
 
-def ar_beam_search(z, src_pad_mask, decoder, cfg: DecodeConfig, *,
-                   eos_id: int = DEFAULT_EOS, forbid=()) -> Hypothesis:
+def ar_beam_search(z, src_pad_mask, decoder, cfg: DecodeConfig, *, forbid=()) -> Hypothesis:
     """Beam search of one source: ar_beam_pools on a batch of one, then ranked.
 
     Width 0 falls back to greedy. The greedy rollout always joins the final
@@ -426,5 +419,5 @@ def ar_beam_search(z, src_pad_mask, decoder, cfg: DecodeConfig, *,
     finished or not.
     """
     (pool,) = ar_beam_pools([z], [src_pad_mask], decoder, cfg.beam_width, cfg.max_len,
-                            eos_id=eos_id, forbid=forbid)
+                            forbid=forbid)
     return best_hypothesis(pool, cfg.alpha)

@@ -53,12 +53,15 @@ class WordEmbedder:
         return ad.embedding(self.table, idx)
 
 
-def _batch_norm_time(x: Tensor, gain: Tensor, bias: Tensor, mask: np.ndarray, eps: float) -> Tensor:
+def _batch_norm_time(
+    x: Tensor, gain: Tensor, bias: Tensor, mask: np.ndarray, eps: float
+) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Batch-normalize per feature over the masked frame positions.
 
     Statistics come from real frames only; padded rows are normalized with the
     same statistics so they never influence real outputs. The backward pass
-    carries the full batch-statistic coupling.
+    carries the full batch-statistic coupling. Returns the output with the
+    per-feature mean and variance it normalized with.
     """
     mask = np.asarray(mask, dtype=bool)
     n = int(mask.sum())
@@ -81,7 +84,7 @@ def _batch_norm_time(x: Tensor, gain: Tensor, bias: Tensor, mask: np.ndarray, ep
         dbias = g.sum(axis=lead)
         return gx, dgain, dbias
 
-    return ad.custom_op(out, (x, gain, bias), bwd)
+    return ad.custom_op(out, (x, gain, bias), bwd), mu, var
 
 
 class SpatialEmbedder:
@@ -101,18 +104,17 @@ class SpatialEmbedder:
         self.train_mode = True
 
     def embed_batch(self, features: Tensor, mask: np.ndarray) -> Tensor:
-        """features (B, T, d_in) with mask (B, T) marking real frames -> (B, T, d)."""
+        """features (..., T, d_in) with mask (..., T) marking real frames -> (..., T, d)."""
         if features.shape[-1] != self.d_in:
             raise DimensionError(
                 f"expected frame features of width {self.d_in}, got {features.shape[-1]}"
             )
         h = ad.linear(features, self.weight, self.bias)
         if self.train_mode:
-            sel = h.data[np.asarray(mask, dtype=bool)]
+            normed, mu, var = _batch_norm_time(h, self.bn_gain, self.bn_bias, mask, self.bn_eps)
             m = self.bn_momentum
-            self.bn_running_mean = (1 - m) * self.bn_running_mean + m * sel.mean(axis=0)
-            self.bn_running_var = (1 - m) * self.bn_running_var + m * sel.var(axis=0)
-            normed = _batch_norm_time(h, self.bn_gain, self.bn_bias, mask, self.bn_eps)
+            self.bn_running_mean = (1 - m) * self.bn_running_mean + m * mu
+            self.bn_running_var = (1 - m) * self.bn_running_var + m * var
         else:
             scale = 1.0 / np.sqrt(self.bn_running_var + self.bn_eps)
             shift = Tensor(-self.bn_running_mean * scale)
@@ -122,10 +124,4 @@ class SpatialEmbedder:
     def embed(self, frames) -> Tensor:
         """Single sequence (T, d_in) -> (T, d)."""
         x = frames if isinstance(frames, Tensor) else Tensor(frames)
-        if x.shape[-1] != self.d_in:
-            raise DimensionError(
-                f"expected frame features of width {self.d_in}, got {x.shape[-1]}"
-            )
-        t = x.shape[0]
-        batched = self.embed_batch(x.reshape((1, t, self.d_in)), np.ones((1, t), dtype=bool))
-        return batched.reshape((t, self.d))
+        return self.embed_batch(x, np.ones(x.shape[0], dtype=bool))

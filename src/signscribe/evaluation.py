@@ -117,8 +117,7 @@ def encode_split(model: JointModel, samples, gloss_vocab, text_vocab, protocol,
     out = []
     for start in range(0, len(order), batch_size):
         positions = order[start:start + batch_size]
-        batch = make_batch([samples[i] for i in positions], gloss_vocab, text_vocab,
-                           max_batch=batch_size)
+        batch = make_batch([samples[i] for i in positions], gloss_vocab, text_vocab)
         z, mask = model.encode(batch, protocol)
         out.append((batch, z.data, mask, [estimates[i] for i in positions], positions))
     return out
@@ -200,14 +199,10 @@ def evaluate_corpus(
     beam_width: int = 0,
     alpha: float = 0.0,
     max_len_cap: int = 60,
-    encoded=None,
 ) -> EvalReport:
     """Decode one split and score whichever heads the protocol trains."""
     _require_samples(samples)
-    if encoded is None:
-        encoded = encode_split(
-            model, samples, gloss_vocab, text_vocab, protocol, batch_size
-        )
+    encoded = encode_split(model, samples, gloss_vocab, text_vocab, protocol, batch_size)
     wer_report = None
     if protocol in RECOGNITION:
         gloss_hyps = decode_glosses(model, encoded, gloss_vocab, beam_width)

@@ -29,9 +29,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import GLOSS_BLANK
 from .errors import ConfigError, ContractError, DimensionError, VocabularyError
-
-BLANK = 0
 
 
 @dataclass(frozen=True)
@@ -47,12 +46,12 @@ class CtcTarget:
 
     def __post_init__(self):
         glosses = tuple(int(g) for g in self.glosses)
-        if any(g == BLANK for g in glosses):
+        if any(g == GLOSS_BLANK for g in glosses):
             raise ContractError("gloss targets must not contain the blank")
         object.__setattr__(self, "glosses", glosses)
-        ext = [BLANK]
+        ext = [GLOSS_BLANK]
         for g in glosses:
-            ext.extend((g, BLANK))
+            ext.extend((g, GLOSS_BLANK))
         object.__setattr__(self, "extended", tuple(ext))
 
     @property
@@ -87,7 +86,7 @@ def _ctc_lattice(emit: np.ndarray, ext: np.ndarray) -> np.ndarray:
     emissions propagate without a warning; the caller sees a NaN loss.
     """
     n_frames, b, s = emit.shape
-    skip_ok = (ext[:, 2:] != BLANK) & (ext[:, 2:] != ext[:, :-2])  # indexed by s - 2
+    skip_ok = (ext[:, 2:] != GLOSS_BLANK) & (ext[:, 2:] != ext[:, :-2])  # indexed by s - 2
     alpha = np.full((n_frames, b, s), -np.inf)
     alpha[0, :, :2] = emit[0, :, :2]
     step = np.full((b, s), -np.inf)
@@ -116,7 +115,7 @@ def _ctc_batch(lp: np.ndarray, frame_counts: np.ndarray, targets: list[CtcTarget
     frames = np.asarray(frame_counts, dtype=np.int64)
     states = np.array([2 * t.n + 1 for t in targets], dtype=np.int64)
     s_max = int(states.max())
-    ext = np.full((n_b, s_max), BLANK, dtype=np.int64)
+    ext = np.full((n_b, s_max), GLOSS_BLANK, dtype=np.int64)
     for b, target in enumerate(targets):
         ext[b, : states[b]] = target.extended
     rows = np.arange(n_b)

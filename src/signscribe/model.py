@@ -163,15 +163,11 @@ class JointModel:
         return x
 
     def encode_frames(self, features, src_mask, *, train: bool = False, rng=None) -> Tensor:
-        """Frames (B, T, d_in) or (T, d_in) with pad mask -> representations z."""
+        """Frames (..., T, d_in) with pad mask (..., T) -> representations z."""
         x = features if isinstance(features, Tensor) else Tensor(np.asarray(features, dtype=np.float64))
         mask = np.asarray(src_mask, dtype=bool)
         self.spatial.train_mode = train
-        if x.ndim == 2:
-            f = self.spatial.embed(x)
-        else:
-            f = self.spatial.embed_batch(x, mask)
-        f = self._embed_sequence(f, train, rng)
+        f = self._embed_sequence(self.spatial.embed_batch(x, mask), train, rng)
         return run_encoder(f, mask, self.encoder, train=train, rng=rng,
                            dropout_rate=self.dropout)
 

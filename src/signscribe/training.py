@@ -457,8 +457,7 @@ def train(
 
     with open(log_path, "w", encoding="utf-8") as log_file:
         for iteration in range(1, cfg.max_iterations + 1):
-            batch = make_batch(next(batches), gloss_vocab, text_vocab,
-                               max_batch=cfg.batch_size)
+            batch = make_batch(next(batches), gloss_vocab, text_vocab)
             running_stats = (model.spatial.bn_running_mean, model.spatial.bn_running_var)
             with Graph() as graph:
                 total, loss_r, loss_t, skipped = batch_losses(

@@ -6,7 +6,8 @@ runs causal self-attention over embedded target words, cross-attention over
 encoder outputs, and projects to word logits. Residual order is post-norm:
 sublayer, then add, then layer norm, with one extra norm closing each stack.
 
-All forwards accept a single sequence (S, d) or a batch (B, S, d). Disallowed
+All forwards accept inputs with any leading axes, (..., S, d): a single
+sequence (S, d) and a batch (B, S, d) run through the same code. Disallowed
 attention logits are filled with a large negative constant rather than -inf so
 every stored value stays finite; the fill underflows to an exact zero weight
 after softmax, which keeps masking bitwise-exact.
@@ -108,13 +109,6 @@ def _project_keys_values(keys_values: Tensor, attn: AttentionParams) -> tuple[Te
     return k, v
 
 
-def _checked_mask(mask) -> np.ndarray:
-    mask = np.asarray(mask, dtype=bool)
-    if not np.all(mask.any(axis=-1)):
-        raise ContractError("attention mask leaves a query row with no keys")
-    return mask
-
-
 def multi_head_attention(
     queries: Tensor,
     keys_values,
@@ -131,28 +125,21 @@ def multi_head_attention(
     values already projected and split into heads, as a (k, v) pair of
     (..., H, K, d/H) tensors (a DecoderCache holds such pairs).
 
-    mask[q, k] true means query position q may attend to key position k; it
-    may be (Q, K), (B, Q, K), or anything broadcastable to that, or None for
-    unrestricted attention. Every query row must keep at least one key; a
-    mask that comes with a projected pair is not checked again, as whoever
-    projected the pair checked it then.
+    mask[..., q, k] true means query position q may attend to key position
+    k. It is a boolean (..., Q, K) array, or one of rank >= 2 that
+    broadcasts to that, or None for unrestricted attention; it gains the
+    head axis here. Nothing here checks it: every query row must keep at
+    least one key, and the stack that builds a mask checks that once
+    (_key_mask).
 
     The heads' scaled scores, mask fill, softmax, dropout (in training) and
     weighted values are one autodiff.attention node.
     """
-    projected = isinstance(keys_values, tuple)
-    if mask is not None and not projected:
-        mask = _checked_mask(mask)
-
     dh = attn.d // attn.n_heads
     q = _split_heads(ad.linear(queries, attn.wq, attn.bq), attn.n_heads)
-    k, v = keys_values if projected else _project_keys_values(keys_values, attn)
-
-    fill = None
-    if mask is not None:
-        fill = ~mask
-        if fill.ndim == 3:  # (B, Q, K) gains a head axis
-            fill = fill[:, None]
+    k, v = (keys_values if isinstance(keys_values, tuple)
+            else _project_keys_values(keys_values, attn))
+    fill = None if mask is None else ~mask[..., None, :, :]  # (..., 1, Q, K)
     ctx = _merge_heads(ad.attention(
         q, k, v, 1.0 / np.sqrt(dh), fill, MASK_FILL,
         dropout_rate=dropout_rate if train else 0.0, rng=rng,
@@ -261,14 +248,19 @@ class DecoderStack:
         yield "word_proj.bias", self.word_b
 
 
-def _key_mask(pad_mask, batched: bool):
-    """Lift a real-position mask over keys to an attention mask shape."""
+def _key_mask(pad_mask) -> np.ndarray | None:
+    """Lift a (..., K) mask of real keys to an attention mask (..., 1, K).
+
+    The query axis it gains broadcasts over every query; None (every key
+    real) stays None. This is the one mask check of a stack: a row that
+    keeps no key raises ContractError.
+    """
     if pad_mask is None:
         return None
     pad_mask = np.asarray(pad_mask, dtype=bool)
-    if batched:
-        return pad_mask[:, None, :]  # (B, 1, K), broadcasts over queries
-    return pad_mask[None, :]  # (1, K)
+    if not np.all(pad_mask.any(axis=-1)):
+        raise ContractError("attention mask leaves a query row with no keys")
+    return pad_mask[..., None, :]
 
 
 def run_encoder(
@@ -285,8 +277,7 @@ def run_encoder(
     Padded positions are excluded from every key set, so representations at
     real positions never depend on padding content.
     """
-    batched = f_hat.ndim == 3
-    mask = _key_mask(pad_mask, batched)
+    mask = _key_mask(pad_mask)
     x = f_hat
     for block in stack.blocks:
         a = multi_head_attention(
@@ -308,10 +299,11 @@ class DecoderCache:
 
     One cache serves a batch of encoded sources z (B, S, d). Each layer's
     cross-attention keys and values are projected from z once, here, and
-    the key mask is checked once, here. The cache then holds rows, one per
-    hypothesis being extended: `select` makes each row continue a row of
-    the call before (before the first call, row i is source i), and each
-    run_decoder call appends the positions it feeds.
+    the source key mask is lifted and checked once, here (_key_mask). The
+    cache then holds rows, one per hypothesis being extended: `select`
+    makes each row continue a row of the call before (before the first
+    call, row i is source i), and each run_decoder call appends the
+    positions it feeds.
 
     The cache keeps the self-attention keys and values of every position
     fed, so a decoding step feeds only each row's new position. Cached
@@ -324,7 +316,7 @@ class DecoderCache:
     """
 
     def __init__(self, z: Tensor, src_pad_mask, stack: DecoderStack):
-        self._src_mask = _checked_mask(_key_mask(src_pad_mask, True))  # (B, 1, S)
+        self._src_mask = _key_mask(src_pad_mask)  # (B, 1, S)
         self._cross = [_project_keys_values(z, block.cross_attn) for block in stack.blocks]
         self.sources = np.arange(z.shape[0])  # the source each row decodes
         self.cross = self._cross  # per layer, gathered per row
@@ -382,13 +374,13 @@ def run_decoder(
     keys and values, and cross-attention reads the cache's, so z and
     src_pad_mask are unused.
     """
-    batched = m_hat.ndim == 3
     u = m_hat.shape[-2]
     past = 0 if cache is None else cache.length
-    # a cached one-position step may attend to every kept position
+    # a cached one-position step may attend to every kept position; the
+    # causal mask keeps each row's own position, so it needs no check
     causal = None if cache is not None and u == 1 else np.tril(
         np.ones((u, past + u), dtype=bool), k=past)
-    src_mask = _key_mask(src_pad_mask, batched) if cache is None else cache.cross_mask
+    src_mask = _key_mask(src_pad_mask) if cache is None else cache.cross_mask
     x = m_hat
     for i, block in enumerate(stack.blocks):
         keys = x if cache is None else cache.extend(i, x, block.self_attn)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -121,6 +122,53 @@ def oracle_chunk(scorers, caps, width, alpha, *, forbid=()):
                            forbid=forbid)
         for score, cap in zip(scorers, caps)
     ]
+
+
+class RandomDecoder:
+    """Deterministic pseudo-random logits per prefix; a stand-in for a model."""
+
+    def __init__(self, n_words, seed):
+        self.n_words = n_words
+        self.seed = seed
+
+    def prefix_logits(self, z, mask, prefix):
+        rng = np.random.default_rng((self.seed, len(prefix), *[p + 1 for p in prefix]))
+        return rng.normal(size=self.n_words) * 2.0
+
+    def prefix_logits_batch(self, z_batch, mask_batch, indices, prefixes):
+        return np.stack([self.prefix_logits(None, None, p) for p in prefixes])
+
+
+def exhaustive_best(decoder, n_words, max_len, alpha, eos_id: int = 2):
+    """Score every token sequence up to max_len under the beam's own rules."""
+    from signscribe.decoding import length_penalty
+
+    best = None
+    for length in range(1, max_len + 1):
+        for seq in itertools.product(range(n_words), repeat=length):
+            # <eos> anywhere except the end makes the sequence unreachable
+            if eos_id in seq[:-1]:
+                continue
+            finished = seq[-1] == eos_id
+            if not finished and length < max_len:
+                continue  # unfinished sequences only count at the cap
+            lp = 0.0
+            for u in range(length):
+                logits = decoder.prefix_logits(None, None, seq[:u])
+                shifted = logits - logits.max()
+                logq = shifted - np.log(np.exp(shifted).sum())
+                lp += logq[seq[u]]
+            cand = (seq, lp, finished)
+            if best is None:
+                best = cand
+            else:
+                b_seq, b_lp, b_fin = best
+                # finished hypotheses strictly outrank unfinished ones
+                if (finished, lp / length_penalty(length, alpha), tuple(-x for x in seq)) > (
+                    b_fin, b_lp / length_penalty(len(b_seq), alpha), tuple(-x for x in b_seq)
+                ):
+                    best = cand
+    return best
 
 
 _LOG2 = math.log(2.0)

@@ -1,11 +1,13 @@
 """Acceptance gate: one test per release criterion, one printed verdict line each.
 
 Run with `python3 -m pytest tests/test_acceptance.py -v -s` to see the verdict
-lines. Every oracle here is self-contained on purpose; the file asserts the
-shipped package against brute force, closed forms, and end-to-end runs at the
-exact scales and tolerances the criteria state. Criterion 7 is expected to
-fail; the assertion and the surrounding analysis are kept honest rather than
-tuned until green (see the notes in that test).
+lines. Every oracle here is self-contained on purpose, apart from criterion
+4's toy sentence decoder and exhaustive scorer (conftest.py's RandomDecoder
+and exhaustive_best, shared with tests/test_decoding.py); the file asserts
+the shipped package against brute force, closed forms, and end-to-end runs
+at the exact scales and tolerances the criteria state. Criterion 7 is
+expected to fail; the assertion and the surrounding analysis are kept honest
+rather than tuned until green (see the notes in that test).
 """
 
 import itertools
@@ -35,7 +37,7 @@ from signscribe.training import (
     train,
 )
 
-from conftest import assert_grad_close, finite_difference_grad
+from conftest import RandomDecoder, assert_grad_close, exhaustive_best, finite_difference_grad
 
 
 def _announce(n, ok, detail):
@@ -274,49 +276,6 @@ def test_criterion_3_bitwise_causality_and_masking():
 # Criterion 4: beam search equals exhaustive search at toy scale
 # ---------------------------------------------------------------------------
 
-_EOS = 2
-
-
-class _RandomDecoder:
-    """Deterministic pseudo-random logits per prefix; stands in for a model."""
-
-    def __init__(self, n_words, seed):
-        self.n_words = n_words
-        self.seed = seed
-
-    def prefix_logits(self, z, mask, prefix):
-        rng = np.random.default_rng((self.seed, len(prefix), *[p + 1 for p in prefix]))
-        return rng.normal(size=self.n_words) * 2.0
-
-    def prefix_logits_batch(self, z_batch, mask_batch, indices, prefixes):
-        return np.stack([self.prefix_logits(None, None, p) for p in prefixes])
-
-
-def _exhaustive_ar(decoder, n_words, max_len, alpha, eos_id=_EOS):
-    best = None
-    for length in range(1, max_len + 1):
-        for seq in itertools.product(range(n_words), repeat=length):
-            if eos_id in seq[:-1]:
-                continue
-            finished = seq[-1] == eos_id
-            if not finished and length < max_len:
-                continue
-            lp = 0.0
-            for u in range(length):
-                logits = decoder.prefix_logits(None, None, seq[:u])
-                shifted = logits - logits.max()
-                logq = shifted - np.log(np.exp(shifted).sum())
-                lp += logq[seq[u]]
-            if best is None:
-                best = (seq, lp, finished)
-                continue
-            b_seq, b_lp, b_fin = best
-            if (finished, lp / dec.length_penalty(length, alpha), tuple(-x for x in seq)) > (
-                b_fin, b_lp / dec.length_penalty(len(b_seq), alpha), tuple(-x for x in b_seq)
-            ):
-                best = (seq, lp, finished)
-    return best
-
 
 def _collapsed_scores(lp, blank=0):
     t, k = lp.shape
@@ -333,11 +292,11 @@ def test_criterion_4_beam_search_optimality():
     # width 27 explores every candidate and must match exhaustive scoring
     ar_checked = 0
     for seed in range(12):
-        toy = _RandomDecoder(3, 600 + seed)
+        toy = RandomDecoder(3, 600 + seed)
         for alpha in (0.0, 0.5, 1.0, 1.5, 2.0):
             cfg = DecodeConfig(beam_width=27, alpha=alpha, max_len=3)
             got = dec.ar_beam_search(None, None, toy, cfg)
-            want_seq, want_lp, _ = _exhaustive_ar(toy, 3, 3, alpha)
+            want_seq, want_lp, _ = exhaustive_best(toy, 3, 3, alpha)
             assert got.tokens == want_seq
             assert got.log_prob == pytest.approx(want_lp, abs=1e-10)
             ar_checked += 1

@@ -1,10 +1,12 @@
 """The package names the benchmark under perfbench/ depends on still exist.
 
 perfbench/spans.py wraps package functions by name, and perfbench/bench.py
-calls `training.checkpoint_save` with positional arguments. The benchmark's
-own smoke test runs outside this suite, so a refactor that drops or renames
-one of those names would only show when the benchmark runs. These checks
-read the perfbench files and change nothing there.
+calls into `cli`, `data`, `evaluation`, `metrics`, `training` and
+`RunConfig`, and reads module constants such as `evaluation.SWEEP_ALPHAS`.
+The benchmark's own smoke test runs outside this suite, so a refactor that
+drops, renames or trims one of those names would only show when the
+benchmark runs. These checks read the perfbench files and change nothing
+there.
 """
 
 import ast
@@ -13,7 +15,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from signscribe import training
+from signscribe import cli, data, evaluation, metrics, training
+from signscribe.config import RunConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -43,17 +46,68 @@ def test_every_span_target_resolves():
     assert missing == []
 
 
-def checkpoint_save_calls():
-    """The `training.checkpoint_save(...)` calls in perfbench/bench.py."""
-    tree = ast.parse((PERFBENCH / "bench.py").read_text(encoding="utf-8"))
-    return [node for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "checkpoint_save"
-            and isinstance(node.func.value, ast.Name) and node.func.value.id == "training"]
+# the package names perfbench/bench.py imports, as it refers to them
+BENCH_NAMES = {"cli": cli, "data": data, "evaluation": evaluation, "metrics": metrics,
+               "training": training, "RunConfig": RunConfig}
+
+
+def bench_tree() -> ast.Module:
+    return ast.parse((PERFBENCH / "bench.py").read_text(encoding="utf-8"))
+
+
+def module_reads():
+    """Each `module.attr` that perfbench/bench.py reads from a package module."""
+    return [node for node in ast.walk(bench_tree())
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in BENCH_NAMES and inspect.ismodule(BENCH_NAMES[node.value.id])]
+
+
+def test_every_module_attribute_the_benchmark_reads_exists():
+    reads = module_reads()
+    assert {"evaluation.SWEEP_ALPHAS", "data.SPLITS"} <= {
+        f"{node.value.id}.{node.attr}" for node in reads}
+    missing = [f"{node.value.id}.{node.attr} (line {node.lineno})" for node in reads
+               if not hasattr(BENCH_NAMES[node.value.id], node.attr)]
+    assert missing == []
+
+
+def package_calls():
+    """(callee name, call node) for each call perfbench/bench.py makes into the package."""
+    out = []
+    for node in ast.walk(bench_tree()):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in BENCH_NAMES:
+            out.append((func.id, node))
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and func.value.id in BENCH_NAMES):
+            out.append((f"{func.value.id}.{func.attr}", node))
+    return out
+
+
+def test_every_benchmark_call_binds_the_current_signature():
+    calls = package_calls()
+    assert {"RunConfig", "cli.main", "evaluation.evaluate_corpus", "metrics.bleu",
+            "data.load_corpus"} <= {name for name, _ in calls}
+    unbound = []
+    for name, call in calls:
+        owner, _, attr = name.partition(".")
+        target = getattr(BENCH_NAMES[owner], attr) if attr else BENCH_NAMES[owner]
+        # bench.py passes no *args or **kwargs, so the call's shape is all in the source
+        assert not any(isinstance(arg, ast.Starred) for arg in call.args), name
+        assert all(kw.arg is not None for kw in call.keywords), name
+        try:
+            # placeholders stand in for the values; only their number and names matter
+            inspect.signature(target).bind(*[None] * len(call.args),
+                                           **{kw.arg: None for kw in call.keywords})
+        except TypeError as err:
+            unbound.append(f"{name} (line {call.lineno}): {err}")
+    assert unbound == []
 
 
 def test_checkpoint_save_binds_the_benchmark_call():
-    calls = checkpoint_save_calls()
+    calls = [call for name, call in package_calls() if name == "training.checkpoint_save"]
     assert calls, "perfbench/bench.py no longer calls training.checkpoint_save"
     signature = inspect.signature(training.checkpoint_save)
     for call in calls:

@@ -324,7 +324,7 @@ class TestMakeBatch:
         batch = data.make_batch([self.sample("s", 3, ["A"], ["x", "y"])], gloss, text)
         assert batch.features.shape == (1, 3, 4)
         assert batch.src_mask.all()
-        assert batch.target_mask.all()
+        assert (batch.text_out != TEXT_PAD).all()
         assert batch.frame_counts == (3,)
 
     def test_two_lengths_padding_and_masks(self):
@@ -352,7 +352,7 @@ class TestMakeBatch:
         y, x = text.index("y"), text.index("x")
         assert batch.text_in[0].tolist() == [TEXT_BOS, y, x]
         assert batch.text_out[0].tolist() == [y, x, TEXT_EOS]
-        assert batch.target_mask[0].all()
+        assert (batch.text_out[0] != TEXT_PAD).all()
 
     def test_shifted_rows_padded(self):
         gloss, text = self.vocabs()
@@ -367,18 +367,12 @@ class TestMakeBatch:
         x = text.index("x")
         assert batch.text_in[0].tolist() == [TEXT_BOS, x, TEXT_PAD, TEXT_PAD]
         assert batch.text_out[0].tolist() == [x, TEXT_EOS, TEXT_PAD, TEXT_PAD]
-        assert batch.target_mask[0].tolist() == [True, True, False, False]
+        assert (batch.text_out[0] != TEXT_PAD).tolist() == [True, True, False, False]
 
     def test_empty_batch_rejected(self):
         gloss, text = self.vocabs()
         with pytest.raises(ContractError):
             data.make_batch([], gloss, text)
-
-    def test_cap_enforced(self):
-        gloss, text = self.vocabs()
-        samples = [self.sample(f"s{i}", 2, ["A"], ["x"]) for i in range(3)]
-        with pytest.raises(ContractError):
-            data.make_batch(samples, gloss, text, max_batch=2)
 
     def test_mixed_widths_rejected(self):
         gloss, text = self.vocabs()

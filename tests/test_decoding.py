@@ -11,7 +11,14 @@ from signscribe import decoding as dec
 from signscribe.decoding import DecodeConfig, Hypothesis
 from signscribe.errors import ConfigError, ContractError
 
-from conftest import log_add, oracle_beam_search, oracle_chunk, oracle_ctc_beam_search
+from conftest import (
+    RandomDecoder,
+    exhaustive_best,
+    log_add,
+    oracle_beam_search,
+    oracle_chunk,
+    oracle_ctc_beam_search,
+)
 
 EOS = 2
 
@@ -54,51 +61,6 @@ class ToyDecoder:
 
     def prefix_logits_batch(self, z_batch, mask_batch, indices, prefixes):
         return np.stack([self.prefix_logits(None, None, p) for p in prefixes])
-
-
-class RandomDecoder:
-    """Deterministic pseudo-random logits per prefix; a stand-in for a model."""
-
-    def __init__(self, n_words, seed):
-        self.n_words = n_words
-        self.seed = seed
-
-    def prefix_logits(self, z, mask, prefix):
-        rng = np.random.default_rng((self.seed, len(prefix), *[p + 1 for p in prefix]))
-        return rng.normal(size=self.n_words) * 2.0
-
-    def prefix_logits_batch(self, z_batch, mask_batch, indices, prefixes):
-        return np.stack([self.prefix_logits(None, None, p) for p in prefixes])
-
-
-def exhaustive_best(decoder, n_words, max_len, alpha, eos_id=EOS):
-    """Score every token sequence up to max_len under the beam's own rules."""
-    best = None
-    for length in range(1, max_len + 1):
-        for seq in itertools.product(range(n_words), repeat=length):
-            # <eos> anywhere except the end makes the sequence unreachable
-            if eos_id in seq[:-1]:
-                continue
-            finished = seq[-1] == eos_id
-            if not finished and length < max_len:
-                continue  # unfinished sequences only count at the cap
-            lp = 0.0
-            for u in range(length):
-                logits = decoder.prefix_logits(None, None, seq[:u])
-                shifted = logits - logits.max()
-                logq = shifted - np.log(np.exp(shifted).sum())
-                lp += logq[seq[u]]
-            cand = (seq, lp, finished)
-            if best is None:
-                best = cand
-            else:
-                b_seq, b_lp, b_fin = best
-                # finished hypotheses strictly outrank unfinished ones
-                if (finished, lp / dec.length_penalty(length, alpha), tuple(-x for x in seq)) > (
-                    b_fin, b_lp / dec.length_penalty(len(b_seq), alpha), tuple(-x for x in b_seq)
-                ):
-                    best = cand
-    return best
 
 
 class TestCollapse:
@@ -265,8 +227,8 @@ class TestHypothesis:
             Hypothesis((1,), 0.5, False)
 
     def test_words_strips_trailing_eos(self):
-        assert Hypothesis((4, 5, EOS), -1.0, True).words(EOS) == (4, 5)
-        assert Hypothesis((4, 5), -1.0, False).words(EOS) == (4, 5)
+        assert Hypothesis((4, 5, EOS), -1.0, True).words() == (4, 5)
+        assert Hypothesis((4, 5), -1.0, False).words() == (4, 5)
 
 
 class TestDecodeConfig:
@@ -291,7 +253,7 @@ class TestArGreedy:
         logits[EOS] = 5.0
         toy = ToyDecoder({}, logits)
         hyp = dec.ar_greedy(None, None, toy, 10)
-        assert hyp.finished and hyp.tokens == (EOS,) and hyp.words(EOS) == ()
+        assert hyp.finished and hyp.tokens == (EOS,) and hyp.words() == ()
 
     def test_max_len_caps_output(self):
         logits = np.zeros(4)

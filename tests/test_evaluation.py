@@ -93,14 +93,6 @@ class TestEvaluateCorpus:
         b = evaluate_corpus(model, samples, gloss, text, "sign2gloss+text")
         assert a == b
 
-    def test_precomputed_encodings_give_same_report(self):
-        model, samples, gloss, text = small_setup()
-        encoded = encode_split(model, samples, gloss, text, "sign2gloss+text")
-        a = evaluate_corpus(model, samples, gloss, text, "sign2gloss+text",
-                            encoded=encoded)
-        b = evaluate_corpus(model, samples, gloss, text, "sign2gloss+text")
-        assert a == b
-
     def test_beam_settings_recorded(self):
         model, samples, gloss, text = small_setup()
         report = evaluate_corpus(model, samples, gloss, text,

@@ -7,7 +7,7 @@ from signscribe import autodiff as ad
 from signscribe import data, decoding, model as jm
 from signscribe import transformer as tf
 from signscribe.autodiff import Graph, Tensor
-from signscribe.data import GLOSS_SPECIALS, TEXT_EOS, TEXT_SPECIALS, Sample, Vocabulary
+from signscribe.data import GLOSS_SPECIALS, TEXT_PAD, TEXT_SPECIALS, Sample, Vocabulary
 from signscribe.errors import ConfigError, ContractError
 from signscribe.evaluation import FORBIDDEN_WORDS, encode_split
 from signscribe.losses import LossWeights, ctc_log_prob, translation_loss
@@ -217,7 +217,7 @@ class TestBatchConsistency:
             from signscribe.losses import CtcTarget
 
             per_r.append(-ctc_log_prob(log_p, CtcTarget(target)).data)
-            u = int(batch.target_mask[i].sum())
+            u = int((batch.text_out[i] != TEXT_PAD).sum())
             logits = m.word_logits(batch.text_in[i, :u], z, np.ones(t, dtype=bool))
             ref = batch.text_out[i, :u]
             per_t_sums.append(translation_loss(logits, ref).data * 1.0)
@@ -584,7 +584,7 @@ class TestOnePassPools:
             caps = [max(1, 3 * e - i % 4) for i, e in enumerate(estimates)]
             greedy = decoding.ar_greedy_batch(z, mask, m, caps, forbid=FORBIDDEN_WORDS)
             beams = decoding._search(z, mask, m, [(i, width, c) for i, c in enumerate(caps)],
-                                     TEXT_EOS, FORBIDDEN_WORDS)
+                                     FORBIDDEN_WORDS)
             pools = decoding.ar_beam_pools(z, mask, m, width, caps, forbid=FORBIDDEN_WORDS)
             assert len(pools) == len(caps)
             for i, (pool, b, g) in enumerate(zip(pools, beams, greedy)):

@@ -102,13 +102,6 @@ class TestMultiHeadAttention:
         for b in range(3):
             assert out[b] == pytest.approx(ref_mha(xs[b], xs[b], mask[b], attn), abs=1e-12)
 
-    def test_fully_masked_query_rejected(self):
-        attn = make_attn(9)
-        x = Tensor(np.zeros((2, D)))
-        mask = np.array([[True, True], [False, False]])
-        with pytest.raises(ContractError):
-            tf.multi_head_attention(x, x, mask, attn)
-
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ConfigError):
             tf.AttentionParams(6, 4, np.random.default_rng(0))
@@ -300,6 +293,15 @@ class TestDecoder:
             ).data
             assert out[b] == pytest.approx(single, abs=1e-12)
 
+    def test_source_row_without_keys_rejected(self):
+        # the uncached decoder checks its source mask once, before any layer
+        stack = self.make_stack()
+        m = Tensor(np.zeros((2, 3, D)))
+        z = Tensor(np.zeros((2, 4, D)))
+        src_mask = np.array([[1, 1, 0, 0], [0, 0, 0, 0]], dtype=bool)
+        with pytest.raises(ContractError):
+            tf.run_decoder(m, z, src_mask, stack)
+
     def test_gradients_reach_all_parameter_groups(self):
         # One backward pass touches every decoder parameter (no dead wiring).
         stack = self.make_stack(n_layers=1, seed=51)
@@ -399,10 +401,9 @@ def uncached_mha(queries, keys_values, mask, attn, train, rng, dropout_rate):
 
 
 def uncached_run_decoder(m_hat, z, src_pad_mask, stack, train, rng, dropout_rate):
-    batched = m_hat.ndim == 3
     u = m_hat.shape[-2]
     causal = np.tril(np.ones((u, u), dtype=bool))
-    src_mask = tf._key_mask(src_pad_mask, batched)
+    src_mask = src_pad_mask[:, None, :]
     x = m_hat
     for block in stack.blocks:
         a = uncached_mha(x, x, causal, block.self_attn, train, rng, dropout_rate)
