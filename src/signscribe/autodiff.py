@@ -318,7 +318,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
     return _record(a.data.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
 
 
@@ -421,9 +421,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6, *,
     if residual is not None and residual.shape != x.shape:
         raise DimensionError(f"layer_norm residual {residual.shape} must match {x.shape}")
     xs = x.data if residual is None else x.data + residual.data
-    xhat = xs - xs.mean(axis=-1, keepdims=True)
-    # the same bits as np.var: the mean of the squared centred values
-    var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
+    # np.add.reduce(...) / d is the sum and division ndarray.mean makes, so the
+    # same bits, without its Python wrapper; var is np.var's mean of squares
+    xhat = xs - np.add.reduce(xs, axis=-1, keepdims=True) / d
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std
     out = xhat * gain.data
@@ -432,9 +433,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6, *,
 
     def bwd(g):
         gg = g * gain_data
-        gx = gg - gg.mean(axis=-1, keepdims=True)
+        gx = gg - np.add.reduce(gg, axis=-1, keepdims=True) / d
         gg *= xhat
-        gx -= xhat * gg.mean(axis=-1, keepdims=True)
+        gx -= xhat * (np.add.reduce(gg, axis=-1, keepdims=True) / d)
         gx *= inv_std
         lead = tuple(range(g.ndim - 1))
         dgain = (g * xhat).sum(axis=lead) if lead else g * xhat
@@ -473,7 +474,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, fill=None,
     probs = np.matmul(q_data, np.swapaxes(k_data, -1, -2))
     probs *= scale
     if fill is not None:
-        probs = np.where(fill, fill_value, probs)
+        np.copyto(probs, fill_value, where=fill)
     # the softmax, in place
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
@@ -493,7 +494,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, fill=None,
         g_weights -= dot
         g_scores = probs * g_weights
         if fill is not None:
-            g_scores = np.where(fill, 0.0, g_scores)
+            np.copyto(g_scores, 0.0, where=fill)
         g_scores *= scale
         gq = np.matmul(g_scores, k_data)
         gk = np.swapaxes(np.matmul(np.swapaxes(q_data, -1, -2), g_scores), -1, -2)

@@ -51,28 +51,28 @@ def wer(reference, hypothesis) -> WerReport:
     if not ref:
         raise ContractError("WER needs a non-empty reference")
     r, h = len(ref), len(hyp)
-    dist = np.zeros((r + 1, h + 1), dtype=np.int64)
-    dist[:, 0] = np.arange(r + 1)
-    dist[0, :] = np.arange(h + 1)
+    # Python lists: at sentence lengths the cost is element access, not
+    # arithmetic, and a list's is cheaper than an ndarray's
+    dist = [list(range(h + 1))] + [[i] + [0] * h for i in range(1, r + 1)]
     for i in range(1, r + 1):
+        prev, row, token = dist[i - 1], dist[i], ref[i - 1]
         for j in range(1, h + 1):
-            same = ref[i - 1] == hyp[j - 1]
-            dist[i, j] = min(
-                dist[i - 1, j - 1] + (0 if same else 1),
-                dist[i, j - 1] + 1,
-                dist[i - 1, j] + 1,
+            row[j] = min(
+                prev[j - 1] + (0 if token == hyp[j - 1] else 1),
+                row[j - 1] + 1,
+                prev[j] + 1,
             )
 
     subs = dels = ins = 0
     i, j = r, h
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and dist[i, j] == dist[i - 1, j - 1] + (
+        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + (
             0 if ref[i - 1] == hyp[j - 1] else 1
         ):
             if ref[i - 1] != hyp[j - 1]:
                 subs += 1
             i, j = i - 1, j - 1
-        elif j > 0 and dist[i, j] == dist[i, j - 1] + 1:
+        elif j > 0 and dist[i][j] == dist[i][j - 1] + 1:
             ins += 1
             j -= 1
         else:

@@ -115,12 +115,16 @@ def multi_head_attention(
     mask,
     attn: AttentionParams,
     *,
+    queries_projected: bool = False,
     train: bool = False,
     rng: np.random.Generator | None = None,
     dropout_rate: float = 0.0,
 ) -> Tensor:
     """Scaled dot-product attention with H heads.
 
+    queries is the (..., Q, d) input that attends, or, with
+    queries_projected, its queries already projected and split into heads,
+    a (..., H, Q, d/H) tensor (DecoderCache.extend returns such queries).
     keys_values is the (..., K, d) input to attend over, or its keys and
     values already projected and split into heads, as a (k, v) pair of
     (..., H, K, d/H) tensors (a DecoderCache holds such pairs).
@@ -136,7 +140,8 @@ def multi_head_attention(
     weighted values are one autodiff.attention node.
     """
     dh = attn.d // attn.n_heads
-    q = _split_heads(ad.linear(queries, attn.wq, attn.bq), attn.n_heads)
+    q = (queries if queries_projected
+         else _split_heads(ad.linear(queries, attn.wq, attn.bq), attn.n_heads))
     k, v = (keys_values if isinstance(keys_values, tuple)
             else _project_keys_values(keys_values, attn))
     fill = None if mask is None else ~mask[..., None, :, :]  # (..., 1, Q, K)
@@ -306,18 +311,30 @@ class DecoderCache:
     positions it feeds.
 
     The cache keeps the self-attention keys and values of every position
-    fed, so a decoding step feeds only each row's new position. Cached
-    logits equal a whole-prefix forward's up to round-off: a step projects
-    its rows' new positions as one matrix product, which may run on another
-    BLAS kernel than the product over a whole prefix and round differently.
-    For the same reason a row's logits depend on how many rows share the
-    step, again only up to round-off. Inference only: nothing in the cache
-    is on a tape.
+    fed, so a decoding step feeds only each row's new position. It also
+    holds each layer's self-attention wq|wk|wv as one (d, 3d) matrix and
+    bq|bk|bv as one (3d,) bias, joined once, here: a step projects its new
+    positions' queries, keys and values with one product per layer. Each
+    output column is the same dot product over d as in the separate
+    projections. Joining once is safe because a cache is inference only and
+    lives for one search, so no weight changes under it; nothing in the
+    cache is on a tape.
+
+    Cached logits equal a whole-prefix forward's up to round-off: a step
+    projects its rows' new positions as one matrix product, which may run
+    on another BLAS kernel than the product over a whole prefix and round
+    differently. For the same reason a row's logits depend on how many rows
+    share the step, again only up to round-off.
     """
 
     def __init__(self, z: Tensor, src_pad_mask, stack: DecoderStack):
         self._src_mask = _key_mask(src_pad_mask)  # (B, 1, S)
         self._cross = [_project_keys_values(z, block.cross_attn) for block in stack.blocks]
+        self._in_proj = [  # per layer: (d, 3d) weight, (3d,) bias, heads
+            (Tensor(np.concatenate([a.wq.data, a.wk.data, a.wv.data], axis=1)),
+             Tensor(np.concatenate([a.bq.data, a.bk.data, a.bv.data])), a.n_heads)
+            for a in (block.self_attn for block in stack.blocks)
+        ]
         self.sources = np.arange(z.shape[0])  # the source each row decodes
         self.cross = self._cross  # per layer, gathered per row
         self.cross_mask = self._src_mask
@@ -340,17 +357,22 @@ class DecoderCache:
         self.sources = sources
         self.self_kv = [(k[parents], v[parents]) for k, v in self.self_kv]
 
-    def extend(self, layer: int, x: Tensor, attn: AttentionParams) -> tuple[Tensor, Tensor]:
-        """One layer's keys and values for attending from new positions x (R, U, d).
+    def extend(self, layer: int, x: Tensor) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+        """One layer's self-attention operands for new positions x (R, U, d).
 
-        Returns the kept positions' followed by x's, and keeps them all.
+        Returns x's queries (R, H, U, d/H) and the (k, v) pair of the kept
+        positions' keys and values followed by x's, and keeps them all.
         """
-        new_k, new_v = _project_keys_values(x, attn)
+        w, b, n_heads = self._in_proj[layer]
+        qkv = ad.linear(x, w, b).data  # (R, U, 3d)
+        r, u, d3 = qkv.shape
+        heads = qkv.reshape(r, u, 3, n_heads, d3 // (3 * n_heads))
+        q, new_k, new_v = heads.transpose(2, 0, 3, 1, 4)  # each (R, H, U, d/H)
         old_k, old_v = self.self_kv[layer]
-        k = np.concatenate([old_k, new_k.data], axis=-2)
-        v = np.concatenate([old_v, new_v.data], axis=-2)
+        k = np.concatenate([old_k, new_k], axis=-2)
+        v = np.concatenate([old_v, new_v], axis=-2)
         self.self_kv[layer] = k, v
-        return Tensor(k), Tensor(v)
+        return Tensor(q), (Tensor(k), Tensor(v))
 
 
 def run_decoder(
@@ -383,9 +405,10 @@ def run_decoder(
     src_mask = _key_mask(src_pad_mask) if cache is None else cache.cross_mask
     x = m_hat
     for i, block in enumerate(stack.blocks):
-        keys = x if cache is None else cache.extend(i, x, block.self_attn)
+        queries, keys = (x, x) if cache is None else cache.extend(i, x)
         a = multi_head_attention(
-            x, keys, causal, block.self_attn, train=train, rng=rng, dropout_rate=dropout_rate
+            queries, keys, causal, block.self_attn, queries_projected=cache is not None,
+            train=train, rng=rng, dropout_rate=dropout_rate,
         )
         x = ad.layer_norm(x, block.norm1.gain, block.norm1.bias, residual=a)
         c = multi_head_attention(

@@ -276,6 +276,7 @@ def _fd_case(name, build, shape, seed, points=None):
 
 
 WEIGHT = np.random.default_rng(99).normal(size=(4, 3))
+WEIGHT_3D = np.random.default_rng(98).normal(size=(3, 4, 2))
 MASK = np.array([[False, True, False, True]] * 3)
 IDX = np.array([2, 0, 1])
 
@@ -309,6 +310,9 @@ IDX = np.array([2, 0, 1])
         ),
         ("take_along_last", lambda x: ad.take_along_last(x, IDX).sum(), (3, 4)),
         ("masked_fill", lambda x: (ad.softmax(ad.masked_fill(x, MASK, -1e30), axis=-1) * WEIGHT.T).sum(), (3, 4)),
+        # (1, 2, 0) is not its own inverse, so a backward that undid it with
+        # the same axes would put gradients in the wrong places
+        ("transpose_cycle", lambda x: (x.transpose((1, 2, 0)) * WEIGHT_3D).sum(), (2, 3, 4)),
     ],
 )
 def test_op_gradients_match_finite_differences(name, build, shape, seed):

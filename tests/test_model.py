@@ -554,6 +554,26 @@ class TestCachedSteps:
         for got, want in zip(without, with_mask):
             assert got.tobytes() == want.tobytes()
 
+    def test_step_makes_one_in_projection_per_self_attention_layer(self, monkeypatch):
+        # per layer: the joined q|k|v projection and the output projection of
+        # self-attention, the query and output projections of cross-attention
+        # (its keys and values come from the cache), and the FFN's two; then
+        # the word projection
+        m, z, mask = sharpened_chunk()
+        state = m.start(z, mask)
+        calls = []
+        linear = ad.linear
+
+        def counted(x, w, b):
+            calls.append(w.shape)
+            return linear(x, w, b)
+
+        monkeypatch.setattr(ad, "linear", counted)
+        m.step(state, list(range(5)), None)
+        n_layers = len(m.decoder.blocks)
+        assert len(calls) == 6 * n_layers + 1, calls
+        assert calls.count((m.d, 3 * m.d)) == n_layers
+
     def test_source_without_keys_rejected_at_start(self):
         m, z, mask = sharpened_chunk()
         mask = mask.copy()
