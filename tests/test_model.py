@@ -695,3 +695,54 @@ class TestLossRouting:
             assert np.isfinite(total.data)
             ad.backward(g, total)
         assert m.spatial.weight.grad is not None
+
+
+def ragged_fd_batch():
+    """Three samples of unequal frame, gloss and word counts, so every padded axis pads."""
+    rng = np.random.default_rng(30)
+    gloss = Vocabulary({"A", "B", "C"}, GLOSS_SPECIALS)
+    text = Vocabulary({"u", "v", "w"}, TEXT_SPECIALS)
+    samples = [
+        Sample("s0", rng.normal(size=(5, 3)).astype(np.float32), ("A", "B"), ("u", "v", "w")),
+        Sample("s1", rng.normal(size=(3, 3)).astype(np.float32), ("C",), ("w",)),
+        Sample("s2", rng.normal(size=(4, 3)).astype(np.float32), ("B", "A", "C"), ("v", "u")),
+    ]
+    return data.make_batch(samples, gloss, text), gloss, text
+
+
+class TestWholeModelGradients:
+    """The composed network's gradient against central differences.
+
+    Criterion 2 checks ops one at a time; this checks every trainable
+    parameter's gradient of batch_losses through the whole model on a
+    ragged padded batch, so a wrong join between ops (a mask, a residual,
+    a padded row that leaks) shows here.
+    """
+
+    @pytest.mark.parametrize("protocol,train", [("sign2gloss+text", True),
+                                                ("gloss2text", False)])
+    def test_batch_loss_gradient_matches_finite_differences(self, protocol, train):
+        from conftest import assert_grad_close, finite_difference_grad
+
+        batch, gloss, text = ragged_fd_batch()
+        m = JointModel(d_in=3, d=4, n_heads=2, n_enc_layers=1, n_dec_layers=1,
+                       n_glosses=len(gloss), n_words=len(text), d_ff=6, dropout=0.0, seed=31)
+        weights = LossWeights(1.0, 1.0)
+        params = m.trainable_parameters(protocol)
+        with Graph() as g:
+            total, _, _, skipped = batch_losses(m, batch, weights, protocol, train=train)
+            ad.backward(g, total)
+        assert skipped == []
+        analytic = {name: p.grad.copy() for name, p in params.items()}
+
+        for name, p in params.items():
+            original = p.data
+
+            def loss_at(x, p=p):
+                p.data = x
+                return float(batch_losses(m, batch, weights, protocol, train=train)[0].data)
+
+            numeric = finite_difference_grad(loss_at, original)
+            p.data = original
+            assert np.any(analytic[name]), name
+            assert_grad_close(analytic[name], numeric)
