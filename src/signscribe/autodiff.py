@@ -516,6 +516,34 @@ def embedding(table: Tensor, indices: np.ndarray) -> Tensor:
     return _record(out, (table,), bwd)
 
 
+def _place_rows(rows: np.ndarray, index: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
+    """(N, f) rows at the flat positions index of a zero (*lead, f) array."""
+    out = np.zeros((int(np.prod(lead)), rows.shape[-1]))
+    out[index] = rows
+    return out.reshape(*lead, rows.shape[-1])
+
+
+def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
+    """The rows of x (..., f) at flat positions index, packed as (N, f).
+
+    The leading axes of x fold into rows in C order. The backward is
+    scatter_rows: each row's gradient goes back to its position, and the
+    rows not gathered get zeros.
+    """
+    lead = x.shape[:-1]
+    out = x.data.reshape(-1, x.shape[-1])[index]
+    return _record(out, (x,), lambda g: (_place_rows(g, index, lead),))
+
+
+def scatter_rows(x: Tensor, index: np.ndarray, lead: tuple[int, ...]) -> Tensor:
+    """Packed rows x (N, f) placed at flat positions index of a zero (*lead, f) tensor.
+
+    The backward is gather_rows: the gradient rows at index, packed.
+    """
+    out = _place_rows(x.data, index, lead)
+    return _record(out, (x,), lambda g: (g.reshape(-1, g.shape[-1])[index],))
+
+
 def take_along_last(x: Tensor, indices: np.ndarray) -> Tensor:
     """Pick one entry per row along the last axis: out[...] = x[..., indices[...]]."""
     idx = np.asarray(indices)

@@ -258,9 +258,13 @@ def load_corpus(root, split: str) -> tuple[list[Sample], Vocabulary, Vocabulary]
 class Batch:
     """Padded, mask-delimited views of a list of samples.
 
-    text_in rows are <bos> followed by the sentence; text_out rows are the
-    sentence followed by <eos>, both padded with the text <pad> id, which
-    marks the positions the translation loss skips. Gloss rows are padded
+    Each padded axis has a mask of its real positions, which always form a
+    prefix of the row. The model packs a batch's real positions into rows
+    (transformer.Rows) and computes nothing at padded ones, so pad values
+    never matter; they are zeros and <pad> ids only to keep the arrays
+    defined. text_in rows are <bos> followed by the sentence; text_out rows
+    are the sentence followed by <eos>; both are padded with the text <pad>
+    id, and text_mask marks their real positions. Gloss rows are padded
     with the gloss <pad> id; gloss_mask marks their real positions and
     gloss_counts carries their true lengths for CTC.
     """
@@ -274,6 +278,7 @@ class Batch:
     gloss_counts: tuple[int, ...]
     text_in: np.ndarray  # (B, U_max+1) int64
     text_out: np.ndarray  # (B, U_max+1) int64
+    text_mask: np.ndarray  # (B, U_max+1) bool, real positions of text_in and text_out
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -313,7 +318,7 @@ def make_batch(samples, gloss_vocab: Vocabulary, text_vocab: Vocabulary) -> Batc
         [gloss_vocab.encode(s.glosses) for s in samples], GLOSS_PAD
     )
     words = [text_vocab.encode(s.sentence) for s in samples]
-    text_in, _ = pad_ids([[TEXT_BOS, *w] for w in words], TEXT_PAD)
+    text_in, text_mask = pad_ids([[TEXT_BOS, *w] for w in words], TEXT_PAD)
     text_out, _ = pad_ids([[*w, TEXT_EOS] for w in words], TEXT_PAD)
 
     return Batch(
@@ -326,6 +331,7 @@ def make_batch(samples, gloss_vocab: Vocabulary, text_vocab: Vocabulary) -> Batc
         gloss_counts=tuple(len(s.glosses) for s in samples),
         text_in=text_in,
         text_out=text_out,
+        text_mask=text_mask,
     )
 
 

@@ -1,8 +1,9 @@
 """Source and target embeddings.
 
-Frame features go through a linear projection, batch normalization over the
-time axis, and a ReLU. Target words are looked up in a learned table (a
-linear layer over one-hot vectors). Both get sinusoidal position vectors
+Frame features go through a linear projection, batch normalization over
+every real frame of the batch, and a ReLU. Target words are looked up in a
+learned table (a linear layer over one-hot vectors). Both take and return
+packed rows, one per real position, and get sinusoidal position vectors
 added by the caller before entering the attention stacks.
 """
 
@@ -54,20 +55,18 @@ class WordEmbedder:
 
 
 def _batch_norm_time(
-    x: Tensor, gain: Tensor, bias: Tensor, mask: np.ndarray, eps: float
+    x: Tensor, gain: Tensor, bias: Tensor, eps: float
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Batch-normalize per feature over the masked frame positions.
+    """Batch-normalize per feature over the frames x (n, d), every row a real frame.
 
-    Statistics come from real frames only; padded rows are normalized with the
-    same statistics so they never influence real outputs. The backward pass
-    carries the full batch-statistic coupling. Returns the output with the
-    per-feature mean and variance it normalized with.
+    The frames are the packed real positions of every sequence in the batch,
+    so the statistics cover the batch's time axes and no padding. The
+    backward pass carries the full batch-statistic coupling. Returns the
+    output with the per-feature mean and variance it normalized with.
     """
-    mask = np.asarray(mask, dtype=bool)
-    n = int(mask.sum())
-    sel = x.data[mask]  # (n, d)
-    mu = sel.mean(axis=0)
-    var = sel.var(axis=0)
+    n = x.shape[0]
+    mu = x.data.mean(axis=0)
+    var = x.data.var(axis=0)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv_std
     out = xhat * gain.data + bias.data
@@ -75,13 +74,12 @@ def _batch_norm_time(
 
     def bwd(g):
         gg = g * gain_data
-        lead = tuple(range(g.ndim - 1))
-        s1 = gg.sum(axis=lead)
-        s2 = (gg * xhat).sum(axis=lead)
+        s1 = gg.sum(axis=0)
+        s2 = (gg * xhat).sum(axis=0)
         gx = gg * inv_std
-        gx[mask] -= inv_std * (s1 / n + xhat[mask] * (s2 / n))
-        dgain = (g * xhat).sum(axis=lead)
-        dbias = g.sum(axis=lead)
+        gx -= inv_std * (s1 / n + xhat * (s2 / n))
+        dgain = (g * xhat).sum(axis=0)
+        dbias = g.sum(axis=0)
         return gx, dgain, dbias
 
     return ad.custom_op(out, (x, gain, bias), bwd), mu, var
@@ -103,15 +101,19 @@ class SpatialEmbedder:
         self.bn_eps = BN_EPS
         self.train_mode = True
 
-    def embed_batch(self, features: Tensor, mask: np.ndarray) -> Tensor:
-        """features (..., T, d_in) with mask (..., T) marking real frames -> (..., T, d)."""
-        if features.shape[-1] != self.d_in:
+    def embed_batch(self, frames: Tensor) -> Tensor:
+        """A batch's real frames, packed (N, d_in), -> (N, d).
+
+        In training the batch statistics are taken over all N rows, so every
+        row must be a real frame.
+        """
+        if frames.ndim != 2 or frames.shape[-1] != self.d_in:
             raise DimensionError(
-                f"expected frame features of width {self.d_in}, got {features.shape[-1]}"
+                f"expected packed frames (N, {self.d_in}), got shape {frames.shape}"
             )
-        h = ad.linear(features, self.weight, self.bias)
+        h = ad.linear(frames, self.weight, self.bias)
         if self.train_mode:
-            normed, mu, var = _batch_norm_time(h, self.bn_gain, self.bn_bias, mask, self.bn_eps)
+            normed, mu, var = _batch_norm_time(h, self.bn_gain, self.bn_bias, self.bn_eps)
             m = self.bn_momentum
             self.bn_running_mean = (1 - m) * self.bn_running_mean + m * mu
             self.bn_running_var = (1 - m) * self.bn_running_var + m * var
@@ -123,5 +125,4 @@ class SpatialEmbedder:
 
     def embed(self, frames) -> Tensor:
         """Single sequence (T, d_in) -> (T, d)."""
-        x = frames if isinstance(frames, Tensor) else Tensor(frames)
-        return self.embed_batch(x, np.ones(x.shape[0], dtype=bool))
+        return self.embed_batch(frames if isinstance(frames, Tensor) else Tensor(frames))

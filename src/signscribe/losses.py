@@ -9,10 +9,13 @@ numerically for long sequences.
 
 One CTC lattice recursion gives both the prefix (alpha) and the suffix
 (beta) variables: beta is alpha of the mirrored lattice. The recursion runs
-on a batch at once: recognition_loss_batch pads the extended targets to
-(B, 2 * N_max + 1), mirrors each sample within its own frame count and
-target length, and records the whole batch loss as one tape node.
-ctc_log_prob is the batch-of-one call of the same recursion.
+on a batch at once: recognition_loss_batch reads the frames padded to
+(B, T_max) (the lattice is the one place outside attention where a training
+step sees padding), pads the extended targets to (B, 2 * N_max + 1),
+mirrors each sample within its own frame count and target length, and
+records the whole batch loss as one tape node.
+ctc_log_prob is the batch-of-one call of the same recursion. The batch
+cross-entropy reads packed rows too: one per real target token.
 
 The per-sequence forms are the oracles the batch forms are checked against:
 summing ctc_log_prob terms in batch order reproduces recognition_loss_batch
@@ -267,24 +270,15 @@ def recognition_loss_batch(
     return ad.custom_op(np.asarray(total * scale), (x,), bwd), skipped
 
 
-def translation_loss_batch(
-    word_logits: Tensor,
-    references: np.ndarray,
-    pad_id: int,
-) -> Tensor:
-    """Batch translation loss: -log q averaged over all non-padded tokens.
+def translation_loss_batch(word_logits: Tensor, references) -> Tensor:
+    """Batch translation loss: -log q averaged over every real target token.
 
-    references is (B, U_max) padded with pad_id.
+    word_logits (N, V) and references (N,) hold one row per real target
+    token of the batch, packed: padded positions are not passed at all.
     """
     refs = np.asarray(references, dtype=np.int64)
-    if word_logits.ndim != 3 or word_logits.shape[:2] != refs.shape:
-        raise DimensionError(
-            f"word logits {word_logits.shape} do not cover references {refs.shape}"
-        )
-    real = refs != pad_id
-    if not real.any():
+    if refs.ndim != 1:
+        raise DimensionError(f"expected packed (N,) references, got shape {refs.shape}")
+    if not refs.size:
         raise ContractError("batch contains no real target tokens")
-    logq = ad.log_softmax(word_logits, axis=-1)
-    picked = ad.take_along_last(logq, np.where(real, refs, 0))
-    picked = ad.masked_fill(picked, ~real, 0.0)
-    return ad.neg(ad.tensor_sum(picked)) * (1.0 / int(real.sum()))
+    return translation_loss(word_logits, refs) * (1.0 / refs.size)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import TEXT_BOS, TEXT_PAD
+from .data import TEXT_BOS
 from .embeddings import SpatialEmbedder, WordEmbedder, positional_encoding
 from .errors import ConfigError, ContractError
 from .losses import (
@@ -44,6 +44,7 @@ from .transformer import (
     DecoderCache,
     DecoderStack,
     EncoderStack,
+    Rows,
     gloss_logits,
     run_encoder,
     run_decoder,
@@ -154,32 +155,45 @@ class JointModel:
             self._pe_cache[length] = pe
         return pe
 
-    def _embed_sequence(self, x: Tensor, train: bool, rng) -> Tensor:
-        x = x + self._positions(x.shape[-2])
+    def _embed_rows(self, x: Tensor, rows: Rows, train: bool, rng) -> Tensor:
+        """Packed embedded rows plus each one's position vector, then dropout."""
+        x = x + Tensor(self._positions(rows.mask.shape[-1]).data[rows.positions])
         if train and self.dropout > 0.0:
             if rng is None:
                 raise ContractError("training forward passes need an rng for dropout")
             x = ad.dropout(x, self.dropout, rng)
         return x
 
-    def encode_frames(self, features, src_mask, *, train: bool = False, rng=None) -> Tensor:
-        """Frames (..., T, d_in) with pad mask (..., T) -> representations z."""
-        x = features if isinstance(features, Tensor) else Tensor(np.asarray(features, dtype=np.float64))
-        mask = np.asarray(src_mask, dtype=bool)
+    def _encode_frame_rows(self, features, rows: Rows, train: bool, rng) -> Tensor:
+        x = ad.as_tensor(features)
         self.spatial.train_mode = train
-        f = self._embed_sequence(self.spatial.embed_batch(x, mask), train, rng)
-        return run_encoder(f, mask, self.encoder, train=train, rng=rng,
+        f = self._embed_rows(self.spatial.embed_batch(rows.gather(x)), rows, train, rng)
+        return run_encoder(f, rows, self.encoder, train=train, rng=rng,
                            dropout_rate=self.dropout)
 
-    def encode_glosses(self, gloss_ids, src_mask, *, train: bool = False, rng=None) -> Tensor:
-        """Gloss token ids (B, N) or (N,) -> representations z (text-input protocol)."""
-        m = self.gloss_words.embed(gloss_ids)
-        m = self._embed_sequence(m, train, rng)
-        return run_encoder(m, np.asarray(src_mask, dtype=bool), self.encoder,
-                           train=train, rng=rng, dropout_rate=self.dropout)
+    def _encode_gloss_rows(self, gloss_ids, rows: Rows, train: bool, rng) -> Tensor:
+        m = self._embed_rows(self.gloss_words.embed(rows.pack(gloss_ids)), rows, train, rng)
+        return run_encoder(m, rows, self.encoder, train=train, rng=rng,
+                           dropout_rate=self.dropout)
 
-    def encode(self, batch, protocol: str, *, train: bool = False, rng=None):
-        """Encode a Batch from the protocol's input -> (z, key mask).
+    def encode_frames(self, features, src_mask, *, train: bool = False, rng=None) -> Tensor:
+        """Frames (..., T, d_in) with pad mask (..., T) -> representations z (..., T, d).
+
+        Only real frames are computed; z is zero at padded frames.
+        """
+        rows = Rows(src_mask)
+        return rows.scatter(self._encode_frame_rows(features, rows, train, rng))
+
+    def encode_glosses(self, gloss_ids, src_mask, *, train: bool = False, rng=None) -> Tensor:
+        """Gloss token ids (B, N) or (N,) -> representations z (text-input protocol).
+
+        Only real positions are computed; z is zero at padded ones.
+        """
+        rows = Rows(src_mask)
+        return rows.scatter(self._encode_gloss_rows(gloss_ids, rows, train, rng))
+
+    def _encode_rows(self, batch, protocol: str, *, train: bool = False, rng=None):
+        """Encode a Batch from the protocol's input -> (packed z (N, d), its Rows).
 
         Gloss input reads an empty gloss row as one <pad> token, so every
         row keeps a key to attend to.
@@ -187,20 +201,38 @@ class JointModel:
         if protocol in GLOSS_INPUT:
             mask = batch.gloss_mask.copy()
             mask[:, 0] |= ~mask.any(axis=1)
-            return self.encode_glosses(batch.gloss_ids, mask, train=train, rng=rng), mask
-        z = self.encode_frames(batch.features, batch.src_mask, train=train, rng=rng)
-        return z, batch.src_mask
+            rows = Rows(mask)
+            return self._encode_gloss_rows(batch.gloss_ids, rows, train, rng), rows
+        rows = Rows(batch.src_mask)
+        return self._encode_frame_rows(batch.features, rows, train, rng), rows
+
+    def encode(self, batch, protocol: str, *, train: bool = False, rng=None):
+        """Encode a Batch from the protocol's input -> (z (B, S, d), key mask)."""
+        z, rows = self._encode_rows(batch, protocol, train=train, rng=rng)
+        return rows.scatter(z), rows.mask
 
     def frame_gloss_log_probs(self, z: Tensor) -> Tensor:
         """Per-frame log-distribution over the gloss vocabulary (column 0 = blank)."""
         return ad.log_softmax(gloss_logits(z, self.encoder), axis=-1)
 
+    def _word_rows(self, text_in, rows: Rows, z: Tensor, src_rows: Rows, train: bool,
+                   rng) -> Tensor:
+        """Packed word logits (N, V) for the real positions of text_in under rows."""
+        m = self._embed_rows(self.words.embed(rows.pack(text_in)), rows, train, rng)
+        return run_decoder(m, z, src_rows, self.decoder, rows=rows, train=train, rng=rng,
+                           dropout_rate=self.dropout)
+
     def word_logits(self, text_in, z: Tensor, src_mask, *, train: bool = False, rng=None) -> Tensor:
-        """Teacher-forced word scores for shifted target rows."""
-        m = self.words.embed(text_in)
-        m = self._embed_sequence(m, train, rng)
-        return run_decoder(m, z, np.asarray(src_mask, dtype=bool), self.decoder,
-                           train=train, rng=rng, dropout_rate=self.dropout)
+        """Teacher-forced word scores (..., U, V) for shifted target rows (..., U).
+
+        Every target position is read as real; z (..., S, d) is read at the
+        real positions of src_mask only.
+        """
+        text_in = np.asarray(text_in, dtype=np.int64)
+        rows = Rows(np.ones(text_in.shape, dtype=bool))
+        src_rows = Rows(src_mask)
+        return rows.scatter(self._word_rows(text_in, rows, src_rows.gather(z), src_rows,
+                                            train, rng))
 
     # -- decoding pathway ------------------------------------------------------
 
@@ -226,8 +258,7 @@ class JointModel:
         t = state.length
         m = self.words.embed(np.asarray(words, dtype=np.int64)[:, None])
         m = m + self._positions(t + 1).data[t]
-        logits = run_decoder(m, None, None, self.decoder, cache=state)
-        return np.asarray(logits.data[:, -1, :])
+        return run_decoder(m, None, None, self.decoder, cache=state).data
 
     def prefix_logits(self, z, src_mask, prefix) -> np.ndarray:
         """Next-word logits after a bos-free prefix, for one source sequence."""
@@ -281,12 +312,13 @@ def batch_losses(
     if protocol not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {protocol!r}, expected one of {PROTOCOLS}")
 
-    z, src_mask = model.encode(batch, protocol, train=train, rng=rng)
+    z, src_rows = model._encode_rows(batch, protocol, train=train, rng=rng)
 
     loss_r = None
     skipped: list[int] = []
     if protocol in RECOGNITION:
-        log_p = model.frame_gloss_log_probs(z)
+        # the lattice reads frames padded to (B, T_max)
+        log_p = src_rows.scatter(model.frame_gloss_log_probs(z))
         targets = [
             CtcTarget(tuple(int(g) for g in batch.gloss_ids[i, :n]))
             for i, n in enumerate(batch.gloss_counts)
@@ -295,8 +327,9 @@ def batch_losses(
 
     loss_t = None
     if protocol in TRANSLATION:
-        logits = model.word_logits(batch.text_in, z, src_mask, train=train, rng=rng)
-        loss_t = translation_loss_batch(logits, batch.text_out, TEXT_PAD)
+        rows = Rows(batch.text_mask)
+        logits = model._word_rows(batch.text_in, rows, z, src_rows, train, rng)
+        loss_t = translation_loss_batch(logits, rows.pack(batch.text_out))
 
     parts = []
     if loss_r is not None and weights.lambda_r > 0:

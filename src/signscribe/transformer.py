@@ -6,11 +6,19 @@ runs causal self-attention over embedded target words, cross-attention over
 encoder outputs, and projects to word logits. Residual order is post-norm:
 sublayer, then add, then layer norm, with one extra norm closing each stack.
 
-All forwards accept inputs with any leading axes, (..., S, d): a single
-sequence (S, d) and a batch (B, S, d) run through the same code. Disallowed
+Activations between attention sites are packed real rows, (N, d): the
+positions a Rows layout marks real, in row-major order, so a ragged batch's
+projections, feed-forward layers and layer norms compute no padded position.
+Only attention sees the padded (..., S, d) layout: each site scatters its
+queries, keys and values into it (one row scatter each, whose padded rows
+are zeros) and gathers the weighted values back out before the output
+projection. With nothing padded, as for a single sequence or a cached decode
+step, the scatter and the gather are reshapes. A stack given no layout
+(None) reads every position of its (..., S, d) input as real. Disallowed
 attention logits are filled with a large negative constant rather than -inf so
 every stored value stays finite; the fill underflows to an exact zero weight
-after softmax, which keeps masking bitwise-exact.
+after softmax, which keeps masking bitwise-exact and keeps padded keys from
+reaching any real row.
 
 On the tape, the scores, mask fill, softmax, attention dropout and weighting
 of the values are one `autodiff.attention` node per attention site, and each
@@ -30,6 +38,52 @@ from .errors import ConfigError, ContractError
 
 MASK_FILL = -1e30
 DEFAULT_D_FF = 2048
+
+
+class Rows:
+    """Where the real positions of a padded (..., S) layout sit.
+
+    mask[..., s] is true at real positions. Packed rows are those positions
+    in row-major order, (N, f); index holds their flat positions, or None
+    when every position is real, and then packing and unpacking are
+    reshapes. One Rows serves every layer of a batch's stack.
+    """
+
+    def __init__(self, mask):
+        self.mask = np.asarray(mask, dtype=bool)
+        real = self.mask.ravel()
+        self.index = None if real.all() else np.flatnonzero(real)
+
+    @property
+    def positions(self) -> np.ndarray:
+        """Each packed row's position within its sequence, (N,)."""
+        return np.nonzero(self.mask)[-1]
+
+    def pack(self, a) -> np.ndarray:
+        """A constant (..., S, *f) array's real rows, (N, *f); records nothing."""
+        a = np.asarray(a)
+        flat = a.reshape(-1, *a.shape[self.mask.ndim:])
+        return flat if self.index is None else flat[self.index]
+
+    def gather(self, x: Tensor) -> Tensor:
+        """(..., S, f) -> the packed real rows (N, f)."""
+        if self.index is None:
+            return x.reshape((-1, x.shape[-1]))
+        return ad.gather_rows(x, self.index)
+
+    def scatter(self, x: Tensor) -> Tensor:
+        """Packed rows (N, f) -> (..., S, f), with zeros at padded positions."""
+        if self.index is None:
+            return x.reshape((*self.mask.shape, x.shape[-1]))
+        return ad.scatter_rows(x, self.index, self.mask.shape)
+
+
+def _dense(x: Tensor, rows: Rows | None) -> tuple[Tensor, Rows]:
+    """x packed under rows; with rows None, every position of x (..., S, d) is real."""
+    if rows is not None:
+        return x, rows
+    rows = Rows(np.ones(x.shape[:-1], dtype=bool))
+    return rows.gather(x), rows
 
 
 class NormParams:
@@ -84,28 +138,32 @@ class FeedForwardParams:
             yield name, getattr(self, name)
 
 
-def _split_heads(x: Tensor, n_heads: int) -> Tensor:
-    """(..., S, d) -> (..., H, S, d/H)."""
-    *lead, s, d = x.shape
-    x = x.reshape((*lead, s, n_heads, d // n_heads))
+def _split_heads(x: Tensor, n_heads: int, rows: Rows) -> Tensor:
+    """Packed rows (N, d) -> (..., H, S, d/H) in the padded layout of rows, zero at pads."""
+    if rows.index is not None:
+        x = ad.scatter_rows(x, rows.index, rows.mask.shape)
+    x = x.reshape((*rows.mask.shape, n_heads, x.shape[-1] // n_heads))
     axes = list(range(x.ndim))
     axes[-3], axes[-2] = axes[-2], axes[-3]
     return x.transpose(axes)
 
 
-def _merge_heads(x: Tensor) -> Tensor:
-    """(..., H, S, d/H) -> (..., S, d)."""
+def _merge_heads(x: Tensor, rows: Rows) -> Tensor:
+    """(..., H, S, d/H) in the padded layout of rows -> packed real rows (N, d)."""
     axes = list(range(x.ndim))
     axes[-3], axes[-2] = axes[-2], axes[-3]
     x = x.transpose(axes)
     *lead, s, h, dh = x.shape
-    return x.reshape((*lead, s, h * dh))
+    if rows.index is None:
+        return x.reshape((-1, h * dh))
+    return ad.gather_rows(x.reshape((*lead, s, h * dh)), rows.index)
 
 
-def _project_keys_values(keys_values: Tensor, attn: AttentionParams) -> tuple[Tensor, Tensor]:
-    """One attention site's keys and values of a (..., K, d) input, each (..., H, K, d/H)."""
-    k = _split_heads(ad.linear(keys_values, attn.wk, attn.bk), attn.n_heads)
-    v = _split_heads(ad.linear(keys_values, attn.wv, attn.bv), attn.n_heads)
+def _project_keys_values(keys_values: Tensor, rows: Rows,
+                         attn: AttentionParams) -> tuple[Tensor, Tensor]:
+    """One attention site's keys and values of packed rows (N, d), each (..., H, K, d/H)."""
+    k = _split_heads(ad.linear(keys_values, attn.wk, attn.bk), attn.n_heads, rows)
+    v = _split_heads(ad.linear(keys_values, attn.wv, attn.bv), attn.n_heads, rows)
     return k, v
 
 
@@ -114,20 +172,25 @@ def multi_head_attention(
     keys_values,
     mask,
     attn: AttentionParams,
+    rows: Rows | None = None,
+    key_rows: Rows | None = None,
     *,
     queries_projected: bool = False,
     train: bool = False,
     rng: np.random.Generator | None = None,
     dropout_rate: float = 0.0,
 ) -> Tensor:
-    """Scaled dot-product attention with H heads.
+    """Scaled dot-product attention with H heads, from packed rows to packed rows.
 
-    queries is the (..., Q, d) input that attends, or, with
-    queries_projected, its queries already projected and split into heads,
-    a (..., H, Q, d/H) tensor (DecoderCache.extend returns such queries).
-    keys_values is the (..., K, d) input to attend over, or its keys and
-    values already projected and split into heads, as a (k, v) pair of
-    (..., H, K, d/H) tensors (a DecoderCache holds such pairs).
+    queries is the packed (N, d) input that attends, laid out by rows, or,
+    with queries_projected, its queries already projected and split into
+    heads, a (..., H, Q, d/H) tensor (DecoderCache.extend returns such
+    queries). keys_values is the packed (M, d) input to attend over, laid
+    out by key_rows (rows when None), or its keys and values already
+    projected and split into heads, as a (k, v) pair of (..., H, K, d/H)
+    tensors (a DecoderCache holds such pairs). With rows None, queries is
+    (..., Q, d) with every position real, and so is keys_values when it is
+    a tensor. Returns the packed (N, d) output rows.
 
     mask[..., q, k] true means query position q may attend to key position
     k. It is a boolean (..., Q, K) array, or one of rank >= 2 that
@@ -140,15 +203,19 @@ def multi_head_attention(
     weighted values are one autodiff.attention node.
     """
     dh = attn.d // attn.n_heads
+    if rows is None:
+        queries, rows = _dense(queries, None)
+        if not isinstance(keys_values, tuple):
+            keys_values, key_rows = _dense(keys_values, None)
     q = (queries if queries_projected
-         else _split_heads(ad.linear(queries, attn.wq, attn.bq), attn.n_heads))
-    k, v = (keys_values if isinstance(keys_values, tuple)
-            else _project_keys_values(keys_values, attn))
+         else _split_heads(ad.linear(queries, attn.wq, attn.bq), attn.n_heads, rows))
+    k, v = (keys_values if isinstance(keys_values, tuple) else _project_keys_values(
+        keys_values, rows if key_rows is None else key_rows, attn))
     fill = None if mask is None else ~mask[..., None, :, :]  # (..., 1, Q, K)
     ctx = _merge_heads(ad.attention(
         q, k, v, 1.0 / np.sqrt(dh), fill, MASK_FILL,
         dropout_rate=dropout_rate if train else 0.0, rng=rng,
-    ))
+    ), rows)
     return ad.linear(ctx, attn.wo, attn.bo)
 
 
@@ -256,21 +323,19 @@ class DecoderStack:
 def _key_mask(pad_mask) -> np.ndarray | None:
     """Lift a (..., K) mask of real keys to an attention mask (..., 1, K).
 
-    The query axis it gains broadcasts over every query; None (every key
-    real) stays None. This is the one mask check of a stack: a row that
-    keeps no key raises ContractError.
+    The query axis it gains broadcasts over every query; a mask with every
+    key real lifts to None, which fills nothing. This is the one mask check
+    of a stack: a row that keeps no key raises ContractError.
     """
-    if pad_mask is None:
-        return None
     pad_mask = np.asarray(pad_mask, dtype=bool)
     if not np.all(pad_mask.any(axis=-1)):
         raise ContractError("attention mask leaves a query row with no keys")
-    return pad_mask[..., None, :]
+    return None if pad_mask.all() else pad_mask[..., None, :]
 
 
 def run_encoder(
     f_hat: Tensor,
-    pad_mask,
+    rows: Rows | None,
     stack: EncoderStack,
     *,
     train: bool = False,
@@ -279,14 +344,16 @@ def run_encoder(
 ) -> Tensor:
     """Self-attend embedded frames into contextual representations z.
 
-    Padded positions are excluded from every key set, so representations at
-    real positions never depend on padding content.
+    f_hat is the packed (N, d) rows of the layout rows, or, with rows None,
+    (..., S, d) with every position real; z is packed (N, d) rows. Padded
+    positions are in no key set and no row, so representations at real
+    positions never depend on padding content.
     """
-    mask = _key_mask(pad_mask)
-    x = f_hat
+    x, rows = _dense(f_hat, rows)
+    mask = _key_mask(rows.mask)
     for block in stack.blocks:
         a = multi_head_attention(
-            x, x, mask, block.attn, train=train, rng=rng, dropout_rate=dropout_rate
+            x, x, mask, block.attn, rows, train=train, rng=rng, dropout_rate=dropout_rate
         )
         x = ad.layer_norm(x, block.norm1.gain, block.norm1.bias, residual=a)
         f = _feed_forward(x, block.ffn, train, rng, dropout_rate)
@@ -328,8 +395,11 @@ class DecoderCache:
     """
 
     def __init__(self, z: Tensor, src_pad_mask, stack: DecoderStack):
-        self._src_mask = _key_mask(src_pad_mask)  # (B, 1, S)
-        self._cross = [_project_keys_values(z, block.cross_attn) for block in stack.blocks]
+        src = Rows(src_pad_mask)
+        self._src_mask = _key_mask(src.mask)  # (B, 1, S), or None if nothing is padded
+        z_rows = src.gather(z)
+        self._cross = [_project_keys_values(z_rows, src, block.cross_attn)
+                       for block in stack.blocks]
         self._in_proj = [  # per layer: (d, 3d) weight, (3d,) bias, heads
             (Tensor(np.concatenate([a.wq.data, a.wk.data, a.wv.data], axis=1)),
              Tensor(np.concatenate([a.bq.data, a.bk.data, a.bv.data])), a.n_heads)
@@ -347,26 +417,34 @@ class DecoderCache:
         return self.self_kv[-1][0].shape[-2]
 
     def select(self, parent_rows) -> None:
-        """Row r now continues row parent_rows[r]; a row may be picked many times."""
+        """Row r now continues row parent_rows[r]; a row may be picked many times.
+
+        When every row continues itself, as at every greedy step until a
+        row finishes, nothing is gathered or copied.
+        """
         parents = np.asarray(parent_rows, dtype=np.int64)
+        if len(parents) == len(self.sources) and np.array_equal(
+                parents, np.arange(len(parents))):
+            return
         sources = self.sources[parents]
         if not np.array_equal(sources, self.sources):
             self.cross = [(Tensor(k.data[sources]), Tensor(v.data[sources]))
                           for k, v in self._cross]
-            self.cross_mask = self._src_mask[sources]
+            self.cross_mask = None if self._src_mask is None else self._src_mask[sources]
         self.sources = sources
         self.self_kv = [(k[parents], v[parents]) for k, v in self.self_kv]
 
     def extend(self, layer: int, x: Tensor) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-        """One layer's self-attention operands for new positions x (R, U, d).
+        """One layer's self-attention operands for new positions x, packed (R * U, d).
 
+        Row r's U new positions are rows r * U to r * U + U - 1 of x.
         Returns x's queries (R, H, U, d/H) and the (k, v) pair of the kept
         positions' keys and values followed by x's, and keeps them all.
         """
         w, b, n_heads = self._in_proj[layer]
-        qkv = ad.linear(x, w, b).data  # (R, U, 3d)
-        r, u, d3 = qkv.shape
-        heads = qkv.reshape(r, u, 3, n_heads, d3 // (3 * n_heads))
+        qkv = ad.linear(x, w, b).data  # (R * U, 3d)
+        d3 = qkv.shape[-1]
+        heads = qkv.reshape(len(self.sources), -1, 3, n_heads, d3 // (3 * n_heads))
         q, new_k, new_v = heads.transpose(2, 0, 3, 1, 4)  # each (R, H, U, d/H)
         old_k, old_v = self.self_kv[layer]
         k = np.concatenate([old_k, new_k], axis=-2)
@@ -377,10 +455,11 @@ class DecoderCache:
 
 def run_decoder(
     m_hat: Tensor,
-    z: Tensor,
-    src_pad_mask,
+    z: Tensor | None,
+    src_rows: Rows | None,
     stack: DecoderStack,
     *,
+    rows: Rows | None = None,
     train: bool = False,
     rng: np.random.Generator | None = None,
     dropout_rate: float = 0.0,
@@ -388,32 +467,39 @@ def run_decoder(
 ) -> Tensor:
     """Causally decode embedded target words against encoder outputs.
 
-    Row u of the returned word logits depends only on target rows <= u and z,
-    which is what lets one forward pass score a whole shifted sequence.
+    m_hat is the packed (N, d) target rows of the layout rows and z the
+    packed source rows of src_rows; a layout left None reads every position
+    of its (..., S, d) input as real. Returns packed (N, V) word logits.
+    Row u of a sequence's logits depends only on its target rows <= u and
+    z, which is what lets one forward pass score a whole shifted sequence.
 
-    With a cache, m_hat (R, U, d) holds the positions that follow the
-    cache.length ones each row keeps: self-attention also reads the kept
-    keys and values, and cross-attention reads the cache's, so z and
-    src_pad_mask are unused.
+    With a cache, m_hat holds the positions that follow the cache.length
+    ones each row keeps: self-attention also reads the kept keys and
+    values, and cross-attention reads the cache's, so z and src_rows are
+    unused.
     """
-    u = m_hat.shape[-2]
+    x, rows = _dense(m_hat, rows)
+    u = rows.mask.shape[-1]
     past = 0 if cache is None else cache.length
     # a cached one-position step may attend to every kept position; the
     # causal mask keeps each row's own position, so it needs no check
     causal = None if cache is not None and u == 1 else np.tril(
         np.ones((u, past + u), dtype=bool), k=past)
-    src_mask = _key_mask(src_pad_mask) if cache is None else cache.cross_mask
-    x = m_hat
+    if cache is None:
+        z, src_rows = _dense(z, src_rows)
+        src_mask = _key_mask(src_rows.mask)
+    else:
+        src_mask = cache.cross_mask
     for i, block in enumerate(stack.blocks):
         queries, keys = (x, x) if cache is None else cache.extend(i, x)
         a = multi_head_attention(
-            queries, keys, causal, block.self_attn, queries_projected=cache is not None,
+            queries, keys, causal, block.self_attn, rows, queries_projected=cache is not None,
             train=train, rng=rng, dropout_rate=dropout_rate,
         )
         x = ad.layer_norm(x, block.norm1.gain, block.norm1.bias, residual=a)
         c = multi_head_attention(
-            x, z if cache is None else cache.cross[i], src_mask, block.cross_attn,
-            train=train, rng=rng, dropout_rate=dropout_rate,
+            x, z if cache is None else cache.cross[i], src_mask, block.cross_attn, rows,
+            src_rows, train=train, rng=rng, dropout_rate=dropout_rate,
         )
         x = ad.layer_norm(x, block.norm2.gain, block.norm2.bias, residual=c)
         f = _feed_forward(x, block.ffn, train, rng, dropout_rate)

@@ -9,6 +9,7 @@ from signscribe import autodiff as ad
 from signscribe import embeddings as emb
 from signscribe.autodiff import Graph, Tensor
 from signscribe.errors import ConfigError, DimensionError, VocabularyError
+from signscribe.transformer import Rows
 
 from conftest import assert_grad_close, finite_difference_grad
 
@@ -164,17 +165,18 @@ class TestSpatialEmbedder:
         assert se.bn_running_var == pytest.approx(h.var(axis=0), abs=1e-8)
 
     def test_padding_isolation_in_train_mode(self):
-        # Masked frames must not influence the stats used for real frames.
+        # Masked frames must not influence the stats used for real frames:
+        # the layout packs them away before the embedder sees the batch.
         se = make_spatial(3, 4, seed=15)
         rng = np.random.default_rng(16)
         real = rng.normal(size=(2, 3, 3))
         padded = np.concatenate([real, 999.0 * np.ones((2, 2, 3))], axis=1)
         mask = np.zeros((2, 5), dtype=bool)
         mask[:, :3] = True
-        out_padded = se.embed_batch(Tensor(padded), mask).data
+        out_padded = se.embed_batch(Rows(mask).gather(Tensor(padded))).data
         se2 = make_spatial(3, 4, seed=15)
-        out_real = se2.embed_batch(Tensor(real), np.ones((2, 3), dtype=bool)).data
-        assert np.array_equal(out_padded[:, :3], out_real)
+        out_real = se2.embed_batch(Tensor(real.reshape(6, 3))).data
+        assert np.array_equal(out_padded, out_real)
 
     @pytest.mark.parametrize("wrt", ["input", "weight", "bn_gain", "bn_bias"])
     def test_train_mode_gradients(self, wrt):
@@ -209,7 +211,7 @@ class TestSpatialEmbedder:
         target = params[wrt]
         with Graph() as g:
             x = Tensor(frames, requires_grad=True)
-            out = se.embed_batch(x.reshape((1, 5, 3)), np.ones((1, 5), dtype=bool))
+            out = se.embed_batch(x)
             loss = ad.tensor_sum(out * out)
             ad.backward(g, loss)
         if wrt == "input":
@@ -227,7 +229,7 @@ class TestSpatialEmbedder:
         frames = np.random.default_rng(20).normal(size=(4, 3))
         with Graph() as g:
             x = Tensor(frames, requires_grad=True)
-            out = se.embed_batch(x.reshape((1, 4, 3)), np.ones((1, 4), dtype=bool))
+            out = se.embed_batch(x)
             loss = ad.tensor_sum(out * out)
             ad.backward(g, loss)
 
@@ -252,6 +254,6 @@ class TestSpatialEmbedder:
         padded[0, :3] = a
         padded[1] = b
         mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=bool)
-        out = se.embed_batch(Tensor(padded), mask).data
-        assert out[0, :3] == pytest.approx(se.embed(a).data, abs=1e-12)
-        assert out[1] == pytest.approx(se.embed(b).data, abs=1e-12)
+        out = se.embed_batch(Rows(mask).gather(Tensor(padded))).data  # packed rows, a then b
+        assert out[:3] == pytest.approx(se.embed(a).data, abs=1e-12)
+        assert out[3:] == pytest.approx(se.embed(b).data, abs=1e-12)

@@ -12,6 +12,7 @@ from signscribe import losses
 from signscribe.autodiff import Graph, Tensor
 from signscribe.errors import ConfigError, ContractError, DimensionError, VocabularyError
 from signscribe.losses import CtcTarget, LossWeights
+from signscribe.transformer import Rows
 
 from conftest import assert_grad_close, finite_difference_grad
 
@@ -291,7 +292,8 @@ class TestBatchWrappers:
         rng = np.random.default_rng(11)
         logits = rng.normal(size=(2, 3, 5))
         refs = np.array([[2, 4, 0], [1, 3, 2]])  # pad_id 0: first row has 2 real tokens
-        got = losses.translation_loss_batch(Tensor(logits), refs, pad_id=0).item()
+        real = refs != 0
+        got = losses.translation_loss_batch(Tensor(logits[real]), refs[real]).item()
         per_tok = []
         for b, row in enumerate(refs):
             for u, r in enumerate(row):
@@ -304,20 +306,29 @@ class TestBatchWrappers:
         rng = np.random.default_rng(12)
         logits = rng.normal(size=(1, 4, 6))
         ref = np.array([[2, 3, 1, 4]])
-        got = losses.translation_loss_batch(Tensor(logits), ref, pad_id=0).item()
+        got = losses.translation_loss_batch(Tensor(logits[0]), ref[0]).item()
         single = losses.translation_loss(Tensor(logits[0]), ref[0]).item()
         assert got == pytest.approx(single / 4, abs=1e-12)
 
     def test_translation_batch_pad_positions_get_no_gradient(self):
+        # the loss reads packed real rows; a padded layout's pads get zeros
         rng = np.random.default_rng(13)
         logits = rng.normal(size=(2, 3, 4))
         refs = np.array([[1, 2, 0], [3, 0, 0]])
+        rows = Rows(refs != 0)
         with Graph() as g:
             x = Tensor(logits, requires_grad=True)
-            ad.backward(g, losses.translation_loss_batch(x, refs, pad_id=0))
+            ad.backward(g, losses.translation_loss_batch(rows.gather(x), rows.pack(refs)))
         assert np.all(x.grad[0, 2] == 0.0)
         assert np.all(x.grad[1, 1:] == 0.0)
         assert np.any(x.grad[0, 0] != 0.0)
+
+    def test_translation_batch_takes_packed_references_only(self):
+        logits = Tensor(np.zeros((2, 3, 4)))
+        with pytest.raises(DimensionError):
+            losses.translation_loss_batch(logits, np.array([[1, 2, 0], [3, 0, 0]]))
+        with pytest.raises(ContractError):
+            losses.translation_loss_batch(Tensor(np.zeros((0, 4))), np.array([], dtype=int))
 
 
 def per_sample_recognition_loss(lp, counts, targets):

@@ -1,5 +1,7 @@
 """Joint model tests: wiring, protocol isolation, decoding pathway, batching."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,7 @@ def tiny_model(seed=0, dropout=0.0, **overrides):
     return JointModel(**kwargs)
 
 
-def tiny_batch(rng=None, b=2, d_in=5):
+def tiny_samples(rng=None, b=2, d_in=5):
     rng = rng or np.random.default_rng(7)
     gloss = Vocabulary({"A", "B", "C", "D"}, GLOSS_SPECIALS)
     text = Vocabulary({"u", "v", "w", "x", "y"}, TEXT_SPECIALS)
@@ -41,6 +43,11 @@ def tiny_batch(rng=None, b=2, d_in=5):
         Sample("s0", rng.normal(size=(6, d_in)).astype(np.float32), ("A", "B"), ("u", "v", "w")),
         Sample("s1", rng.normal(size=(4, d_in)).astype(np.float32), ("C",), ("x",)),
     ][:b]
+    return samples, gloss, text
+
+
+def tiny_batch(rng=None, b=2, d_in=5):
+    samples, gloss, text = tiny_samples(rng, b, d_in)
     return data.make_batch(samples, gloss, text), gloss, text
 
 
@@ -187,6 +194,61 @@ class TestBatchConsistency:
             alone = m.encode_frames(batch.features[i, :t], np.ones(t, dtype=bool))
             assert np.allclose(z.data[i, :t], alone.data, atol=1e-10), i
 
+    @pytest.mark.parametrize("protocol", ["sign2gloss+text", "gloss2text"])
+    def test_padding_content_leaves_training_gradients_bitwise_unchanged(self, protocol):
+        batch, gloss, text = ragged_fd_batch()
+        rng = np.random.default_rng(32)
+        dirty = dataclasses.replace(
+            batch,
+            features=np.where(batch.src_mask[..., None], batch.features, 1e6),
+            gloss_ids=np.where(batch.gloss_mask, batch.gloss_ids,
+                               rng.integers(0, len(gloss), batch.gloss_ids.shape)),
+            text_in=np.where(batch.text_mask, batch.text_in,
+                             rng.integers(0, len(text), batch.text_in.shape)),
+            text_out=np.where(batch.text_mask, batch.text_out,
+                              rng.integers(0, len(text), batch.text_out.shape)),
+        )
+        assert not np.array_equal(dirty.text_in, batch.text_in)
+
+        def run(b):
+            m = tiny_model(d_in=3, n_glosses=len(gloss), n_words=len(text))
+            with Graph() as g:
+                total, *_ = batch_losses(m, b, LossWeights(5.0, 1.0), protocol, train=True)
+                ad.backward(g, total)
+            return total.data, {n: p.grad for n, p in m.trainable_parameters(protocol).items()}
+
+        clean_loss, clean = run(batch)
+        dirty_loss, grads = run(dirty)
+        assert clean_loss.tobytes() == dirty_loss.tobytes()
+        for name, grad in clean.items():
+            assert grad.tobytes() == grads[name].tobytes(), name
+
+    @pytest.mark.parametrize("protocol", ["sign2gloss+text", "gloss2text"])
+    def test_position_wise_layers_see_real_rows_only(self, protocol, monkeypatch):
+        # every projection, layer norm and ReLU of a training step runs on
+        # packed rows: one per real frame (or gloss) or one per real token
+        batch, gloss, text = ragged_fd_batch()
+        m = tiny_model(d_in=3, n_glosses=len(gloss), n_words=len(text))
+        seen = []
+
+        def counting(op):
+            def wrapped(x, *args, **kwargs):
+                seen.append((op.__name__, int(np.prod(x.shape[:-1]))))
+                return op(x, *args, **kwargs)
+            return wrapped
+
+        for name in ("linear", "layer_norm", "relu"):
+            monkeypatch.setattr(ad, name, counting(getattr(ad, name)))
+        with Graph() as g:
+            total, *_ = batch_losses(m, batch, LossWeights(5.0, 1.0), protocol, train=True)
+            ad.backward(g, total)
+        sources = batch.gloss_mask if protocol == "gloss2text" else batch.src_mask
+        real = {int(sources.sum()), int(batch.text_mask.sum())}
+        assert int(batch.text_mask.sum()) < batch.text_mask.size  # the batch pads
+        assert int(sources.sum()) < sources.size
+        assert {op for op, _ in seen} == {"linear", "layer_norm", "relu"}
+        assert {rows for _, rows in seen} == real, seen
+
     def test_pad_feature_content_never_leaks(self):
         m = tiny_model()
         batch, _, _ = tiny_batch()
@@ -198,14 +260,37 @@ class TestBatchConsistency:
         assert np.array_equal(z0.data[0], z1.data[0])
 
     def test_batch_loss_equals_per_sample_average(self):
-        # The padded-batch loss must equal hand-combined unpadded losses.
+        # The padded-batch loss must equal hand-combined unpadded losses,
+        # and its gradient the same combination of each sample's gradients:
+        # CTC averages over sequences, cross-entropy over target tokens.
         m = tiny_model()
-        batch, gloss, text = tiny_batch()
+        samples, gloss, text = tiny_samples()
+        batch = data.make_batch(samples, gloss, text)
         weights = LossWeights(lambda_r=5.0, lambda_t=1.0)
-        total, loss_r, loss_t, skipped = batch_losses(
-            m, batch, weights, "sign2gloss+text"
-        )
+        params = m.trainable_parameters("sign2gloss+text")
+        with Graph() as g:
+            total, loss_r, loss_t, skipped = batch_losses(
+                m, batch, weights, "sign2gloss+text"
+            )
+            ad.backward(g, total)
         assert skipped == []
+        got = {name: p.grad for name, p in params.items()}
+
+        def grads_of(one, term):  # term 1 is L_R, 2 is L_T
+            with Graph() as g:
+                ad.backward(g, batch_losses(m, one, weights, "sign2gloss+text")[term])
+            return {name: p.grad for name, p in params.items()}
+
+        tokens = [int(batch.text_mask[i].sum()) for i in range(len(samples))]
+        want = {name: np.zeros_like(p.data) for name, p in params.items()}
+        for sample, u in zip(samples, tokens):
+            one = data.make_batch([sample], gloss, text)
+            for term, weight in ((1, 5.0 / len(samples)), (2, 1.0 * u / sum(tokens))):
+                for name, grad in grads_of(one, term).items():
+                    want[name] += weight * grad
+        for name in params:
+            assert np.any(got[name]), name
+            np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-10, err_msg=name)
 
         per_r = []
         per_t_sums = []
@@ -542,11 +627,11 @@ class TestCachedSteps:
         attention = tf.multi_head_attention
         unmasked = []
 
-        def all_true(queries, keys_values, mask, attn, **kwargs):
+        def all_true(queries, keys_values, mask, attn, *layout, **kwargs):
             if mask is None:
                 unmasked.append(keys_values[0].shape[-2])
                 mask = np.ones((1, keys_values[0].shape[-2]), dtype=bool)
-            return attention(queries, keys_values, mask, attn, **kwargs)
+            return attention(queries, keys_values, mask, attn, *layout, **kwargs)
 
         monkeypatch.setattr(tf, "multi_head_attention", all_true)
         with_mask = steps()
@@ -573,6 +658,27 @@ class TestCachedSteps:
         n_layers = len(m.decoder.blocks)
         assert len(calls) == 6 * n_layers + 1, calls
         assert calls.count((m.d, 3 * m.d)) == n_layers
+
+    def test_identity_steps_gather_no_kept_keys(self, monkeypatch):
+        # a greedy search continues every row from itself until a row
+        # finishes; those steps must keep the cached keys and values as they
+        # are, not gather a copy of them
+        m, z, mask = sharpened_chunk()
+        select = tf.DecoderCache.select
+        steps = []  # (identity parents, kept arrays replaced) per select
+
+        def recorded(cache, parent_rows):
+            before = [kv for pair in cache.self_kv for kv in pair]
+            select(cache, parent_rows)
+            after = [kv for pair in cache.self_kv for kv in pair]
+            identity = list(parent_rows) == list(range(len(before[0])))
+            steps.append((identity, any(a is not b for a, b in zip(before, after))))
+
+        monkeypatch.setattr(tf.DecoderCache, "select", recorded)
+        decoding.ar_greedy_batch(z, mask, m, [6, 2, 4, 5, 1])
+        assert sum(identity for identity, _ in steps) > 1
+        assert not any(copied for identity, copied in steps if identity), steps
+        assert any(copied for identity, copied in steps if not identity), steps
 
     def test_source_without_keys_rejected_at_start(self):
         m, z, mask = sharpened_chunk()

@@ -98,7 +98,8 @@ class TestMultiHeadAttention:
         xs = rng.normal(size=(3, 4, D))
         mask = rng.random((3, 4, 4)) < 0.7
         mask[..., 0] = True  # keep every query row satisfiable
-        out = tf.multi_head_attention(Tensor(xs), Tensor(xs), mask, attn).data
+        # every position real: the output is the packed rows, 4 per sample
+        out = tf.multi_head_attention(Tensor(xs), Tensor(xs), mask, attn).data.reshape(3, 4, D)
         for b in range(3):
             assert out[b] == pytest.approx(ref_mha(xs[b], xs[b], mask[b], attn), abs=1e-12)
 
@@ -158,28 +159,37 @@ class TestEncoder:
         assert z == pytest.approx(expect, abs=1e-12)
 
     def test_padding_content_cannot_leak(self):
-        # Same padded length, wildly different padding content: bitwise equal.
+        # Same padded length, wildly different padding content: bitwise
+        # equal, and bitwise the unpadded sequence (padded keys weigh 0).
         stack = self.make_stack(seed=24)
         rng = np.random.default_rng(25)
         real = rng.normal(size=(3, D))
-        mask = np.array([1, 1, 1, 0, 0], dtype=bool)
+        rows = tf.Rows(np.array([1, 1, 1, 0, 0], dtype=bool))
         a = np.vstack([real, np.zeros((2, D))])
         b = np.vstack([real, 1e6 * np.ones((2, D))])
-        za = tf.run_encoder(Tensor(a), mask, stack).data
-        zb = tf.run_encoder(Tensor(b), mask, stack).data
+        za = rows.scatter(tf.run_encoder(rows.gather(Tensor(a)), rows, stack)).data
+        zb = rows.scatter(tf.run_encoder(rows.gather(Tensor(b)), rows, stack)).data
         assert np.array_equal(za[:3], zb[:3])
+        assert np.array_equal(za[:3], tf.run_encoder(Tensor(real), None, stack).data)
+        assert np.all(za[3:] == 0.0)
 
     def test_batched_padding_isolation(self):
+        # one packed batch equals each sequence encoded alone
         stack = self.make_stack(seed=26)
         rng = np.random.default_rng(27)
         x = rng.normal(size=(2, 4, D))
         mask = np.array([[1, 1, 0, 0], [1, 1, 1, 1]], dtype=bool)
         y = x.copy()
         y[0, 2:] = -777.0
-        za = tf.run_encoder(Tensor(x), mask, stack).data
-        zb = tf.run_encoder(Tensor(y), mask, stack).data
-        assert np.array_equal(za[0, :2], zb[0, :2])
-        assert np.array_equal(za[1], zb[1])
+        rows = tf.Rows(mask)
+        za = tf.run_encoder(rows.gather(Tensor(x)), rows, stack).data
+        zb = tf.run_encoder(rows.gather(Tensor(y)), rows, stack).data
+        assert za.shape == (6, D)
+        assert np.array_equal(za, zb)
+        assert za[:2] == pytest.approx(tf.run_encoder(Tensor(x[0, :2]), None, stack).data,
+                                       abs=1e-12)
+        assert za[2:] == pytest.approx(tf.run_encoder(Tensor(x[1]), None, stack).data,
+                                       abs=1e-12)
 
     def test_eval_determinism(self):
         stack = self.make_stack(seed=28)
@@ -191,7 +201,7 @@ class TestEncoder:
     def test_all_padding_rejected(self):
         stack = self.make_stack()
         with pytest.raises(ContractError):
-            tf.run_encoder(Tensor(np.zeros((2, D))), np.zeros(2, dtype=bool), stack)
+            tf.run_encoder(Tensor(np.zeros((0, D))), tf.Rows(np.zeros(2, dtype=bool)), stack)
 
     def test_zero_layers_rejected(self):
         with pytest.raises(ConfigError):
@@ -259,7 +269,7 @@ class TestDecoder:
         m = rng.normal(size=(2, D))
         z = rng.normal(size=(2, D))
         src_mask = np.array([True, True])
-        out = tf.run_decoder(Tensor(m), Tensor(z), src_mask, stack).data
+        out = tf.run_decoder(Tensor(m), Tensor(z), tf.Rows(src_mask), stack).data
 
         causal = np.tril(np.ones((2, 2), dtype=bool))
         h = ref_decoder_layer(m, z, causal, src_mask[None, :], stack.blocks[0])
@@ -275,10 +285,12 @@ class TestDecoder:
         z = rng.normal(size=(4, D))
         z_dirty = z.copy()
         z_dirty[2:] = 1e5
-        src_mask = np.array([1, 1, 0, 0], dtype=bool)
-        la = tf.run_decoder(Tensor(m), Tensor(z), src_mask, stack).data
-        lb = tf.run_decoder(Tensor(m), Tensor(z_dirty), src_mask, stack).data
+        src = tf.Rows(np.array([1, 1, 0, 0], dtype=bool))
+        la = tf.run_decoder(Tensor(m), src.gather(Tensor(z)), src, stack).data
+        lb = tf.run_decoder(Tensor(m), src.gather(Tensor(z_dirty)), src, stack).data
         assert np.array_equal(la, lb)
+        # and the padded keys weigh nothing: bitwise the unpadded source
+        assert np.array_equal(la, tf.run_decoder(Tensor(m), Tensor(z[:2]), None, stack).data)
 
     def test_batched_matches_per_sample(self):
         stack = self.make_stack(n_layers=1, seed=49)
@@ -286,10 +298,11 @@ class TestDecoder:
         m = rng.normal(size=(2, 3, D))
         z = rng.normal(size=(2, 4, D))
         src_mask = np.array([[1, 1, 1, 0], [1, 1, 1, 1]], dtype=bool)
-        out = tf.run_decoder(Tensor(m), Tensor(z), src_mask, stack).data
+        src = tf.Rows(src_mask)
+        out = tf.run_decoder(Tensor(m), src.gather(Tensor(z)), src, stack).data.reshape(2, 3, -1)
         for b in range(2):
             single = tf.run_decoder(
-                Tensor(m[b]), Tensor(z[b]), src_mask[b], stack
+                Tensor(m[b]), Tensor(z[b][src_mask[b]]), None, stack
             ).data
             assert out[b] == pytest.approx(single, abs=1e-12)
 
@@ -297,10 +310,9 @@ class TestDecoder:
         # the uncached decoder checks its source mask once, before any layer
         stack = self.make_stack()
         m = Tensor(np.zeros((2, 3, D)))
-        z = Tensor(np.zeros((2, 4, D)))
-        src_mask = np.array([[1, 1, 0, 0], [0, 0, 0, 0]], dtype=bool)
+        src = tf.Rows(np.array([[1, 1, 0, 0], [0, 0, 0, 0]], dtype=bool))
         with pytest.raises(ContractError):
-            tf.run_decoder(m, z, src_mask, stack)
+            tf.run_decoder(m, src.gather(Tensor(np.zeros((2, 4, D)))), src, stack)
 
     def test_gradients_reach_all_parameter_groups(self):
         # One backward pass touches every decoder parameter (no dead wiring).
@@ -377,15 +389,29 @@ class TestParameterNaming:
 # --- the teacher-forced decoder as it was before decode caches ----------------
 
 
+def split_heads(x, n_heads):
+    """(..., S, d) -> (..., H, S, d/H), as a reshape and a transpose node."""
+    *lead, s, d = x.shape
+    n = len(lead)
+    return x.reshape((*lead, s, n_heads, d // n_heads)).transpose((*range(n), n + 1, n, n + 2))
+
+
+def merge_heads(x):
+    """(..., H, S, d/H) -> (..., S, d), as a transpose and a reshape node."""
+    *lead, h, s, dh = x.shape
+    n = len(lead)
+    return x.transpose((*range(n), n + 1, n, n + 2)).reshape((*lead, s, h * dh))
+
+
 def uncached_mha(queries, keys_values, mask, attn, train, rng, dropout_rate):
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if not np.all(mask.any(axis=-1)):
             raise ContractError("attention mask leaves a query row with no keys")
     dh = attn.d // attn.n_heads
-    q = tf._split_heads(ad.linear(queries, attn.wq, attn.bq), attn.n_heads)
-    k = tf._split_heads(ad.linear(keys_values, attn.wk, attn.bk), attn.n_heads)
-    v = tf._split_heads(ad.linear(keys_values, attn.wv, attn.bv), attn.n_heads)
+    q = split_heads(ad.linear(queries, attn.wq, attn.bq), attn.n_heads)
+    k = split_heads(ad.linear(keys_values, attn.wk, attn.bk), attn.n_heads)
+    v = split_heads(ad.linear(keys_values, attn.wv, attn.bv), attn.n_heads)
     kt_axes = list(range(k.ndim))
     kt_axes[-2], kt_axes[-1] = kt_axes[-1], kt_axes[-2]
     logits = ad.matmul(q, k.transpose(kt_axes)) * (1.0 / np.sqrt(dh))
@@ -397,10 +423,10 @@ def uncached_mha(queries, keys_values, mask, attn, train, rng, dropout_rate):
     weights = ad.softmax(logits, axis=-1)
     if train and dropout_rate > 0.0:
         weights = ad.dropout(weights, dropout_rate, rng)
-    return ad.linear(tf._merge_heads(ad.matmul(weights, v)), attn.wo, attn.bo)
+    return ad.linear(merge_heads(ad.matmul(weights, v)), attn.wo, attn.bo)
 
 
-def uncached_run_decoder(m_hat, z, src_pad_mask, stack, train, rng, dropout_rate):
+def uncached_run_decoder(m_hat, z, src_pad_mask, stack, *, train, rng, dropout_rate):
     u = m_hat.shape[-2]
     causal = np.tril(np.ones((u, u), dtype=bool))
     src_mask = src_pad_mask[:, None, :]
@@ -419,34 +445,45 @@ def uncached_run_decoder(m_hat, z, src_pad_mask, stack, train, rng, dropout_rate
 class TestTeacherForcedDecoderUnchanged:
     @pytest.mark.parametrize("train", [False, True])
     def test_logits_and_gradients_are_bitwise_the_reference(self, train):
-        # training hashes to the same weights only if the uncached decoder
-        # records the same tape as it did before caches existed
+        # the packed decoder computes the real rows of the padded reference:
+        # padded source keys are zeros in place of projected pads, and weigh
+        # exactly 0 either way, so the logits and every gradient but the
+        # cross-attention key and value weights' are the same bits; those sum
+        # over the real source rows only, so they agree up to round-off
         stack = tf.DecoderStack(2, D, H, DFF, 9, np.random.default_rng(80))
         rng = np.random.default_rng(81)
         m_hat = Tensor(rng.normal(size=(3, 5, D)), requires_grad=True)
         z = Tensor(rng.normal(size=(3, 4, D)), requires_grad=True)
         src_mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 0, 0]], dtype=bool)
         probe = rng.normal(size=(3, 5, 9))
-        leaves = [m_hat, z] + [p for _, p in stack.named_parameters()]
+        named = [("m_hat", m_hat), ("z", z)] + list(stack.named_parameters())
 
         def run(decoder):
-            for leaf in leaves:
+            for _, leaf in named:
                 leaf.grad = None
             with Graph() as g:
-                logits = decoder(m_hat, z, src_mask, stack, train=train,
-                                 rng=np.random.default_rng(82), dropout_rate=0.3)
+                logits = decoder(train=train, rng=np.random.default_rng(82), dropout_rate=0.3)
+                logits = logits.reshape((3, 5, 9))
                 ad.backward(g, ad.tensor_sum(logits * probe))
-            return logits.data, [leaf.grad for leaf in leaves], len(g.nodes)
+            return logits.data, {n: leaf.grad for n, leaf in named}, len(g.nodes)
 
-        def reference(m, zz, mask, st, *, train, rng, dropout_rate):
-            return uncached_run_decoder(m, zz, mask, st, train, rng, dropout_rate)
-
-        got, got_grads, got_nodes = run(tf.run_decoder)
-        want, want_grads, want_nodes = run(reference)
+        src = tf.Rows(src_mask)
+        got, got_grads, got_nodes = run(
+            lambda **kw: tf.run_decoder(m_hat, src.gather(z), src, stack, **kw))
+        want, want_grads, want_nodes = run(
+            lambda **kw: uncached_run_decoder(m_hat, z, src_mask, stack, **kw))
         assert np.array_equal(got, want)
         # one attention node replaces each site's scores, scale, fill,
         # softmax, dropout and weighting (5 nodes, 6 with dropout), and each
-        # residual add joins its layer norm: 13 fewer per layer, 15 in training
-        assert (got_nodes, want_nodes) == ((70, 100) if train else (68, 94))
-        for a, b in zip(got_grads, want_grads):
-            assert np.array_equal(a, b)
+        # residual add joins its layer norm: 13 fewer per layer, 15 in
+        # training. The layouts add 6: the packing of m_hat (a reshape, as
+        # every target position is real), the gather of z's real rows, and
+        # each cross-attention site's scatter of its keys and of its values.
+        # Both sides count the final reshape of the logits.
+        assert (got_nodes, want_nodes) == ((77, 101) if train else (75, 95))
+        for name, want_grad in want_grads.items():
+            if ".cross_attn.w" in name and name[-1] in "kv":
+                scale = np.abs(want_grad).max()
+                assert np.allclose(got_grads[name], want_grad, rtol=0, atol=1e-13 * scale), name
+            else:
+                assert np.array_equal(got_grads[name], want_grad), name
