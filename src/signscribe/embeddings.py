@@ -125,4 +125,4 @@ class SpatialEmbedder:
 
     def embed(self, frames) -> Tensor:
         """Single sequence (T, d_in) -> (T, d)."""
-        return self.embed_batch(frames if isinstance(frames, Tensor) else Tensor(frames))
+        return self.embed_batch(ad.as_tensor(frames))

@@ -78,7 +78,7 @@ class Rows:
         return ad.scatter_rows(x, self.index, self.mask.shape)
 
 
-def _dense(x: Tensor, rows: Rows | None) -> tuple[Tensor, Rows]:
+def _packed(x: Tensor, rows: Rows | None) -> tuple[Tensor, Rows]:
     """x packed under rows; with rows None, every position of x (..., S, d) is real."""
     if rows is not None:
         return x, rows
@@ -204,9 +204,9 @@ def multi_head_attention(
     """
     dh = attn.d // attn.n_heads
     if rows is None:
-        queries, rows = _dense(queries, None)
+        queries, rows = _packed(queries, None)
         if not isinstance(keys_values, tuple):
-            keys_values, key_rows = _dense(keys_values, None)
+            keys_values, key_rows = _packed(keys_values, None)
     q = (queries if queries_projected
          else _split_heads(ad.linear(queries, attn.wq, attn.bq), attn.n_heads, rows))
     k, v = (keys_values if isinstance(keys_values, tuple) else _project_keys_values(
@@ -349,7 +349,7 @@ def run_encoder(
     positions are in no key set and no row, so representations at real
     positions never depend on padding content.
     """
-    x, rows = _dense(f_hat, rows)
+    x, rows = _packed(f_hat, rows)
     mask = _key_mask(rows.mask)
     for block in stack.blocks:
         a = multi_head_attention(
@@ -478,7 +478,7 @@ def run_decoder(
     values, and cross-attention reads the cache's, so z and src_rows are
     unused.
     """
-    x, rows = _dense(m_hat, rows)
+    x, rows = _packed(m_hat, rows)
     u = rows.mask.shape[-1]
     past = 0 if cache is None else cache.length
     # a cached one-position step may attend to every kept position; the
@@ -486,7 +486,7 @@ def run_decoder(
     causal = None if cache is not None and u == 1 else np.tril(
         np.ones((u, past + u), dtype=bool), k=past)
     if cache is None:
-        z, src_rows = _dense(z, src_rows)
+        z, src_rows = _packed(z, src_rows)
         src_mask = _key_mask(src_rows.mask)
     else:
         src_mask = cache.cross_mask

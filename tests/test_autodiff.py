@@ -279,6 +279,7 @@ WEIGHT = np.random.default_rng(99).normal(size=(4, 3))
 WEIGHT_3D = np.random.default_rng(98).normal(size=(3, 4, 2))
 MASK = np.array([[False, True, False, True]] * 3)
 IDX = np.array([2, 0, 1])
+ROWS = np.array([4, 0, 5])
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -313,6 +314,12 @@ IDX = np.array([2, 0, 1])
         # (1, 2, 0) is not its own inverse, so a backward that undid it with
         # the same axes would put gradients in the wrong places
         ("transpose_cycle", lambda x: (x.transpose((1, 2, 0)) * WEIGHT_3D).sum(), (2, 3, 4)),
+        # each is the other's backward; rows 1, 2 and 3 of the (2, 3) layout
+        # are padding: gathered from nowhere, scattered as zeros
+        ("gather_rows", lambda x: (ad.gather_rows(x, ROWS) * WEIGHT.T).sum(), (2, 3, 4)),
+        ("scatter_rows",
+         lambda x: (ad.scatter_rows(x, ROWS, (2, 3)) * WEIGHT_3D.transpose(2, 0, 1)).sum(),
+         (3, 4)),
     ],
 )
 def test_op_gradients_match_finite_differences(name, build, shape, seed):
