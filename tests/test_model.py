@@ -51,6 +51,19 @@ def tiny_batch(rng=None, b=2, d_in=5):
     return data.make_batch(samples, gloss, text), gloss, text
 
 
+def ragged_fd_batch():
+    """Three samples of unequal frame, gloss and word counts, so every padded axis pads."""
+    rng = np.random.default_rng(30)
+    gloss = Vocabulary({"A", "B", "C"}, GLOSS_SPECIALS)
+    text = Vocabulary({"u", "v", "w"}, TEXT_SPECIALS)
+    samples = [
+        Sample("s0", rng.normal(size=(5, 3)).astype(np.float32), ("A", "B"), ("u", "v", "w")),
+        Sample("s1", rng.normal(size=(3, 3)).astype(np.float32), ("C",), ("w",)),
+        Sample("s2", rng.normal(size=(4, 3)).astype(np.float32), ("B", "A", "C"), ("v", "u")),
+    ]
+    return data.make_batch(samples, gloss, text), gloss, text
+
+
 class TestWiring:
     def test_parameter_names(self):
         m = tiny_model()
@@ -801,19 +814,6 @@ class TestLossRouting:
             assert np.isfinite(total.data)
             ad.backward(g, total)
         assert m.spatial.weight.grad is not None
-
-
-def ragged_fd_batch():
-    """Three samples of unequal frame, gloss and word counts, so every padded axis pads."""
-    rng = np.random.default_rng(30)
-    gloss = Vocabulary({"A", "B", "C"}, GLOSS_SPECIALS)
-    text = Vocabulary({"u", "v", "w"}, TEXT_SPECIALS)
-    samples = [
-        Sample("s0", rng.normal(size=(5, 3)).astype(np.float32), ("A", "B"), ("u", "v", "w")),
-        Sample("s1", rng.normal(size=(3, 3)).astype(np.float32), ("C",), ("w",)),
-        Sample("s2", rng.normal(size=(4, 3)).astype(np.float32), ("B", "A", "C"), ("v", "u")),
-    ]
-    return data.make_batch(samples, gloss, text), gloss, text
 
 
 class TestWholeModelGradients:
