@@ -18,6 +18,7 @@ import numpy as np
 from . import data, training
 from .config import RunConfig, config_from_dict, load_config
 from .data import Sample, check_features, read_features
+from .decoding import DecodeConfig
 from .errors import (
     CheckpointError,
     CompatibilityError,
@@ -74,6 +75,11 @@ def _add_decode_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--beam-width", dest="beam_width", type=int, default=0)
     sub.add_argument("--alpha", type=float, default=0.0)
     sub.add_argument("--max-len-cap", dest="max_len_cap", type=int, default=60)
+
+
+def _check_decode_flags(args) -> None:
+    """Reject unusable decode flags before any checkpoint or corpus is read."""
+    DecodeConfig(args.beam_width, args.alpha, args.max_len_cap)
 
 
 def _resolve_config(args) -> RunConfig:
@@ -153,6 +159,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _check_decode_flags(args)
     protocol, model, gloss_vocab, text_vocab = _load_checkpoint(args.checkpoint,
                                                                 "checkpoint")
     corpus = _require_corpus(args.corpus)
@@ -190,6 +197,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    _check_decode_flags(args)
     protocol, model, gloss_vocab, text_vocab = _load_checkpoint(args.checkpoint,
                                                                 "checkpoint")
     if protocol in GLOSS_INPUT:
@@ -218,6 +226,7 @@ def cmd_translate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    _check_decode_flags(args)
     rec_protocol, recognizer, rec_gloss, rec_text = _load_checkpoint(
         args.recognizer, "recognizer"
     )

@@ -9,8 +9,8 @@ decoding drives the autoregressive decoder with one beam search, whose
 width-1 case is greedy decoding; the ((5+u)/6)^alpha length penalty ranks
 the final candidates.
 
-Sentence decoders talk to the model through a two-method pathway protocol
-rather than raw stacks: any object with
+Sentence decoders talk to the model through one two-method protocol rather
+than raw stacks:
 
     start(z_batch, mask_batch) -> state
     step(state, parent_rows, tokens) -> ndarray[len(parent_rows), |W|]
@@ -20,25 +20,14 @@ decoder layer's cross-attention keys and values, projected once). Each step
 call makes row r continue row parent_rows[r] of the call before (at the
 first call, source parent_rows[r]) by the word tokens[r], and returns the
 scores of the next word for every row. The first call passes tokens=None:
-its rows start their sentences, and the pathway feeds the start-of-sentence
+its rows start their sentences, and the decoder feeds the start-of-sentence
 token itself. Beams are reordered, repeated and dropped through
 parent_rows alone, so the model's step feeds only each row's newest
 position, not its whole prefix, against cached keys and values. The search
 runs over a whole batch of sources in lockstep, one row per live beam of
 every track still under its cap; at the first call, parent_rows may name a
-source more than once.
-
-A decoder with only the stateless
-
-    prefix_logits_batch(z_batch, mask_batch, indices, prefixes) -> ndarray[len(indices), |W|]
-
-(row r scores the next token after the bos-free prefixes[r] given source
-z_batch[indices[r]]; all prefixes of one call share a length) gets start
-and step from a prefix-replay adapter, which tracks each row's source and
-prefix and rescores whole prefixes every step. This keeps search logic
-independent of embedding details and lets tests drive it with hand-built
-tables; the model's own prefix_logits_batch is the oracle its steps are
-tested against.
+source more than once. The model's stateless prefix_logits_batch, which
+scores whole prefixes, is the oracle its steps are tested against.
 
 The search runs tracks: a track is one source searched at one width up to
 one length cap, and tracks may share a source. `ar_greedy_batch` runs one
@@ -123,8 +112,7 @@ def collapse_path(path) -> tuple[int, ...]:
 
 def ctc_greedy(log_probs) -> tuple[int, ...]:
     """Collapse the per-frame argmax path."""
-    lp = log_probs.data if hasattr(log_probs, "data") else np.asarray(log_probs)
-    return collapse_path(np.argmax(lp, axis=1))
+    return collapse_path(np.argmax(np.asarray(log_probs), axis=1))
 
 
 def _slot_tuple(prefixes, lengths, n, beam, sym) -> tuple[int, ...]:
@@ -241,7 +229,7 @@ def ctc_beam_search_batch(log_probs, frame_counts, width: int) -> list[tuple[int
 
 def ctc_beam_search(log_probs, width: int) -> tuple[int, ...]:
     """Prefix beam search of one (T, K) sequence: ctc_beam_search_batch on a batch of one."""
-    lp = np.asarray(getattr(log_probs, "data", log_probs))  # a Tensor or an array
+    lp = np.asarray(log_probs)
     return ctc_beam_search_batch(lp[None], [lp.shape[0]], width)[0]
 
 
@@ -261,37 +249,6 @@ def _length_caps(z_batch, max_len) -> list[int]:
     return caps
 
 
-@dataclass
-class _ReplayState:
-    z_batch: object
-    mask_batch: object
-    rows: list  # (source index, bos-free prefix) per row of the last step
-
-
-class _PrefixReplay:
-    """The start/step pathway over a decoder that has only prefix_logits_batch.
-
-    The state keeps each row's source and prefix, and every step rescores
-    the whole prefixes with one prefix_logits_batch call.
-    """
-
-    def __init__(self, decoder):
-        self.decoder = decoder
-
-    def start(self, z_batch, mask_batch) -> _ReplayState:
-        return _ReplayState(z_batch, mask_batch, [])
-
-    def step(self, state: _ReplayState, parent_rows, tokens) -> np.ndarray:
-        if tokens is None:
-            state.rows = [(i, ()) for i in parent_rows]
-        else:
-            state.rows = [(state.rows[p][0], state.rows[p][1] + (w,))
-                          for p, w in zip(parent_rows, tokens)]
-        return self.decoder.prefix_logits_batch(
-            state.z_batch, state.mask_batch, [i for i, _ in state.rows],
-            [prefix for _, prefix in state.rows])
-
-
 def _search(z_batch, mask_batch, decoder, tracks, forbid) -> list[list[Hypothesis]]:
     """Beam-search many tracks in lockstep; returns each track's final beams.
 
@@ -309,8 +266,7 @@ def _search(z_batch, mask_batch, decoder, tracks, forbid) -> list[list[Hypothesi
     track whose rows give no finite score keeps its beams from the step
     before.
     """
-    pathway = decoder if hasattr(decoder, "step") else _PrefixReplay(decoder)
-    state = pathway.start(z_batch, mask_batch)
+    state = decoder.start(z_batch, mask_batch)
     widths = [width for _, width, _ in tracks]
     caps = [cap for *_, cap in tracks]
     # a beam is (tokens, log_prob, finished, row): row is its parent's row in
@@ -325,7 +281,7 @@ def _search(z_batch, mask_batch, decoder, tracks, forbid) -> list[list[Hypothesi
         if not rows:
             break
         logits = np.asarray(
-            pathway.step(state, [row for *_, row in rows],
+            decoder.step(state, [row for *_, row in rows],
                          [tokens[-1] for _, tokens, _, _ in rows] if step else None),
             dtype=np.float64,
         )

@@ -75,10 +75,6 @@ class CtcTarget:
         return n_frames >= self.min_frames
 
 
-def _as_target(target) -> CtcTarget:
-    return target if isinstance(target, CtcTarget) else CtcTarget(tuple(target))
-
-
 def _ctc_lattice(emit: np.ndarray, ext: np.ndarray) -> np.ndarray:
     """Log-space prefix variables alpha[t, b, s] of B lattices at once.
 
@@ -157,7 +153,7 @@ def _ctc_batch(lp: np.ndarray, frame_counts: np.ndarray, targets: list[CtcTarget
     return logp, grad
 
 
-def ctc_log_prob(log_probs, target) -> Tensor:
+def ctc_log_prob(log_probs, target: CtcTarget) -> Tensor:
     """log p(target | frames) marginalized over all collapse-equivalent paths.
 
     log_probs holds per-frame log-probabilities with the blank in column 0.
@@ -167,7 +163,6 @@ def ctc_log_prob(log_probs, target) -> Tensor:
     backward pass reusing it on the mirrored lattice, recorded as one node.
     """
     x = log_probs if isinstance(log_probs, Tensor) else Tensor(log_probs)
-    target = _as_target(target)
     lp = x.data
     if lp.ndim != 2:
         raise DimensionError(f"expected a T x K log-prob matrix, got shape {x.shape}")
@@ -218,7 +213,7 @@ class LossWeights:
 def recognition_loss_batch(
     gloss_log_probs: Tensor,
     frame_counts,
-    targets,
+    targets: list[CtcTarget],
 ) -> tuple[Tensor | None, list[int]]:
     """Average per-sequence recognition loss -log p over the feasible members.
 
@@ -237,8 +232,7 @@ def recognition_loss_batch(
     counts: list[int] = []
     live_targets: list[CtcTarget] = []
     skipped: list[int] = []
-    for i, (t_i, raw) in enumerate(zip(frame_counts, targets)):
-        target = _as_target(raw)
+    for i, (t_i, target) in enumerate(zip(frame_counts, targets)):
         t_i = int(t_i)
         if not target.feasible(t_i):
             skipped.append(i)

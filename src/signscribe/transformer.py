@@ -172,7 +172,7 @@ def multi_head_attention(
     keys_values,
     mask,
     attn: AttentionParams,
-    rows: Rows | None = None,
+    rows: Rows,
     key_rows: Rows | None = None,
     *,
     queries_projected: bool = False,
@@ -188,9 +188,8 @@ def multi_head_attention(
     queries). keys_values is the packed (M, d) input to attend over, laid
     out by key_rows (rows when None), or its keys and values already
     projected and split into heads, as a (k, v) pair of (..., H, K, d/H)
-    tensors (a DecoderCache holds such pairs). With rows None, queries is
-    (..., Q, d) with every position real, and so is keys_values when it is
-    a tensor. Returns the packed (N, d) output rows.
+    tensors (a DecoderCache holds such pairs). Returns the packed (N, d)
+    output rows.
 
     mask[..., q, k] true means query position q may attend to key position
     k. It is a boolean (..., Q, K) array, or one of rank >= 2 that
@@ -203,10 +202,6 @@ def multi_head_attention(
     weighted values are one autodiff.attention node.
     """
     dh = attn.d // attn.n_heads
-    if rows is None:
-        queries, rows = _packed(queries, None)
-        if not isinstance(keys_values, tuple):
-            keys_values, key_rows = _packed(keys_values, None)
     q = (queries if queries_projected
          else _split_heads(ad.linear(queries, attn.wq, attn.bq), attn.n_heads, rows))
     k, v = (keys_values if isinstance(keys_values, tuple) else _project_keys_values(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -124,7 +125,31 @@ def oracle_chunk(scorers, caps, width, alpha, *, forbid=()):
     ]
 
 
-class RandomDecoder:
+class ReplayDecoder:
+    """The decoding start/step protocol over a decoder that scores whole prefixes.
+
+    A subclass supplies prefix_logits_batch(z_batch, mask_batch, indices,
+    prefixes): row r scores the next token after the bos-free prefixes[r]
+    given source z_batch[indices[r]]. The state keeps each row's source and
+    prefix, and every step rescores the whole prefixes with one call, so
+    tests can drive the search with hand-built tables.
+    """
+
+    def start(self, z_batch, mask_batch):
+        return SimpleNamespace(z_batch=z_batch, mask_batch=mask_batch, rows=[])
+
+    def step(self, state, parent_rows, tokens):
+        if tokens is None:
+            state.rows = [(i, ()) for i in parent_rows]
+        else:
+            state.rows = [(state.rows[p][0], state.rows[p][1] + (w,))
+                          for p, w in zip(parent_rows, tokens)]
+        return self.prefix_logits_batch(state.z_batch, state.mask_batch,
+                                        [i for i, _ in state.rows],
+                                        [prefix for _, prefix in state.rows])
+
+
+class RandomDecoder(ReplayDecoder):
     """Deterministic pseudo-random logits per prefix; a stand-in for a model."""
 
     def __init__(self, n_words, seed):

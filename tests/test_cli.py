@@ -66,6 +66,13 @@ def gloss2text_ckpt(corpus, tmp_path_factory):
     return out / "best.sltc"
 
 
+@pytest.fixture(scope="module")
+def sign2gloss_ckpt(corpus, tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli-s2g")
+    assert cli.main(train_args(corpus, out, protocol="sign2gloss", lambda_t=0)) == 0
+    return out / "best.sltc"
+
+
 class TestGenSynthetic:
     def test_writes_corpus(self, tmp_path, capsys):
         code = cli.main([
@@ -229,12 +236,10 @@ class TestEvaluateCommand:
         assert "[sweep] chosen:" in out
         assert "[test]" in out
 
-    def test_sweep_without_translation_is_config_error(self, corpus, tmp_path, capsys):
-        out = tmp_path / "s2g"
-        assert cli.main(train_args(corpus, out, protocol="sign2gloss", lambda_t=0)) == 0
+    def test_sweep_without_translation_is_config_error(self, corpus, sign2gloss_ckpt, capsys):
         capsys.readouterr()
         code = cli.main([
-            "evaluate", "--checkpoint", str(out / "best.sltc"),
+            "evaluate", "--checkpoint", str(sign2gloss_ckpt),
             "--corpus", str(corpus), "--sweep",
         ])
         assert code == 2
@@ -340,6 +345,40 @@ def test_batch_size_below_one_is_one_line_config_error(corpus, joint_ckpt, gloss
     captured = capsys.readouterr()
     assert captured.err == f"configuration error: batch size must be >= 1, got {size}\n"
     assert "[sweep]" not in captured.out and "[stage1]" not in captured.out
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--beam-width", "-1", "beam width must be >= 0, got -1"),
+    ("--alpha", "5", "length-penalty exponent must lie in [0, 2], got 5.0"),
+    ("--max-len-cap", "0", "max_len must be >= 1, got 0"),
+])
+@pytest.mark.parametrize("command", [
+    "evaluate sign2gloss", "sweep sign2gloss", "pipeline sign2gloss", "evaluate joint",
+    "translate joint",
+])
+def test_bad_decode_flag_is_one_line_config_error(corpus, joint_ckpt, gloss2text_ckpt,
+                                                  sign2gloss_ckpt, capsys, monkeypatch,
+                                                  command, flag, value, message):
+    # checked where the command enters, before any checkpoint is read: a
+    # checkpoint that decodes no sentence must not let them pass, and a
+    # translating one must not search the split first
+    name, kind = command.split()
+    ckpt = str(sign2gloss_ckpt if kind == "sign2gloss" else joint_ckpt)
+    if name == "pipeline":
+        argv = ["pipeline", "--recognizer", ckpt, "--translator", str(gloss2text_ckpt),
+                "--corpus", str(corpus)]
+    elif name == "translate":
+        sample_file = next((corpus / "features").glob("dev-*.sltf"))
+        argv = ["translate", "--checkpoint", ckpt, "--features", str(sample_file)]
+    else:
+        argv = ["evaluate", "--checkpoint", ckpt, "--corpus", str(corpus)]
+        argv += ["--sweep"] if name == "sweep" else []
+    monkeypatch.setattr(cli, "checkpoint_load", lambda path: pytest.fail("read " + str(path)))
+    capsys.readouterr()
+    assert cli.main(argv + [flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: {message}\n"
+    assert captured.out == ""
 
 
 class TestPipelineCommand:

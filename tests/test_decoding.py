@@ -13,6 +13,7 @@ from signscribe.errors import ConfigError, ContractError
 
 from conftest import (
     RandomDecoder,
+    ReplayDecoder,
     exhaustive_best,
     log_add,
     oracle_beam_search,
@@ -49,7 +50,7 @@ def collapsed_sequence_scores(lp, blank=0):
     return scores
 
 
-class ToyDecoder:
+class ToyDecoder(ReplayDecoder):
     """Sentence pathway whose logits depend only on the prefix, via a table."""
 
     def __init__(self, table, default):
@@ -387,7 +388,7 @@ class TestArBeamSearch:
         assert a == b
 
 
-class ChunkDecoder:
+class ChunkDecoder(ReplayDecoder):
     """Pathway over a chunk whose sources are toy decoders: z_batch[i] scores source i."""
 
     def __init__(self):
@@ -398,6 +399,29 @@ class ChunkDecoder:
         assert len({len(p) for p in prefixes}) == 1, "prefixes must share a length"
         return np.stack([z_batch[i].prefix_logits(None, None, p)
                          for i, p in zip(indices, prefixes)])
+
+
+class TestReplayDecoder:
+    def test_each_row_scores_the_source_and_prefix_it_continues(self):
+        sources = [RandomDecoder(6, 1500 + seed) for seed in range(3)]
+        decoder = ChunkDecoder()
+        state = decoder.start(sources, [None] * 3)
+
+        def want(pairs):
+            return ChunkDecoder().prefix_logits_batch(sources, None, [i for i, _ in pairs],
+                                                      [prefix for _, prefix in pairs])
+
+        # the first step names source 1 twice
+        got = decoder.step(state, [1, 0, 1, 2], None)
+        assert np.array_equal(got, want([(1, ()), (0, ()), (1, ()), (2, ())]))
+        # the second reorders rows, repeats row 2 and drops row 0
+        got = decoder.step(state, [3, 2, 2, 1], [4, 5, 3, 1])
+        assert np.array_equal(got, want([(2, (4,)), (1, (5,)), (1, (3,)), (0, (1,))]))
+        got = decoder.step(state, [1, 3], [2, 5])
+        assert np.array_equal(got, want([(1, (5, 2)), (0, (1, 5))]))
+        # the sources score differently, so a row on the wrong source would show
+        assert not np.array_equal(want([(0, (4,))]), want([(2, (4,))]))
+        assert decoder.calls == 3  # one rescoring call per step
 
 
 def eos_lover(n_words):

@@ -19,6 +19,8 @@ from signscribe.evaluation import (
 from signscribe.metrics import bleu
 from signscribe.model import JointModel
 
+from conftest import ReplayDecoder
+
 
 class TestCorpusWer:
     def test_pooled_counts(self):
@@ -241,7 +243,7 @@ class TestDecodedSentences:
             assert len(sentence) <= 2
 
 
-class CountingDecoder:
+class CountingDecoder(ReplayDecoder):
     """Toy pathway that never emits <eos> and counts its batched forwards."""
 
     def __init__(self, n_words):

@@ -17,6 +17,11 @@ def make_attn(seed=0, d=D, heads=H):
     return tf.AttentionParams(d, heads, np.random.default_rng(seed))
 
 
+def all_real(*shape):
+    """The layout of a padded (*shape) batch with every position real."""
+    return tf.Rows(np.ones(shape, dtype=bool))
+
+
 # --- numpy reference implementations, kept deliberately naive -----------------
 
 
@@ -66,7 +71,7 @@ class TestMultiHeadAttention:
     def test_single_position_passes_value_through(self):
         attn = make_attn(1)
         x = Tensor(np.random.default_rng(2).normal(size=(1, D)))
-        out = tf.multi_head_attention(x, x, None, attn).data
+        out = tf.multi_head_attention(x, x, None, attn, all_real(1)).data
         v = x.data @ attn.wv.data + attn.bv.data
         expect = v @ attn.wo.data + attn.bo.data
         assert np.array_equal(out, expect)
@@ -77,8 +82,10 @@ class TestMultiHeadAttention:
         rng = np.random.default_rng(4)
         row = rng.normal(size=(1, D))
         q = Tensor(rng.normal(size=(2, D)))
-        doubled = tf.multi_head_attention(q, Tensor(np.vstack([row, row])), None, attn).data
-        single = tf.multi_head_attention(q, Tensor(row), None, attn).data
+        doubled = tf.multi_head_attention(q, Tensor(np.vstack([row, row])), None, attn,
+                                          all_real(2), all_real(2)).data
+        single = tf.multi_head_attention(q, Tensor(row), None, attn,
+                                         all_real(2), all_real(1)).data
         assert doubled == pytest.approx(single, abs=1e-12)
 
     def test_matches_per_head_reference(self):
@@ -89,7 +96,8 @@ class TestMultiHeadAttention:
         mask = np.array(
             [[1, 1, 0, 1], [1, 1, 1, 1], [0, 1, 1, 0]], dtype=bool
         )
-        out = tf.multi_head_attention(Tensor(q), Tensor(kv), mask, attn).data
+        out = tf.multi_head_attention(Tensor(q), Tensor(kv), mask, attn,
+                                      all_real(3), all_real(4)).data
         assert out == pytest.approx(ref_mha(q, kv, mask, attn), abs=1e-12)
 
     def test_batched_matches_per_sample(self):
@@ -98,8 +106,10 @@ class TestMultiHeadAttention:
         xs = rng.normal(size=(3, 4, D))
         mask = rng.random((3, 4, 4)) < 0.7
         mask[..., 0] = True  # keep every query row satisfiable
-        # every position real: the output is the packed rows, 4 per sample
-        out = tf.multi_head_attention(Tensor(xs), Tensor(xs), mask, attn).data.reshape(3, 4, D)
+        # every position real: the packed rows are 4 per sample
+        packed = Tensor(xs.reshape(12, D))
+        out = tf.multi_head_attention(packed, packed, mask, attn,
+                                      all_real(3, 4)).data.reshape(3, 4, D)
         for b in range(3):
             assert out[b] == pytest.approx(ref_mha(xs[b], xs[b], mask[b], attn), abs=1e-12)
 
@@ -122,7 +132,7 @@ class TestMultiHeadAttention:
 
         with Graph() as g:
             xt = Tensor(x, requires_grad=True)
-            out = tf.multi_head_attention(xt, xt, mask, attn)
+            out = tf.multi_head_attention(xt, xt, mask, attn, all_real(3))
             ad.backward(g, ad.tensor_sum(out * out))
         assert_grad_close(attn.wq.grad, finite_difference_grad(f, attn.wq.data))
 
