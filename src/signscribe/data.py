@@ -158,11 +158,13 @@ def read_features(path) -> np.ndarray:
 
 
 def check_features(features: np.ndarray, name: str) -> None:
-    """Reject a feature sequence no model can encode: non-finite or empty."""
+    """Reject a feature sequence no model can encode: non-finite, empty or zero-width."""
     if not np.all(np.isfinite(features)):
         raise CorpusError(f"{name}: non-finite feature values")
     if features.shape[0] < 1:
         raise CorpusError(f"{name}: empty feature sequence")
+    if features.shape[1] < 1:
+        raise CorpusError(f"{name}: feature width 0, expected at least 1")
 
 
 def _parse_manifest(path: Path) -> list[dict]:

@@ -99,20 +99,20 @@ class SpatialEmbedder:
         self.bn_running_var = np.ones(d)
         self.bn_momentum = BN_MOMENTUM
         self.bn_eps = BN_EPS
-        self.train_mode = True
 
-    def embed_batch(self, frames: Tensor) -> Tensor:
+    def embed_batch(self, frames: Tensor, *, train: bool = False) -> Tensor:
         """A batch's real frames, packed (N, d_in), -> (N, d).
 
         In training the batch statistics are taken over all N rows, so every
-        row must be a real frame.
+        row must be a real frame, and the running statistics move toward
+        them; in evaluation the running statistics normalize.
         """
         if frames.ndim != 2 or frames.shape[-1] != self.d_in:
             raise DimensionError(
                 f"expected packed frames (N, {self.d_in}), got shape {frames.shape}"
             )
         h = ad.linear(frames, self.weight, self.bias)
-        if self.train_mode:
+        if train:
             normed, mu, var = _batch_norm_time(h, self.bn_gain, self.bn_bias, self.bn_eps)
             m = self.bn_momentum
             self.bn_running_mean = (1 - m) * self.bn_running_mean + m * mu
@@ -123,6 +123,6 @@ class SpatialEmbedder:
             normed = (h * Tensor(scale) + shift) * self.bn_gain + self.bn_bias
         return ad.relu(normed)
 
-    def embed(self, frames) -> Tensor:
+    def embed(self, frames, *, train: bool = False) -> Tensor:
         """Single sequence (T, d_in) -> (T, d)."""
-        return self.embed_batch(ad.as_tensor(frames))
+        return self.embed_batch(ad.as_tensor(frames), train=train)

@@ -166,15 +166,9 @@ class JointModel:
 
     def _encode_frame_rows(self, features, rows: Rows, train: bool, rng) -> Tensor:
         x = ad.as_tensor(features)
-        self.spatial.train_mode = train
-        f = self._embed_rows(self.spatial.embed_batch(rows.gather(x)), rows, train, rng)
-        return run_encoder(f, rows, self.encoder, train=train, rng=rng,
-                           dropout_rate=self.dropout)
-
-    def _encode_gloss_rows(self, gloss_ids, rows: Rows, train: bool, rng) -> Tensor:
-        m = self._embed_rows(self.gloss_words.embed(rows.pack(gloss_ids)), rows, train, rng)
-        return run_encoder(m, rows, self.encoder, train=train, rng=rng,
-                           dropout_rate=self.dropout)
+        f = self.spatial.embed_batch(rows.gather(x), train=train)
+        return run_encoder(self._embed_rows(f, rows, train, rng), rows, self.encoder,
+                           train=train, rng=rng, dropout_rate=self.dropout)
 
     def encode_frames(self, features, src_mask, *, train: bool = False, rng=None) -> Tensor:
         """Frames (..., T, d_in) with pad mask (..., T) -> representations z (..., T, d).
@@ -184,27 +178,22 @@ class JointModel:
         rows = Rows(src_mask)
         return rows.scatter(self._encode_frame_rows(features, rows, train, rng))
 
-    def encode_glosses(self, gloss_ids, src_mask, *, train: bool = False, rng=None) -> Tensor:
-        """Gloss token ids (B, N) or (N,) -> representations z (text-input protocol).
-
-        Only real positions are computed; z is zero at padded ones.
-        """
-        rows = Rows(src_mask)
-        return rows.scatter(self._encode_gloss_rows(gloss_ids, rows, train, rng))
-
     def _encode_rows(self, batch, protocol: str, *, train: bool = False, rng=None):
         """Encode a Batch from the protocol's input -> (packed z (N, d), its Rows).
 
         Gloss input reads an empty gloss row as one <pad> token, so every
         row keeps a key to attend to.
         """
-        if protocol in GLOSS_INPUT:
-            mask = batch.gloss_mask.copy()
-            mask[:, 0] |= ~mask.any(axis=1)
-            rows = Rows(mask)
-            return self._encode_gloss_rows(batch.gloss_ids, rows, train, rng), rows
-        rows = Rows(batch.src_mask)
-        return self._encode_frame_rows(batch.features, rows, train, rng), rows
+        if protocol not in GLOSS_INPUT:
+            rows = Rows(batch.src_mask)
+            return self._encode_frame_rows(batch.features, rows, train, rng), rows
+        mask = batch.gloss_mask.copy()
+        mask[:, 0] |= ~mask.any(axis=1)
+        rows = Rows(mask)
+        m = self._embed_rows(self.gloss_words.embed(rows.pack(batch.gloss_ids)), rows,
+                             train, rng)
+        return run_encoder(m, rows, self.encoder, train=train, rng=rng,
+                           dropout_rate=self.dropout), rows
 
     def encode(self, batch, protocol: str, *, train: bool = False, rng=None):
         """Encode a Batch from the protocol's input -> (z (B, S, d), key mask)."""
@@ -219,7 +208,7 @@ class JointModel:
                    rng) -> Tensor:
         """Packed word logits (N, V) for the real positions of text_in under rows."""
         m = self._embed_rows(self.words.embed(rows.pack(text_in)), rows, train, rng)
-        return run_decoder(m, z, src_rows, self.decoder, rows=rows, train=train, rng=rng,
+        return run_decoder(m, rows, z, src_rows, self.decoder, train=train, rng=rng,
                            dropout_rate=self.dropout)
 
     def word_logits(self, text_in, z: Tensor, src_mask, *, train: bool = False, rng=None) -> Tensor:
@@ -251,14 +240,16 @@ class JointModel:
         Row r continues row parent_rows[r] of the step before, or source
         parent_rows[r] at the first step, and appends tokens[r]. At the
         first step tokens is None: the rows start their sentences, so the
-        word fed is <bos>. Each step feeds one position per row.
+        word fed is <bos>. Each step feeds one position per row: packed
+        (R, d) rows under an all-real (R, 1) layout.
         """
         state.select(parent_rows)
         words = np.full(len(state.sources), TEXT_BOS) if tokens is None else tokens
         t = state.length
-        m = self.words.embed(np.asarray(words, dtype=np.int64)[:, None])
+        m = self.words.embed(np.asarray(words, dtype=np.int64))
         m = m + self._positions(t + 1).data[t]
-        return run_decoder(m, None, None, self.decoder, cache=state).data
+        rows = Rows(np.ones((len(words), 1), dtype=bool))
+        return run_decoder(m, rows, None, None, self.decoder, cache=state).data
 
     def prefix_logits(self, z, src_mask, prefix) -> np.ndarray:
         """Next-word logits after a bos-free prefix, for one source sequence."""

@@ -3,7 +3,9 @@
 The training loop minimizes the weighted joint objective over shuffled
 batches, skips (and counts in the log) any step whose loss or gradient is
 not finite, gives up with NonFiniteLossError after MAX_NONFINITE_STEPS such
-steps in a row, evaluates the dev split with greedy decoding every eval_every
+steps in a row, skips without counting a step that has no loss at all (a
+recognition-only batch none of whose CTC targets fits its frames),
+evaluates the dev split with greedy decoding every eval_every
 iterations, reduces the learning rate by a fixed factor after `patience`
 evaluations without improvement, and stops once a reduction would cross the
 floor (the rate is never set below it). The tracked metric is WER whenever
@@ -469,11 +471,10 @@ def train(
                         "%s: CTC target cannot fit %d frames, sample skipped",
                         batch.ids[j], batch.frame_counts[j],
                     )
-                if total is None:
-                    continue
                 # a finite loss can still have a non-finite gradient (an inf
-                # activation, an overflowing backward), so both are checked
-                finite = bool(np.isfinite(total.data))
+                # activation, an overflowing backward), so both are checked;
+                # no loss at all (no CTC target fits) skips the step
+                finite = total is not None and bool(np.isfinite(total.data))
                 if finite:
                     ad.backward(graph, total)
                     finite = all(np.isfinite(p.grad).all() for p in params.values()
@@ -490,6 +491,7 @@ def train(
             else:
                 # the step leaves the whole model as it was, buffers included
                 model.spatial.bn_running_mean, model.spatial.bn_running_var = running_stats
+            if total is not None and not finite:  # a step with no loss is not counted
                 nonfinite_run += 1
                 sums["nonfinite"] += 1
                 if nonfinite_run >= MAX_NONFINITE_STEPS:

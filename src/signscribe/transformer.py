@@ -13,8 +13,8 @@ Only attention sees the padded (..., S, d) layout: each site scatters its
 queries, keys and values into it (one row scatter each, whose padded rows
 are zeros) and gathers the weighted values back out before the output
 projection. With nothing padded, as for a single sequence or a cached decode
-step, the scatter and the gather are reshapes. A stack given no layout
-(None) reads every position of its (..., S, d) input as real. Disallowed
+step, the scatter and the gather are reshapes. Every stack is given its
+input's layout, and every attention site its projected heads. Disallowed
 attention logits are filled with a large negative constant rather than -inf so
 every stored value stays finite; the fill underflows to an exact zero weight
 after softmax, which keeps masking bitwise-exact and keeps padded keys from
@@ -76,14 +76,6 @@ class Rows:
         if self.index is None:
             return x.reshape((*self.mask.shape, x.shape[-1]))
         return ad.scatter_rows(x, self.index, self.mask.shape)
-
-
-def _packed(x: Tensor, rows: Rows | None) -> tuple[Tensor, Rows]:
-    """x packed under rows; with rows None, every position of x (..., S, d) is real."""
-    if rows is not None:
-        return x, rows
-    rows = Rows(np.ones(x.shape[:-1], dtype=bool))
-    return rows.gather(x), rows
 
 
 class NormParams:
@@ -159,37 +151,37 @@ def _merge_heads(x: Tensor, rows: Rows) -> Tensor:
     return ad.gather_rows(x.reshape((*lead, s, h * dh)), rows.index)
 
 
-def _project_keys_values(keys_values: Tensor, rows: Rows,
-                         attn: AttentionParams) -> tuple[Tensor, Tensor]:
-    """One attention site's keys and values of packed rows (N, d), each (..., H, K, d/H)."""
-    k = _split_heads(ad.linear(keys_values, attn.wk, attn.bk), attn.n_heads, rows)
-    v = _split_heads(ad.linear(keys_values, attn.wv, attn.bv), attn.n_heads, rows)
+def _queries(x: Tensor, rows: Rows, attn: AttentionParams) -> Tensor:
+    """One attention site's queries of packed rows x (N, d), (..., H, Q, d/H)."""
+    return _split_heads(ad.linear(x, attn.wq, attn.bq), attn.n_heads, rows)
+
+
+def _keys_values(x: Tensor, rows: Rows, attn: AttentionParams) -> tuple[Tensor, Tensor]:
+    """One attention site's keys and values of packed rows x (N, d), each (..., H, K, d/H)."""
+    k = _split_heads(ad.linear(x, attn.wk, attn.bk), attn.n_heads, rows)
+    v = _split_heads(ad.linear(x, attn.wv, attn.bv), attn.n_heads, rows)
     return k, v
 
 
 def multi_head_attention(
-    queries: Tensor,
-    keys_values,
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
     mask,
     attn: AttentionParams,
     rows: Rows,
-    key_rows: Rows | None = None,
     *,
-    queries_projected: bool = False,
     train: bool = False,
     rng: np.random.Generator | None = None,
     dropout_rate: float = 0.0,
 ) -> Tensor:
-    """Scaled dot-product attention with H heads, from packed rows to packed rows.
+    """Scaled dot-product attention with H heads, from projected heads to packed rows.
 
-    queries is the packed (N, d) input that attends, laid out by rows, or,
-    with queries_projected, its queries already projected and split into
-    heads, a (..., H, Q, d/H) tensor (DecoderCache.extend returns such
-    queries). keys_values is the packed (M, d) input to attend over, laid
-    out by key_rows (rows when None), or its keys and values already
-    projected and split into heads, as a (k, v) pair of (..., H, K, d/H)
-    tensors (a DecoderCache holds such pairs). Returns the packed (N, d)
-    output rows.
+    q holds the queries, (..., H, Q, d/H), in the padded layout of rows; k
+    and v hold the keys and values, each (..., H, K, d/H) (_queries and
+    _keys_values project them from packed rows; a DecoderCache holds them
+    for the positions it keeps). Returns the packed (N, d) output rows, one
+    per real query position of rows.
 
     mask[..., q, k] true means query position q may attend to key position
     k. It is a boolean (..., Q, K) array, or one of rank >= 2 that
@@ -202,10 +194,6 @@ def multi_head_attention(
     weighted values are one autodiff.attention node.
     """
     dh = attn.d // attn.n_heads
-    q = (queries if queries_projected
-         else _split_heads(ad.linear(queries, attn.wq, attn.bq), attn.n_heads, rows))
-    k, v = (keys_values if isinstance(keys_values, tuple) else _project_keys_values(
-        keys_values, rows if key_rows is None else key_rows, attn))
     fill = None if mask is None else ~mask[..., None, :, :]  # (..., 1, Q, K)
     ctx = _merge_heads(ad.attention(
         q, k, v, 1.0 / np.sqrt(dh), fill, MASK_FILL,
@@ -330,7 +318,7 @@ def _key_mask(pad_mask) -> np.ndarray | None:
 
 def run_encoder(
     f_hat: Tensor,
-    rows: Rows | None,
+    rows: Rows,
     stack: EncoderStack,
     *,
     train: bool = False,
@@ -339,16 +327,16 @@ def run_encoder(
 ) -> Tensor:
     """Self-attend embedded frames into contextual representations z.
 
-    f_hat is the packed (N, d) rows of the layout rows, or, with rows None,
-    (..., S, d) with every position real; z is packed (N, d) rows. Padded
-    positions are in no key set and no row, so representations at real
-    positions never depend on padding content.
+    f_hat is the packed (N, d) rows of the layout rows; z is packed (N, d)
+    rows too. Padded positions are in no key set and no row, so
+    representations at real positions never depend on padding content.
     """
-    x, rows = _packed(f_hat, rows)
+    x = f_hat
     mask = _key_mask(rows.mask)
     for block in stack.blocks:
         a = multi_head_attention(
-            x, x, mask, block.attn, rows, train=train, rng=rng, dropout_rate=dropout_rate
+            _queries(x, rows, block.attn), *_keys_values(x, rows, block.attn), mask,
+            block.attn, rows, train=train, rng=rng, dropout_rate=dropout_rate,
         )
         x = ad.layer_norm(x, block.norm1.gain, block.norm1.bias, residual=a)
         f = _feed_forward(x, block.ffn, train, rng, dropout_rate)
@@ -359,6 +347,17 @@ def run_encoder(
 def gloss_logits(z: Tensor, stack: EncoderStack) -> Tensor:
     """Per-frame gloss scores; column 0 is reserved for the CTC blank."""
     return ad.linear(z, stack.gloss_w, stack.gloss_b)
+
+
+def _cross_keys_values(z: Tensor, src_rows: Rows, stack: DecoderStack
+                       ) -> tuple[list[tuple[Tensor, Tensor]], np.ndarray | None]:
+    """Every decoder layer's cross-attention (k, v) of packed source rows z.
+
+    Returns the per-layer pairs, each (B, H, S, d/H) in the padded layout of
+    src_rows, and the source key mask lifted and checked once (_key_mask).
+    """
+    src_mask = _key_mask(src_rows.mask)
+    return [_keys_values(z, src_rows, block.cross_attn) for block in stack.blocks], src_mask
 
 
 class DecoderCache:
@@ -391,10 +390,8 @@ class DecoderCache:
 
     def __init__(self, z: Tensor, src_pad_mask, stack: DecoderStack):
         src = Rows(src_pad_mask)
-        self._src_mask = _key_mask(src.mask)  # (B, 1, S), or None if nothing is padded
-        z_rows = src.gather(z)
-        self._cross = [_project_keys_values(z_rows, src, block.cross_attn)
-                       for block in stack.blocks]
+        # per layer (k, v), each (B, H, S, d/H); (B, 1, S), or None if nothing is padded
+        self._cross, self._src_mask = _cross_keys_values(src.gather(z), src, stack)
         self._in_proj = [  # per layer: (d, 3d) weight, (3d,) bias, heads
             (Tensor(np.concatenate([a.wq.data, a.wk.data, a.wv.data], axis=1)),
              Tensor(np.concatenate([a.bq.data, a.bk.data, a.bv.data])), a.n_heads)
@@ -429,12 +426,13 @@ class DecoderCache:
         self.sources = sources
         self.self_kv = [(k[parents], v[parents]) for k, v in self.self_kv]
 
-    def extend(self, layer: int, x: Tensor) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-        """One layer's self-attention operands for new positions x, packed (R * U, d).
+    def extend(self, layer: int, x: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+        """One layer's self-attention heads for new positions x, packed (R * U, d).
 
         Row r's U new positions are rows r * U to r * U + U - 1 of x.
-        Returns x's queries (R, H, U, d/H) and the (k, v) pair of the kept
-        positions' keys and values followed by x's, and keeps them all.
+        Returns x's queries (R, H, U, d/H), and the keys and values of the
+        kept positions followed by x's, each (R, H, length + U, d/H); it
+        keeps those keys and values.
         """
         w, b, n_heads = self._in_proj[layer]
         qkv = ad.linear(x, w, b).data  # (R * U, 3d)
@@ -445,16 +443,16 @@ class DecoderCache:
         k = np.concatenate([old_k, new_k], axis=-2)
         v = np.concatenate([old_v, new_v], axis=-2)
         self.self_kv[layer] = k, v
-        return Tensor(q), (Tensor(k), Tensor(v))
+        return Tensor(q), Tensor(k), Tensor(v)
 
 
 def run_decoder(
     m_hat: Tensor,
+    rows: Rows,
     z: Tensor | None,
     src_rows: Rows | None,
     stack: DecoderStack,
     *,
-    rows: Rows | None = None,
     train: bool = False,
     rng: np.random.Generator | None = None,
     dropout_rate: float = 0.0,
@@ -463,38 +461,38 @@ def run_decoder(
     """Causally decode embedded target words against encoder outputs.
 
     m_hat is the packed (N, d) target rows of the layout rows and z the
-    packed source rows of src_rows; a layout left None reads every position
-    of its (..., S, d) input as real. Returns packed (N, V) word logits.
-    Row u of a sequence's logits depends only on its target rows <= u and
-    z, which is what lets one forward pass score a whole shifted sequence.
+    packed source rows of the layout src_rows. Returns packed (N, V) word
+    logits. Row u of a sequence's logits depends only on its target rows
+    <= u and z, which is what lets one forward pass score a whole shifted
+    sequence.
 
     With a cache, m_hat holds the positions that follow the cache.length
-    ones each row keeps: self-attention also reads the kept keys and
-    values, and cross-attention reads the cache's, so z and src_rows are
-    unused.
+    ones each row keeps, every one real: self-attention also reads the kept
+    keys and values, and cross-attention reads the cache's, so z and
+    src_rows are unused (pass None).
     """
-    x, rows = _packed(m_hat, rows)
+    x = m_hat
     u = rows.mask.shape[-1]
-    past = 0 if cache is None else cache.length
-    # a cached one-position step may attend to every kept position; the
-    # causal mask keeps each row's own position, so it needs no check
-    causal = None if cache is not None and u == 1 else np.tril(
-        np.ones((u, past + u), dtype=bool), k=past)
     if cache is None:
-        z, src_rows = _packed(z, src_rows)
-        src_mask = _key_mask(src_rows.mask)
+        cross, src_mask = _cross_keys_values(z, src_rows, stack)
+        causal = np.tril(np.ones((u, u), dtype=bool))
     else:
-        src_mask = cache.cross_mask
+        cross, src_mask = cache.cross, cache.cross_mask
+        # a one-position step may attend to every kept position; the causal
+        # mask keeps each row's own position, so it needs no check
+        past = cache.length
+        causal = None if u == 1 else np.tril(np.ones((u, past + u), dtype=bool), k=past)
     for i, block in enumerate(stack.blocks):
-        queries, keys = (x, x) if cache is None else cache.extend(i, x)
+        qkv = (cache.extend(i, x) if cache is not None else
+               (_queries(x, rows, block.self_attn), *_keys_values(x, rows, block.self_attn)))
         a = multi_head_attention(
-            queries, keys, causal, block.self_attn, rows, queries_projected=cache is not None,
+            *qkv, causal, block.self_attn, rows,
             train=train, rng=rng, dropout_rate=dropout_rate,
         )
         x = ad.layer_norm(x, block.norm1.gain, block.norm1.bias, residual=a)
         c = multi_head_attention(
-            x, z if cache is None else cache.cross[i], src_mask, block.cross_attn, rows,
-            src_rows, train=train, rng=rng, dropout_rate=dropout_rate,
+            _queries(x, rows, block.cross_attn), *cross[i], src_mask, block.cross_attn, rows,
+            train=train, rng=rng, dropout_rate=dropout_rate,
         )
         x = ad.layer_norm(x, block.norm2.gain, block.norm2.bias, residual=c)
         f = _feed_forward(x, block.ffn, train, rng, dropout_rate)

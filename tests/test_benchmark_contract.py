@@ -119,3 +119,37 @@ def test_checkpoint_save_binds_the_benchmark_call():
         for arg, parameter in zip(call.args, bound.arguments):
             if isinstance(arg, ast.Name) and arg.id in signature.parameters:
                 assert parameter == arg.id
+
+
+# the first parameter of each function whose span `_observe` in
+# perfbench/spans.py counts from the wrapped call's args[0]
+OBSERVED_FIRST = {"transformer.run_decoder": "m_hat", "autodiff.backward": "graph"}
+
+
+def observed_first_arguments() -> set[str]:
+    """Span names whose `_observe` branch reads the wrapped call's args[0]."""
+    tree = ast.parse((PERFBENCH / "spans.py").read_text(encoding="utf-8"))
+    observe = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_observe")
+    names = set()
+    for branch in ast.walk(observe):
+        if not (isinstance(branch, ast.If) and isinstance(branch.test, ast.Compare)
+                and isinstance(branch.test.comparators[0], ast.Constant)):
+            continue
+        if any(isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+               and node.value.id == "args" and isinstance(node.slice, ast.Constant)
+               and node.slice.value == 0
+               for stmt in branch.body for node in ast.walk(stmt)):
+            names.add(branch.test.comparators[0].value)
+    return names
+
+
+def test_observed_first_arguments_keep_their_place():
+    # a reordered signature would feed the observer another argument and
+    # silently corrupt transformer.run_decoder.positions or autodiff.tape_nodes
+    assert observed_first_arguments() == set(OBSERVED_FIRST)
+    targets = {name: (module, attr) for name, module, attr in load_spans().TARGETS}
+    for name, parameter in OBSERVED_FIRST.items():
+        module_name, attr = targets[name]
+        function = getattr(importlib.import_module(module_name), attr)
+        assert next(iter(inspect.signature(function).parameters)) == parameter, name

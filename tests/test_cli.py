@@ -181,6 +181,18 @@ class TestTrainCommand:
         assert err.count("\n") == 1
 
 
+    def test_zero_width_features_are_one_line_runtime_error(self, corpus, tmp_path, capsys):
+        bad = tmp_path / "corpus"
+        shutil.copytree(corpus, bad)
+        for path in sorted((bad / "features").iterdir()):
+            data.write_features(path, np.zeros((len(data.read_features(path)), 0)))
+        code = cli.main(train_args(bad, tmp_path / "out"))
+        assert code == 1
+        first = json.loads((bad / "train.jsonl").read_text().splitlines()[0])
+        assert capsys.readouterr().err == (
+            f"error: {first['id']}: feature width 0, expected at least 1\n")
+
+
 class TestEvaluateCommand:
     def test_greedy_report(self, corpus, joint_ckpt, capsys):
         code = cli.main([

@@ -234,6 +234,7 @@ class TestLoadCorpus:
         (np.zeros((0, 4), dtype=np.float32), "empty feature sequence"),
         (np.array([[0.5, np.nan, 0.5, 0.5]] * 3, dtype=np.float32), "non-finite"),
         (np.array([[0.5, 0.5, np.inf, 0.5]] * 3, dtype=np.float32), "non-finite"),
+        (np.zeros((3, 0), dtype=np.float32), "feature width 0, expected at least 1"),
     ])
     def test_unusable_features_rejected(self, tmp_path, feat, message):
         write_corpus(tmp_path, {"train": [("t0", frames(5), "A", "x")],

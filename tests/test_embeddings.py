@@ -102,16 +102,15 @@ class TestWordEmbedder:
 class TestSpatialEmbedder:
     def test_eval_identity_then_relu(self):
         se = make_spatial(2, 2)
-        se.train_mode = False
         se.weight = Tensor(np.eye(2))
-        out = se.embed(np.array([[-2.0, 3.0]]))
+        out = se.embed(np.array([[-2.0, 3.0]]), train=False)
         assert out.data[0] == pytest.approx([0.0, 3.0], abs=1e-4)
 
     def test_train_constant_rows_fall_to_bn_bias(self):
         se = make_spatial(3, 4, seed=8)
         se.bn_bias = Tensor(np.array([-1.0, 0.0, 0.5, 2.0]))
         frames = np.tile(np.array([0.3, -1.2, 0.7]), (5, 1))
-        out = se.embed(frames).data
+        out = se.embed(frames, train=True).data
         expect = np.maximum(se.bn_bias.data, 0.0)
         assert out == pytest.approx(np.tile(expect, (5, 1)), abs=1e-9)
 
@@ -119,7 +118,7 @@ class TestSpatialEmbedder:
         # Independent reimplementation of linear -> BN over time -> ReLU.
         se = make_spatial(3, 4, seed=9)
         frames = np.random.default_rng(10).normal(size=(4, 3))
-        out = se.embed(frames).data
+        out = se.embed(frames, train=True).data
 
         h = frames @ se.weight.data + se.bias.data
         mu = h.mean(axis=0)
@@ -132,10 +131,8 @@ class TestSpatialEmbedder:
         se = make_spatial(5, 6, seed=11)
         for t in (1, 3, 9):
             frames = RNG.normal(size=(t, 5)) * 3
-            assert np.all(se.embed(frames).data >= 0.0)
-            se.train_mode = False
-            assert np.all(se.embed(frames).data >= 0.0)
-            se.train_mode = True
+            assert np.all(se.embed(frames, train=True).data >= 0.0)
+            assert np.all(se.embed(frames, train=False).data >= 0.0)
 
     def test_dimension_mismatch(self):
         se = make_spatial(3, 4)
@@ -146,11 +143,9 @@ class TestSpatialEmbedder:
         se = make_spatial(3, 4, seed=12)
         frames = RNG.normal(size=(6, 3))
         before = se.bn_running_mean.copy()
-        se.train_mode = False
-        se.embed(frames)
+        se.embed(frames, train=False)
         assert np.array_equal(se.bn_running_mean, before)
-        se.train_mode = True
-        se.embed(frames)
+        se.embed(frames, train=True)
         assert not np.array_equal(se.bn_running_mean, before)
         assert np.all(se.bn_running_var > 0)
 
@@ -160,7 +155,7 @@ class TestSpatialEmbedder:
         frames = np.random.default_rng(14).normal(size=(8, 2))
         h = frames @ se.weight.data + se.bias.data
         for _ in range(200):
-            se.embed(frames)
+            se.embed(frames, train=True)
         assert se.bn_running_mean == pytest.approx(h.mean(axis=0), abs=1e-8)
         assert se.bn_running_var == pytest.approx(h.var(axis=0), abs=1e-8)
 
@@ -173,9 +168,9 @@ class TestSpatialEmbedder:
         padded = np.concatenate([real, 999.0 * np.ones((2, 2, 3))], axis=1)
         mask = np.zeros((2, 5), dtype=bool)
         mask[:, :3] = True
-        out_padded = se.embed_batch(Rows(mask).gather(Tensor(padded))).data
+        out_padded = se.embed_batch(Rows(mask).gather(Tensor(padded)), train=True).data
         se2 = make_spatial(3, 4, seed=15)
-        out_real = se2.embed_batch(Tensor(real.reshape(6, 3))).data
+        out_real = se2.embed_batch(Tensor(real.reshape(6, 3)), train=True).data
         assert np.array_equal(out_padded, out_real)
 
     @pytest.mark.parametrize("wrt", ["input", "weight", "bn_gain", "bn_bias"])
@@ -189,7 +184,7 @@ class TestSpatialEmbedder:
             "bn_bias": se.bn_bias,
         }
 
-        def forward(x, train=True):
+        def forward(x):
             s = make_spatial(3, 4, seed=17)
             s.weight = Tensor(se.weight.data.copy())
             s.bn_gain = Tensor(se.bn_gain.data.copy())
@@ -204,14 +199,14 @@ class TestSpatialEmbedder:
                     s.bn_gain = Tensor(x)
                 elif wrt == "bn_bias":
                     s.bn_bias = Tensor(x)
-            out = s.embed(np.asarray(inp))
+            out = s.embed(np.asarray(inp), train=True)
             # Square keeps the loss smooth; ReLU kinks sit at measure-zero points.
             return float((out.data ** 2).sum())
 
         target = params[wrt]
         with Graph() as g:
             x = Tensor(frames, requires_grad=True)
-            out = se.embed_batch(x)
+            out = se.embed_batch(x, train=True)
             loss = ad.tensor_sum(out * out)
             ad.backward(g, loss)
         if wrt == "input":
@@ -223,13 +218,12 @@ class TestSpatialEmbedder:
 
     def test_eval_mode_gradients(self):
         se = make_spatial(3, 4, seed=19)
-        se.train_mode = False
         se.bn_running_mean = np.array([0.1, -0.2, 0.3, 0.0])
         se.bn_running_var = np.array([1.5, 0.7, 2.0, 1.0])
         frames = np.random.default_rng(20).normal(size=(4, 3))
         with Graph() as g:
             x = Tensor(frames, requires_grad=True)
-            out = se.embed_batch(x)
+            out = se.embed_batch(x, train=False)
             loss = ad.tensor_sum(out * out)
             ad.backward(g, loss)
 
@@ -244,7 +238,6 @@ class TestSpatialEmbedder:
     def test_batched_matches_per_sample_in_eval_mode(self):
         # Eval mode normalizes per frame with fixed stats, so batching is a no-op.
         se = make_spatial(3, 4, seed=21)
-        se.train_mode = False
         se.bn_running_mean = np.array([0.1, -0.2, 0.3, 0.0])
         se.bn_running_var = np.array([1.5, 0.7, 2.0, 1.0])
         rng = np.random.default_rng(22)
@@ -254,6 +247,7 @@ class TestSpatialEmbedder:
         padded[0, :3] = a
         padded[1] = b
         mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=bool)
-        out = se.embed_batch(Rows(mask).gather(Tensor(padded))).data  # packed rows, a then b
-        assert out[:3] == pytest.approx(se.embed(a).data, abs=1e-12)
-        assert out[3:] == pytest.approx(se.embed(b).data, abs=1e-12)
+        packed = Rows(mask).gather(Tensor(padded))  # packed rows, a then b
+        out = se.embed_batch(packed, train=False).data
+        assert out[:3] == pytest.approx(se.embed(a, train=False).data, abs=1e-12)
+        assert out[3:] == pytest.approx(se.embed(b, train=False).data, abs=1e-12)

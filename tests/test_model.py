@@ -10,6 +10,7 @@ from signscribe import data, decoding, model as jm
 from signscribe import transformer as tf
 from signscribe.autodiff import Graph, Tensor
 from signscribe.data import GLOSS_SPECIALS, TEXT_PAD, TEXT_SPECIALS, Sample, Vocabulary
+from signscribe.embeddings import positional_encoding
 from signscribe.errors import ConfigError, ContractError
 from signscribe.evaluation import FORBIDDEN_WORDS, encode_split
 from signscribe.losses import LossWeights, ctc_log_prob, translation_loss
@@ -178,10 +179,10 @@ class TestForwardShapes:
 
     def test_encode_glosses(self):
         m = tiny_model()
-        ids = np.array([[2, 3, 4], [5, 2, 1]])
-        mask = np.array([[True, True, True], [True, True, False]])
-        z = m.encode_glosses(ids, mask)
-        assert z.shape == (2, 3, 8)
+        batch, _, _ = tiny_batch()
+        z, mask = m.encode(batch, "gloss2text")
+        assert z.shape == (*batch.gloss_ids.shape, 8)
+        assert np.all(z.data[~mask] == 0.0)
 
     def test_single_sequence_encode(self):
         m = tiny_model()
@@ -376,7 +377,11 @@ class TestEncode:
         batch, _, _ = tiny_batch()
         z, mask = m.encode(batch, "gloss2text")
         assert np.array_equal(mask, batch.gloss_mask)
-        want = m.encode_glosses(batch.gloss_ids, batch.gloss_mask)
+        # the encoder run by hand on the embedded glosses plus their positions
+        rows = tf.Rows(batch.gloss_mask)
+        pe = positional_encoding(batch.gloss_ids.shape[1], m.d).data[rows.positions]
+        glosses = m.gloss_words.embed(rows.pack(batch.gloss_ids)) + Tensor(pe)
+        want = rows.scatter(tf.run_encoder(glosses, rows, m.encoder))
         assert np.array_equal(z.data, want.data)
 
     def test_empty_gloss_row_reads_one_pad(self):
@@ -577,6 +582,7 @@ class TestCachedSteps:
     def test_each_step_feeds_one_position_per_row(self, width, monkeypatch):
         m, z, mask = sharpened_chunk()
         fed = []  # m_hat shape of every cached decoder call
+        rows = []  # rows fed at every step
         run_decoder = jm.run_decoder
 
         def counted(m_hat, *args, cache=None, **kwargs):
@@ -593,6 +599,7 @@ class TestCachedSteps:
 
             def step(self, state, parent_rows, tokens):
                 prefix = 0 if tokens is None else lengths[-1][0] + 1
+                rows.append(len(parent_rows))
                 logits = m.step(state, parent_rows, tokens)
                 lengths.append((prefix, state.length))
                 return logits
@@ -600,7 +607,7 @@ class TestCachedSteps:
         decoding.ar_beam_pools(z, mask, Recorded(), width, [6, 2, 4, 5, 1],
                                forbid=(data.TEXT_PAD, data.TEXT_BOS))
         assert len(fed) == len(lengths) > 1
-        assert all(shape[1:] == (1, m.d) for shape in fed), fed
+        assert fed == [(n, m.d) for n in rows]
         assert all(length == prefix + 1 for prefix, length in lengths), lengths
 
     @pytest.mark.parametrize("width", [1, 2, 3, 4])
@@ -640,11 +647,11 @@ class TestCachedSteps:
         attention = tf.multi_head_attention
         unmasked = []
 
-        def all_true(queries, keys_values, mask, attn, *layout, **kwargs):
+        def all_true(q, k, v, mask, attn, rows, **kwargs):
             if mask is None:
-                unmasked.append(keys_values[0].shape[-2])
-                mask = np.ones((1, keys_values[0].shape[-2]), dtype=bool)
-            return attention(queries, keys_values, mask, attn, *layout, **kwargs)
+                unmasked.append(k.shape[-2])
+                mask = np.ones((1, k.shape[-2]), dtype=bool)
+            return attention(q, k, v, mask, attn, rows, **kwargs)
 
         monkeypatch.setattr(tf, "multi_head_attention", all_true)
         with_mask = steps()

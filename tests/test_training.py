@@ -684,3 +684,26 @@ class TestNonFiniteLossGuard:
         (entry,) = result.log
         assert entry["nonfinite_steps"] == 3 * (MAX_NONFINITE_STEPS - 1)
         assert np.isfinite(entry["loss"])
+
+
+def test_batch_without_feasible_ctc_target_is_a_skipped_step(tmp_path, monkeypatch):
+    # "A A" needs 3 frames (a blank between the repeats), so neither 2-frame
+    # sample fits CTC and a sign2gloss batch has no loss: each step changes
+    # nothing, buffers included, and the evaluations still run
+    gloss_vocab = data.Vocabulary({"A", "B"}, data.GLOSS_SPECIALS)
+    text_vocab = data.Vocabulary({"x"}, data.TEXT_SPECIALS)
+    rng = np.random.default_rng(5)
+    samples = [data.Sample(f"s{i}", rng.normal(size=(2, 4)).astype(np.float32), (g, g), ("x",))
+               for i, g in enumerate("AB")]
+    updates = []
+    monkeypatch.setattr(training, "adam_step", lambda *a: updates.append(a))
+    cfg = quick_cfg(tmp_path / "unused", tmp_path / "run", protocol="sign2gloss",
+                    lambda_r=1.0, lambda_t=0.0, batch_size=1, max_iterations=4, eval_every=2)
+    result = train(cfg, train_samples=samples, dev_samples=samples,
+                   gloss_vocab=gloss_vocab, text_vocab=text_vocab)
+    assert updates == []
+    assert [e["iteration"] for e in result.log] == [2, 4]
+    assert all(e["loss"] is None and e["nonfinite_steps"] == 0 for e in result.log)
+    assert result.best_path is not None and result.best_path.exists()
+    assert np.array_equal(result.model.spatial.bn_running_mean, np.zeros(cfg.d))
+    assert np.array_equal(result.model.spatial.bn_running_var, np.ones(cfg.d))

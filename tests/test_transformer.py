@@ -22,6 +22,13 @@ def all_real(*shape):
     return tf.Rows(np.ones(shape, dtype=bool))
 
 
+def attend(queries, keys_values, mask, attn, rows, key_rows):
+    """One attention site on packed rows, projected as the stacks project them."""
+    q = tf._queries(queries, rows, attn)
+    return tf.multi_head_attention(q, *tf._keys_values(keys_values, key_rows, attn),
+                                   mask, attn, rows)
+
+
 # --- numpy reference implementations, kept deliberately naive -----------------
 
 
@@ -71,7 +78,7 @@ class TestMultiHeadAttention:
     def test_single_position_passes_value_through(self):
         attn = make_attn(1)
         x = Tensor(np.random.default_rng(2).normal(size=(1, D)))
-        out = tf.multi_head_attention(x, x, None, attn, all_real(1)).data
+        out = attend(x, x, None, attn, all_real(1), all_real(1)).data
         v = x.data @ attn.wv.data + attn.bv.data
         expect = v @ attn.wo.data + attn.bo.data
         assert np.array_equal(out, expect)
@@ -82,10 +89,9 @@ class TestMultiHeadAttention:
         rng = np.random.default_rng(4)
         row = rng.normal(size=(1, D))
         q = Tensor(rng.normal(size=(2, D)))
-        doubled = tf.multi_head_attention(q, Tensor(np.vstack([row, row])), None, attn,
-                                          all_real(2), all_real(2)).data
-        single = tf.multi_head_attention(q, Tensor(row), None, attn,
-                                         all_real(2), all_real(1)).data
+        doubled = attend(q, Tensor(np.vstack([row, row])), None, attn,
+                         all_real(2), all_real(2)).data
+        single = attend(q, Tensor(row), None, attn, all_real(2), all_real(1)).data
         assert doubled == pytest.approx(single, abs=1e-12)
 
     def test_matches_per_head_reference(self):
@@ -96,8 +102,7 @@ class TestMultiHeadAttention:
         mask = np.array(
             [[1, 1, 0, 1], [1, 1, 1, 1], [0, 1, 1, 0]], dtype=bool
         )
-        out = tf.multi_head_attention(Tensor(q), Tensor(kv), mask, attn,
-                                      all_real(3), all_real(4)).data
+        out = attend(Tensor(q), Tensor(kv), mask, attn, all_real(3), all_real(4)).data
         assert out == pytest.approx(ref_mha(q, kv, mask, attn), abs=1e-12)
 
     def test_batched_matches_per_sample(self):
@@ -108,8 +113,8 @@ class TestMultiHeadAttention:
         mask[..., 0] = True  # keep every query row satisfiable
         # every position real: the packed rows are 4 per sample
         packed = Tensor(xs.reshape(12, D))
-        out = tf.multi_head_attention(packed, packed, mask, attn,
-                                      all_real(3, 4)).data.reshape(3, 4, D)
+        out = attend(packed, packed, mask, attn,
+                     all_real(3, 4), all_real(3, 4)).data.reshape(3, 4, D)
         for b in range(3):
             assert out[b] == pytest.approx(ref_mha(xs[b], xs[b], mask[b], attn), abs=1e-12)
 
@@ -132,7 +137,7 @@ class TestMultiHeadAttention:
 
         with Graph() as g:
             xt = Tensor(x, requires_grad=True)
-            out = tf.multi_head_attention(xt, xt, mask, attn, all_real(3))
+            out = attend(xt, xt, mask, attn, all_real(3), all_real(3))
             ad.backward(g, ad.tensor_sum(out * out))
         assert_grad_close(attn.wq.grad, finite_difference_grad(f, attn.wq.data))
 
@@ -148,21 +153,22 @@ class TestEncoder:
 
     def test_single_frame_is_finite(self):
         stack = self.make_stack()
-        z = tf.run_encoder(Tensor(np.random.default_rng(21).normal(size=(1, D))), None, stack)
+        z = tf.run_encoder(Tensor(np.random.default_rng(21).normal(size=(1, D))), all_real(1),
+                           stack)
         assert z.shape == (1, D)
         assert np.all(np.isfinite(z.data))
 
     def test_preserves_length(self):
         stack = self.make_stack()
         for t in (1, 2, 7):
-            z = tf.run_encoder(Tensor(np.zeros((t, D))), None, stack)
+            z = tf.run_encoder(Tensor(np.zeros((t, D))), all_real(t), stack)
             assert z.shape == (t, D)
 
     def test_matches_layer_composition(self):
         # Two-layer stack equals hand-composing the per-layer reference twice.
         stack = self.make_stack(n_layers=2, seed=22)
         x = np.random.default_rng(23).normal(size=(3, D))
-        z = tf.run_encoder(Tensor(x), None, stack).data
+        z = tf.run_encoder(Tensor(x), all_real(3), stack).data
         h = ref_encoder_layer(x, None, stack.blocks[0])
         h = ref_encoder_layer(h, None, stack.blocks[1])
         expect = ref_layer_norm(h, stack.final_norm.gain.data, stack.final_norm.bias.data)
@@ -180,7 +186,7 @@ class TestEncoder:
         za = rows.scatter(tf.run_encoder(rows.gather(Tensor(a)), rows, stack)).data
         zb = rows.scatter(tf.run_encoder(rows.gather(Tensor(b)), rows, stack)).data
         assert np.array_equal(za[:3], zb[:3])
-        assert np.array_equal(za[:3], tf.run_encoder(Tensor(real), None, stack).data)
+        assert np.array_equal(za[:3], tf.run_encoder(Tensor(real), all_real(3), stack).data)
         assert np.all(za[3:] == 0.0)
 
     def test_batched_padding_isolation(self):
@@ -196,16 +202,16 @@ class TestEncoder:
         zb = tf.run_encoder(rows.gather(Tensor(y)), rows, stack).data
         assert za.shape == (6, D)
         assert np.array_equal(za, zb)
-        assert za[:2] == pytest.approx(tf.run_encoder(Tensor(x[0, :2]), None, stack).data,
-                                       abs=1e-12)
-        assert za[2:] == pytest.approx(tf.run_encoder(Tensor(x[1]), None, stack).data,
-                                       abs=1e-12)
+        alone = [tf.run_encoder(Tensor(x[0, :2]), all_real(2), stack).data,
+                 tf.run_encoder(Tensor(x[1]), all_real(4), stack).data]
+        assert za[:2] == pytest.approx(alone[0], abs=1e-12)
+        assert za[2:] == pytest.approx(alone[1], abs=1e-12)
 
     def test_eval_determinism(self):
         stack = self.make_stack(seed=28)
         x = Tensor(np.random.default_rng(29).normal(size=(4, D)))
         assert np.array_equal(
-            tf.run_encoder(x, None, stack).data, tf.run_encoder(x, None, stack).data
+            tf.run_encoder(x, all_real(4), stack).data, tf.run_encoder(x, all_real(4), stack).data
         )
 
     def test_all_padding_rejected(self):
@@ -250,14 +256,16 @@ class TestDecoder:
 
     def test_bos_only_step_is_finite(self):
         stack = self.make_stack()
-        logits = tf.run_decoder(Tensor(np.zeros((1, D))), self.encode(), None, stack)
+        logits = tf.run_decoder(Tensor(np.zeros((1, D))), all_real(1), self.encode(), all_real(3),
+                                stack)
         assert logits.shape == (1, 7)
         assert np.all(np.isfinite(logits.data))
 
     def test_preserves_target_length(self):
         stack = self.make_stack()
         for u in (1, 2, 5):
-            logits = tf.run_decoder(Tensor(np.zeros((u, D))), self.encode(), None, stack)
+            logits = tf.run_decoder(Tensor(np.zeros((u, D))), all_real(u), self.encode(),
+                                    all_real(3), stack)
             assert logits.shape == (u, 7)
 
     def test_future_positions_cannot_leak(self):
@@ -269,8 +277,8 @@ class TestDecoder:
         for u in range(3):
             other = m.copy()
             other[u + 1 :] = rng.normal(size=(3 - u, D)) * 50
-            la = tf.run_decoder(Tensor(m), z, None, stack).data
-            lb = tf.run_decoder(Tensor(other), z, None, stack).data
+            la = tf.run_decoder(Tensor(m), all_real(4), z, all_real(3), stack).data
+            lb = tf.run_decoder(Tensor(other), all_real(4), z, all_real(3), stack).data
             assert np.array_equal(la[: u + 1], lb[: u + 1])
 
     def test_matches_loop_reference(self):
@@ -279,7 +287,7 @@ class TestDecoder:
         m = rng.normal(size=(2, D))
         z = rng.normal(size=(2, D))
         src_mask = np.array([True, True])
-        out = tf.run_decoder(Tensor(m), Tensor(z), tf.Rows(src_mask), stack).data
+        out = tf.run_decoder(Tensor(m), all_real(2), Tensor(z), tf.Rows(src_mask), stack).data
 
         causal = np.tril(np.ones((2, 2), dtype=bool))
         h = ref_decoder_layer(m, z, causal, src_mask[None, :], stack.blocks[0])
@@ -296,11 +304,12 @@ class TestDecoder:
         z_dirty = z.copy()
         z_dirty[2:] = 1e5
         src = tf.Rows(np.array([1, 1, 0, 0], dtype=bool))
-        la = tf.run_decoder(Tensor(m), src.gather(Tensor(z)), src, stack).data
-        lb = tf.run_decoder(Tensor(m), src.gather(Tensor(z_dirty)), src, stack).data
+        la = tf.run_decoder(Tensor(m), all_real(3), src.gather(Tensor(z)), src, stack).data
+        lb = tf.run_decoder(Tensor(m), all_real(3), src.gather(Tensor(z_dirty)), src, stack).data
         assert np.array_equal(la, lb)
         # and the padded keys weigh nothing: bitwise the unpadded source
-        assert np.array_equal(la, tf.run_decoder(Tensor(m), Tensor(z[:2]), None, stack).data)
+        unpadded = tf.run_decoder(Tensor(m), all_real(3), Tensor(z[:2]), all_real(2), stack).data
+        assert np.array_equal(la, unpadded)
 
     def test_batched_matches_per_sample(self):
         stack = self.make_stack(n_layers=1, seed=49)
@@ -309,20 +318,24 @@ class TestDecoder:
         z = rng.normal(size=(2, 4, D))
         src_mask = np.array([[1, 1, 1, 0], [1, 1, 1, 1]], dtype=bool)
         src = tf.Rows(src_mask)
-        out = tf.run_decoder(Tensor(m), src.gather(Tensor(z)), src, stack).data.reshape(2, 3, -1)
+        rows = all_real(2, 3)
+        out = tf.run_decoder(rows.gather(Tensor(m)), rows, src.gather(Tensor(z)), src,
+                             stack).data.reshape(2, 3, -1)
         for b in range(2):
+            n = src_mask[b].sum()
             single = tf.run_decoder(
-                Tensor(m[b]), Tensor(z[b][src_mask[b]]), None, stack
+                Tensor(m[b]), all_real(3), Tensor(z[b][src_mask[b]]), all_real(n), stack
             ).data
             assert out[b] == pytest.approx(single, abs=1e-12)
 
     def test_source_row_without_keys_rejected(self):
         # the uncached decoder checks its source mask once, before any layer
         stack = self.make_stack()
-        m = Tensor(np.zeros((2, 3, D)))
+        rows = all_real(2, 3)
+        m = rows.gather(Tensor(np.zeros((2, 3, D))))
         src = tf.Rows(np.array([[1, 1, 0, 0], [0, 0, 0, 0]], dtype=bool))
         with pytest.raises(ContractError):
-            tf.run_decoder(m, src.gather(Tensor(np.zeros((2, 4, D)))), src, stack)
+            tf.run_decoder(m, rows, src.gather(Tensor(np.zeros((2, 4, D)))), src, stack)
 
     def test_gradients_reach_all_parameter_groups(self):
         # One backward pass touches every decoder parameter (no dead wiring).
@@ -332,8 +345,8 @@ class TestDecoder:
         frames = Tensor(rng.normal(size=(3, D)), requires_grad=True)
         m = Tensor(rng.normal(size=(2, D)), requires_grad=True)
         with Graph() as g:
-            z = tf.run_encoder(frames, None, enc)
-            logits = tf.run_decoder(m, z, None, stack)
+            z = tf.run_encoder(frames, all_real(3), enc)
+            logits = tf.run_decoder(m, all_real(2), z, all_real(3), stack)
             ad.backward(g, ad.tensor_sum(logits * logits))
         for name, p in stack.named_parameters():
             assert p.grad is not None, name
@@ -353,14 +366,14 @@ class TestDecoder:
 
         def f(v):
             ft = Tensor(v)
-            z = tf.run_encoder(ft, None, enc)
-            logits = tf.run_decoder(Tensor(m), z, None, stack)
+            z = tf.run_encoder(ft, all_real(3), enc)
+            logits = tf.run_decoder(Tensor(m), all_real(2), z, all_real(3), stack)
             return float((logits.data ** 2).sum())
 
         with Graph() as g:
             ft = Tensor(frames, requires_grad=True)
-            z = tf.run_encoder(ft, None, enc)
-            logits = tf.run_decoder(Tensor(m), z, None, stack)
+            z = tf.run_encoder(ft, all_real(3), enc)
+            logits = tf.run_decoder(Tensor(m), all_real(2), z, all_real(3), stack)
             ad.backward(g, ad.tensor_sum(logits * logits))
         assert_grad_close(ft.grad, finite_difference_grad(f, frames))
 
@@ -369,17 +382,20 @@ class TestDropoutMode:
     def test_train_mode_dropout_changes_with_rng(self):
         stack = tf.EncoderStack(1, D, H, DFF, 4, np.random.default_rng(60))
         x = Tensor(np.random.default_rng(61).normal(size=(4, D)))
-        a = tf.run_encoder(x, None, stack, train=True, rng=np.random.default_rng(1), dropout_rate=0.5).data
-        b = tf.run_encoder(x, None, stack, train=True, rng=np.random.default_rng(2), dropout_rate=0.5).data
-        c = tf.run_encoder(x, None, stack, train=True, rng=np.random.default_rng(1), dropout_rate=0.5).data
+
+        def encode(seed):
+            return tf.run_encoder(x, all_real(4), stack, train=True,
+                                  rng=np.random.default_rng(seed), dropout_rate=0.5).data
+
+        a, b, c = encode(1), encode(2), encode(1)
         assert not np.array_equal(a, b)
         assert np.array_equal(a, c)
 
     def test_eval_ignores_dropout_rate(self):
         stack = tf.EncoderStack(1, D, H, DFF, 4, np.random.default_rng(62))
         x = Tensor(np.random.default_rng(63).normal(size=(4, D)))
-        a = tf.run_encoder(x, None, stack, dropout_rate=0.9).data
-        b = tf.run_encoder(x, None, stack).data
+        a = tf.run_encoder(x, all_real(4), stack, dropout_rate=0.9).data
+        b = tf.run_encoder(x, all_real(4), stack).data
         assert np.array_equal(a, b)
 
 
@@ -477,9 +493,9 @@ class TestTeacherForcedDecoderUnchanged:
                 ad.backward(g, ad.tensor_sum(logits * probe))
             return logits.data, {n: leaf.grad for n, leaf in named}, len(g.nodes)
 
-        src = tf.Rows(src_mask)
+        rows, src = all_real(3, 5), tf.Rows(src_mask)
         got, got_grads, got_nodes = run(
-            lambda **kw: tf.run_decoder(m_hat, src.gather(z), src, stack, **kw))
+            lambda **kw: tf.run_decoder(rows.gather(m_hat), rows, src.gather(z), src, stack, **kw))
         want, want_grads, want_nodes = run(
             lambda **kw: uncached_run_decoder(m_hat, z, src_mask, stack, **kw))
         assert np.array_equal(got, want)
