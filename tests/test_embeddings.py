@@ -38,6 +38,14 @@ class TestPositionalEncoding:
         with pytest.raises(ConfigError):
             emb.positional_encoding(4, 7)
 
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_short_table_is_a_prefix_of_a_long_one_bitwise(self, d):
+        # a model slices one shared table, so every length must read the same bits
+        long = emb.positional_encoding(600, d).data
+        for length in range(1, 301):
+            assert emb.positional_encoding(length, d).data.tobytes() == \
+                long[:length].tobytes(), length
+
     def test_rows_pairwise_distinct(self):
         # Sampled pairs across the full usable position range.
         pe = emb.positional_encoding(10000, 8).data

@@ -1,7 +1,10 @@
 """Optimizer, scheduler, checkpoint format, and training loop tests."""
 
 import functools
+import hashlib
 import json
+import math
+import struct
 import tempfile
 from pathlib import Path
 
@@ -243,6 +246,15 @@ def tiny_model(seed=0):
     )
 
 
+def test_seeded_initial_weights_are_pinned():
+    # an integer seed draws the same values in the same order as it always has
+    h = hashlib.sha256()
+    for name, p in tiny_model(seed=4).named_parameters().items():
+        h.update(name.encode())
+        h.update(p.data.tobytes())
+    assert h.hexdigest() == "518bd0471547a51d598d8caea2636840c528e9e9f1424afdc26eb609ad46aaff"
+
+
 def tiny_vocabs():
     gloss = data.Vocabulary({"A", "B", "C"}, data.GLOSS_SPECIALS)
     text = data.Vocabulary({"x", "y", "z"}, data.TEXT_SPECIALS)
@@ -349,6 +361,72 @@ class TestCheckpointFormat:
         clipped.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(CheckpointError, match="truncated"):
             checkpoint_load(clipped)
+
+    @pytest.mark.parametrize("field", [
+        "header", "name length", "name", "rank", "dims", "data", "footer length", "footer",
+    ])
+    def test_cut_inside_each_field_names_it(self, tmp_path, field):
+        path, *_ = self.saved(tmp_path)
+        raw = path.read_bytes()
+        # the first tensor's fields, in file order
+        name_len = struct.unpack_from("<H", raw, 12)[0]
+        name = raw[14:14 + name_len].decode()
+        rank_at = 14 + name_len
+        dims_at = rank_at + 1
+        data_at = dims_at + 4 * raw[rank_at]
+        footer_len_at = raw.rindex(b'{"extra":') - 4
+        keep, message = {
+            "header": (7, "header"),
+            "name length": (13, "tensor name"),
+            "name": (14 + name_len - 1, "tensor name"),
+            "rank": (rank_at, "tensor rank"),
+            "dims": (dims_at + 3, "tensor dims"),
+            "data": (data_at + 11, f"tensor {name}"),
+            "footer length": (footer_len_at + 2, "footer length"),
+            "footer": (len(raw) - 5, "footer"),
+        }[field]
+        clipped = tmp_path / "clipped.sltc"
+        clipped.write_bytes(raw[:keep])
+        with pytest.raises(CheckpointError) as info:
+            checkpoint_load(clipped)
+        assert str(info.value) == f"{clipped}: truncated checkpoint ({message})"
+
+    @staticmethod
+    def one_tensor_file(path, name: bytes, dims, footer: bytes = b"{}"):
+        values = struct.pack(f"<{math.prod(dims)}d", *[0.5] * math.prod(dims))
+        path.write_bytes(
+            b"SLTC" + struct.pack("<II", training.CHECKPOINT_VERSION, 1)
+            + struct.pack("<H", len(name)) + name
+            + struct.pack("<B", len(dims)) + struct.pack(f"<{len(dims)}I", *dims) + values
+            + struct.pack("<I", len(footer)) + footer
+        )
+        return path
+
+    def test_hand_built_file_loads(self, tmp_path):
+        path = self.one_tensor_file(tmp_path / "x.sltc", b"w", (2, 3), b'{"k":1}')
+        ckpt = checkpoint_load(path)
+        assert ckpt.footer == {"k": 1}
+        assert np.array_equal(ckpt.tensors["w"], np.full((2, 3), 0.5))
+
+    def test_rank_above_numpy_limit_names_the_tensor(self, tmp_path):
+        path = self.one_tensor_file(tmp_path / "x.sltc", b"deep.w", (1,) * 65)
+        with pytest.raises(CheckpointError, match=r"x\.sltc: tensor deep\.w: .*dimension"):
+            checkpoint_load(path)
+
+    def test_non_utf8_name_rejected(self, tmp_path):
+        path = self.one_tensor_file(tmp_path / "x.sltc", b"\xffw", (2,))
+        with pytest.raises(CheckpointError, match="tensor name is not UTF-8"):
+            checkpoint_load(path)
+
+    @pytest.mark.parametrize("footer, message", [
+        (b"{not json", "malformed footer"),
+        (b'{"k":"\xff"}', "malformed footer"),
+        (b"[1, 2]", "footer is not a JSON object"),
+    ])
+    def test_bad_footer_rejected(self, tmp_path, footer, message):
+        path = self.one_tensor_file(tmp_path / "x.sltc", b"w", (2,), footer)
+        with pytest.raises(CheckpointError, match=message):
+            checkpoint_load(path)
 
     def test_trailing_bytes_detected(self, tmp_path):
         path, *_ = self.saved(tmp_path)
