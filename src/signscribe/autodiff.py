@@ -588,8 +588,13 @@ def custom_op(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) ->
 # ---------------------------------------------------------------------------
 
 
-def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> Tensor:
-    """Xavier/Glorot uniform init: U(-a, a) with a = sqrt(6/(fan_in+fan_out))."""
+def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator | None) -> Tensor:
+    """Xavier/Glorot uniform init: U(-a, a) with a = sqrt(6/(fan_in+fan_out)).
+
+    rng None draws nothing and gives zeros, for weights about to be overwritten.
+    """
+    if rng is None:
+        return zeros(shape)
     fan_in, fan_out = shape[0], shape[-1]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)

@@ -35,7 +35,7 @@ from .evaluation import (
     sweep_decode_parameters,
 )
 from .metrics import bleu
-from .model import GLOSS_INPUT, PROTOCOLS, RECOGNITION
+from .model import GLOSS_INPUT, PROTOCOLS, RECOGNITION, TRANSLATION
 from .training import checkpoint_load, restore_model
 
 EXIT_OK = 0
@@ -200,6 +200,9 @@ def cmd_translate(args) -> int:
     _check_decode_flags(args)
     protocol, model, gloss_vocab, text_vocab = _load_checkpoint(args.checkpoint,
                                                                 "checkpoint")
+    if protocol not in TRANSLATION:
+        raise ConfigError(f"translate: protocol {protocol!r} trains no sentence decoder, "
+                          f"so there is no sentence to decode")
     if protocol in GLOSS_INPUT:
         if not args.glosses:
             raise ConfigError("glosses: a gloss2text checkpoint needs --glosses")

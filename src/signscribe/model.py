@@ -84,11 +84,16 @@ class JointModel:
         n_words: int,
         d_ff: int = DEFAULT_D_FF,
         dropout: float = 0.1,
-        seed: int = 0,
+        seed: int | None = 0,
     ):
+        """An integer seed draws Xavier-uniform weights; None leaves them zero.
+
+        None is for a model whose every weight is about to be overwritten,
+        as when a checkpoint is restored: it skips the draws.
+        """
         if not 0.0 <= dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {dropout}")
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         self.d_in = d_in
         self.d = d
         self.n_glosses = n_glosses
@@ -110,7 +115,7 @@ class JointModel:
         self.words = WordEmbedder(n_words, d, rng)
         self.encoder = EncoderStack(n_enc_layers, d, n_heads, d_ff, n_glosses, rng)
         self.decoder = DecoderStack(n_dec_layers, d, n_heads, d_ff, n_words, rng)
-        self._pe_cache: dict[int, Tensor] = {}
+        self._pe = np.empty((0, d))
 
     # -- parameter bookkeeping ---------------------------------------------
 
@@ -148,16 +153,15 @@ class JointModel:
 
     # -- forward passes ------------------------------------------------------
 
-    def _positions(self, length: int) -> Tensor:
-        pe = self._pe_cache.get(length)
-        if pe is None:
-            pe = positional_encoding(length, self.d)
-            self._pe_cache[length] = pe
-        return pe
+    def _positions(self, length: int) -> np.ndarray:
+        """Position vectors 0..length-1: rows of one table, regrown to twice a longer need."""
+        if length > len(self._pe):
+            self._pe = positional_encoding(max(64, 2 * length), self.d).data
+        return self._pe[:length]
 
     def _embed_rows(self, x: Tensor, rows: Rows, train: bool, rng) -> Tensor:
         """Packed embedded rows plus each one's position vector, then dropout."""
-        x = x + Tensor(self._positions(rows.mask.shape[-1]).data[rows.positions])
+        x = x + Tensor(self._positions(rows.mask.shape[-1])[rows.positions])
         if train and self.dropout > 0.0:
             if rng is None:
                 raise ContractError("training forward passes need an rng for dropout")
@@ -247,7 +251,7 @@ class JointModel:
         words = np.full(len(state.sources), TEXT_BOS) if tokens is None else tokens
         t = state.length
         m = self.words.embed(np.asarray(words, dtype=np.int64))
-        m = m + self._positions(t + 1).data[t]
+        m = m + self._positions(t + 1)[t]
         rows = Rows(np.ones((len(words), 1), dtype=bool))
         return run_decoder(m, rows, None, None, self.decoder, cache=state).data
 

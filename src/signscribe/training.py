@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -265,51 +264,55 @@ def checkpoint_save(
 
 
 def checkpoint_load(path) -> Checkpoint:
+    """Read a checkpoint with one read; every field is parsed in place.
+
+    The tensors are read-only views of the file's bytes.
+    """
     path = Path(path)
-    with open(path, "rb") as fh:
-        left = os.fstat(fh.fileno()).st_size
+    buf = path.read_bytes()
+    at = 0
 
-        def read(n: int, what: str) -> bytes:
-            # a corrupt length must not make read() allocate more than the file holds
-            nonlocal left
-            got = fh.read(n) if n <= left else b""
-            if len(got) != n:
-                raise CheckpointError(f"{path}: truncated checkpoint ({what})")
-            left -= n
-            return got
+    def take(n: int, what: str) -> int:
+        # bounds are checked against the bytes read, so a corrupt length allocates nothing
+        nonlocal at
+        if n > len(buf) - at:
+            raise CheckpointError(f"{path}: truncated checkpoint ({what})")
+        at += n
+        return at - n
 
-        head = read(12, "header")
-        if head[:4] != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-        version, count = struct.unpack("<II", head[4:12])
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        tensors: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", read(2, "tensor name"))
-            raw_name = read(name_len, "tensor name")
-            try:
-                name = raw_name.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CheckpointError(f"{path}: tensor name is not UTF-8: {exc}") from exc
-            (rank,) = struct.unpack("<B", read(1, "tensor rank"))
-            dims = struct.unpack(f"<{rank}I", read(4 * rank, "tensor dims"))
-            # math.prod on Python ints: a corrupt shape cannot wrap around
-            raw = read(8 * math.prod(dims), f"tensor {name}")
-            try:
-                tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(dims)
-            except ValueError as exc:  # more dimensions than NumPy supports
-                raise CheckpointError(f"{path}: tensor {name}: {exc}") from exc
-        (footer_len,) = struct.unpack("<I", read(4, "footer length"))
-        raw_footer = read(footer_len, "footer")
+    take(12, "header")
+    if buf[:4] != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
+    version, count = struct.unpack_from("<II", buf, 4)
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+    tensors: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<H", buf, take(2, "tensor name"))
+        start = take(name_len, "tensor name")
         try:
-            footer = json.loads(raw_footer.decode("utf-8"))
-        except ValueError as exc:  # bad UTF-8 or bad JSON
-            raise CheckpointError(f"{path}: malformed footer: {exc}") from exc
-        if not isinstance(footer, dict):
-            raise CheckpointError(f"{path}: footer is not a JSON object")
-        if fh.read(1):
-            raise CheckpointError(f"{path}: trailing bytes after footer")
+            name = buf[start:at].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: tensor name is not UTF-8: {exc}") from exc
+        rank = buf[take(1, "tensor rank")]
+        dims = struct.unpack_from(f"<{rank}I", buf, take(4 * rank, "tensor dims"))
+        # math.prod on Python ints: a corrupt shape cannot wrap around
+        size = math.prod(dims)
+        start = take(8 * size, f"tensor {name}")
+        try:
+            tensors[name] = np.frombuffer(buf, "<f8", size, start).reshape(dims)
+        except ValueError as exc:  # more dimensions than NumPy supports
+            raise CheckpointError(f"{path}: tensor {name}: {exc}") from exc
+    (footer_len,) = struct.unpack_from("<I", buf, take(4, "footer length"))
+    start = take(footer_len, "footer")
+    try:
+        footer = json.loads(buf[start:at].decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise CheckpointError(f"{path}: malformed footer: {exc}") from exc
+    if not isinstance(footer, dict):
+        raise CheckpointError(f"{path}: footer is not a JSON object")
+    if at != len(buf):
+        raise CheckpointError(f"{path}: trailing bytes after footer")
     return Checkpoint(tensors=tensors, footer=footer)
 
 
@@ -356,7 +359,7 @@ def restore_model(ckpt: Checkpoint) -> tuple[JointModel, Vocabulary, Vocabulary]
             raise CheckpointError(f"checkpoint model hyperparameter {key!r} is not a "
                                   f"positive integer: {value!r}")
     try:
-        model = JointModel(seed=0, **hyper)
+        model = JointModel(seed=None, **hyper)
     except (TypeError, ConfigError) as exc:  # a missing or unknown name, a bad value
         raise CheckpointError(f"checkpoint model hyperparameters do not fit: {exc}") from exc
     if model.n_glosses != len(gloss_tokens) or model.n_words != len(text_tokens):

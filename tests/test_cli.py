@@ -296,6 +296,21 @@ class TestTranslateCommand:
         captured = capsys.readouterr()
         assert captured.out.endswith("\n") and not captured.err
 
+    def test_sign2gloss_checkpoint_is_one_line_config_error(self, corpus, sign2gloss_ckpt,
+                                                            capsys, monkeypatch):
+        # refused once the checkpoint is read, before any feature file is
+        sample_file = next((corpus / "features").glob("dev-*.sltf"))
+        monkeypatch.setattr(cli, "read_features", lambda path: pytest.fail("read " + str(path)))
+        capsys.readouterr()
+        code = cli.main(["translate", "--checkpoint", str(sign2gloss_ckpt),
+                         "--features", str(sample_file)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "configuration error: translate: protocol 'sign2gloss' trains no sentence decoder")
+        assert captured.err.count("\n") == 1
+
     def test_frame_checkpoint_needs_features(self, joint_ckpt):
         assert cli.main(["translate", "--checkpoint", str(joint_ckpt)]) == 2
 

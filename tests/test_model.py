@@ -384,6 +384,13 @@ class TestEncode:
         want = rows.scatter(tf.run_encoder(glosses, rows, m.encoder))
         assert np.array_equal(z.data, want.data)
 
+    def test_positions_of_any_length_read_the_one_table_bitwise(self):
+        m = tiny_model()
+        # short, long, short again: every length reads its own table's bits
+        for length in (1, 3, 70, 2, 200, 65):
+            assert m._positions(length).tobytes() == \
+                positional_encoding(length, m.d).data.tobytes(), length
+
     def test_empty_gloss_row_reads_one_pad(self):
         m = tiny_model()
         gloss = Vocabulary({"A", "B", "C", "D"}, GLOSS_SPECIALS)

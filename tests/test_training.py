@@ -299,6 +299,18 @@ class TestCheckpointFormat:
         assert SchedulerState(**ckpt.footer["scheduler"]) == scheduler
         assert ckpt.footer["extra"]["iteration"] == 17
 
+    def test_restore_draws_no_initial_weights(self, tmp_path, monkeypatch):
+        path, model, *_ = self.saved(tmp_path)
+        ckpt = checkpoint_load(path)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("restore_model drew initial weights")
+
+        monkeypatch.setattr("signscribe.model.np.random.default_rng", no_draws)
+        restored, _, _ = restore_model(ckpt)
+        for name, p in model.named_parameters().items():
+            assert restored.named_parameters()[name].data.tobytes() == p.data.tobytes(), name
+
     def test_resave_is_byte_identical(self, tmp_path):
         path, *_ = self.saved(tmp_path, with_optimizer=False)
         ckpt = checkpoint_load(path)
