@@ -34,7 +34,7 @@ from .evaluation import (
     evaluate_corpus,
     sweep_decode_parameters,
 )
-from .metrics import bleu
+from .metrics import BleuReport, WerReport, bleu
 from .model import GLOSS_INPUT, PROTOCOLS, RECOGNITION, TRANSLATION
 from .training import checkpoint_load, restore_model
 
@@ -120,18 +120,23 @@ def _check_vocab_match(stored, built, kind: str) -> None:
         )
 
 
+def _wer_line(label: str, w: WerReport) -> str:
+    return (f"[{label}] WER {w.wer:.2f}  "
+            f"(sub {w.sub_rate:.2f}, del {w.del_rate:.2f}, ins {w.ins_rate:.2f})")
+
+
+def _bleu_line(label: str, b: BleuReport) -> str:
+    return (f"[{label}] BLEU-1 {b.bleu1:.2f}  BLEU-2 {b.bleu2:.2f}  "
+            f"BLEU-3 {b.bleu3:.2f}  BLEU-4 {b.bleu4:.2f}  (BP {b.brevity_penalty:.3f})")
+
+
 def _print_report(report: EvalReport, label: str) -> None:
     print(f"[{label}] samples {report.n_samples} "
           f"beam_width {report.beam_width} alpha {report.alpha:.1f}")
     if report.wer is not None:
-        w = report.wer
-        print(f"[{label}] WER {w.wer:.2f}  "
-              f"(sub {w.sub_rate:.2f}, del {w.del_rate:.2f}, ins {w.ins_rate:.2f})")
+        print(_wer_line(label, report.wer))
     if report.bleu is not None:
-        b = report.bleu
-        print(f"[{label}] BLEU-1 {b.bleu1:.2f}  BLEU-2 {b.bleu2:.2f}  "
-              f"BLEU-3 {b.bleu3:.2f}  BLEU-4 {b.bleu4:.2f}  "
-              f"(BP {b.brevity_penalty:.3f})")
+        print(_bleu_line(label, report.bleu))
 
 
 def cmd_gen_synthetic(args) -> int:
@@ -204,7 +209,7 @@ def cmd_translate(args) -> int:
         raise ConfigError(f"translate: protocol {protocol!r} trains no sentence decoder, "
                           f"so there is no sentence to decode")
     if protocol in GLOSS_INPUT:
-        if not args.glosses:
+        if not (args.glosses or "").split():
             raise ConfigError("glosses: a gloss2text checkpoint needs --glosses")
         sample = Sample(id="glosses", features=np.zeros((0, model.d_in), dtype=np.float32),
                         glosses=tuple(args.glosses.split()), sentence=())
@@ -254,10 +259,7 @@ def cmd_pipeline(args) -> int:
         encoded = encode_split(recognizer, samples, rec_gloss, rec_text, rec_protocol,
                                args.batch_size)
         gloss_hyps = decode_glosses(recognizer, encoded, rec_gloss, args.beam_width)
-        wer_report = corpus_wer(gloss_refs, gloss_hyps)
-        print(f"[stage1] WER {wer_report.wer:.2f}  "
-              f"(sub {wer_report.sub_rate:.2f}, del {wer_report.del_rate:.2f}, "
-              f"ins {wer_report.ins_rate:.2f})")
+        print(_wer_line("stage1", corpus_wer(gloss_refs, gloss_hyps)))
 
     recognized = [dataclasses.replace(s, glosses=tuple(hyp))
                   for s, hyp in zip(samples, gloss_hyps)]
@@ -266,10 +268,7 @@ def cmd_pipeline(args) -> int:
     text_hyps = decode_sentences(translator, encoded, tr_text, args.beam_width,
                                  args.alpha, args.max_len_cap)
     text_refs = [list(s.sentence) for s in samples]
-    b = bleu(text_refs, text_hyps)
-    print(f"[stage2] BLEU-1 {b.bleu1:.2f}  BLEU-2 {b.bleu2:.2f}  "
-          f"BLEU-3 {b.bleu3:.2f}  BLEU-4 {b.bleu4:.2f}  "
-          f"(BP {b.brevity_penalty:.3f})")
+    print(_bleu_line("stage2", bleu(text_refs, text_hyps)))
     return EXIT_OK
 
 

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .model import PROTOCOLS, RECOGNITION, TRANSLATION
+from .model import PROTOCOLS, RECOGNITION, TRANSLATION, check_sizes
 
 
 # field annotation (a string, under postponed evaluation) -> (test, what it
@@ -19,6 +19,9 @@ _TYPES = {
               "a finite number"),
     "str": (lambda v: type(v) is str, "a string"),
 }
+
+# the RunConfig fields that size the model, passed to JointModel by name
+MODEL_FIELDS = ("d", "n_heads", "n_enc_layers", "n_dec_layers", "d_ff", "dropout")
 
 
 @dataclass(frozen=True)
@@ -71,16 +74,10 @@ class RunConfig:
                 f"protocol: {self.protocol!r} is not one of {PROTOCOLS}"
             )
         self._check_weights()
-        if self.d < 1 or self.n_heads < 1 or self.d % self.n_heads != 0:
-            raise ConfigError(
-                f"d/n_heads: {self.d} hidden units do not split into {self.n_heads} heads"
-            )
-        for name in ("n_enc_layers", "n_dec_layers", "d_ff", "batch_size",
-                     "max_iterations", "eval_every", "patience", "max_len_cap"):
+        check_sizes({name: getattr(self, name) for name in MODEL_FIELDS})
+        for name in ("batch_size", "max_iterations", "eval_every", "patience", "max_len_cap"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name}: must be >= 1, got {getattr(self, name)}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout: must be in [0, 1), got {self.dropout}")
         for name in ("lr", "eps", "lr_floor"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name}: must be positive, got {getattr(self, name)}")

@@ -13,19 +13,17 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DimensionError, VocabularyError
+from .errors import DimensionError, VocabularyError
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
 
 def positional_encoding(length: int, d: int) -> Tensor:
-    """Phase-shifted sine/cosine position table.
+    """Phase-shifted sine/cosine position table for an even d.
 
     pe[pos, 2i] = sin(pos / 10000^(2i/d)), pe[pos, 2i+1] = cos(pos / 10000^(2i/d)).
     """
-    if d % 2 != 0:
-        raise ConfigError(f"positional encoding needs an even model dimension, got {d}")
     pos = np.arange(length, dtype=np.float64)[:, None]
     inv_freq = 10000.0 ** (-np.arange(0, d, 2, dtype=np.float64) / d)
     angles = pos * inv_freq

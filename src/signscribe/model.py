@@ -69,8 +69,32 @@ _FROZEN_PREFIXES = {
 }
 
 
+def check_sizes(sizes: dict) -> None:
+    """The model's build rules, checked for every size in sizes.
+
+    sizes holds d, n_heads and dropout, and may hold more. Each size but
+    dropout is a positive int (a bool is not one); d is even, for the
+    sine/cosine position table, and splits into n_heads heads; dropout is a
+    finite number in [0, 1). A broken rule is a ConfigError naming the field.
+    """
+    for name, value in sizes.items():
+        if name != "dropout" and (type(value) is not int or value < 1):
+            raise ConfigError(f"model size {name!r} is not a positive integer: {value!r}")
+    d, heads, dropout = sizes["d"], sizes["n_heads"], sizes["dropout"]
+    if d % 2:
+        raise ConfigError(f"model size 'd' is not even, as the position table needs: {d}")
+    if d % heads:
+        raise ConfigError(f"model size 'd' does not split into {heads} heads: {d}")
+    if (isinstance(dropout, bool) or not isinstance(dropout, (int, float))
+            or not 0.0 <= dropout < 1.0):
+        raise ConfigError(f"model size 'dropout' is not a number in [0, 1): {dropout!r}")
+
+
 class JointModel:
-    """Spatial/word embedders plus transformer encoder and decoder stacks."""
+    """Spatial/word embedders plus transformer encoder and decoder stacks.
+
+    Its sizes obey check_sizes, which the constructor runs before any draw.
+    """
 
     def __init__(
         self,
@@ -91,25 +115,17 @@ class JointModel:
         None is for a model whose every weight is about to be overwritten,
         as when a checkpoint is restored: it skips the draws.
         """
-        if not 0.0 <= dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {dropout}")
+        sizes = {"d_in": d_in, "d": d, "n_heads": n_heads, "n_enc_layers": n_enc_layers,
+                 "n_dec_layers": n_dec_layers, "n_glosses": n_glosses, "n_words": n_words,
+                 "d_ff": d_ff, "dropout": dropout}
+        check_sizes(sizes)
         rng = None if seed is None else np.random.default_rng(seed)
         self.d_in = d_in
         self.d = d
         self.n_glosses = n_glosses
         self.n_words = n_words
         self.dropout = dropout
-        self.hyperparams = {
-            "d_in": d_in,
-            "d": d,
-            "n_heads": n_heads,
-            "n_enc_layers": n_enc_layers,
-            "n_dec_layers": n_dec_layers,
-            "n_glosses": n_glosses,
-            "n_words": n_words,
-            "d_ff": d_ff,
-            "dropout": dropout,
-        }
+        self.hyperparams = sizes
         self.spatial = SpatialEmbedder(d_in, d, rng)
         self.gloss_words = WordEmbedder(n_glosses, d, rng)
         self.words = WordEmbedder(n_words, d, rng)

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Graph, Tensor
-from .config import RunConfig
+from .config import MODEL_FIELDS, RunConfig
 from .data import Vocabulary, atomic_write, load_corpus, make_batch
 from .errors import (
     CheckpointError,
@@ -354,10 +354,6 @@ def restore_model(ckpt: Checkpoint) -> tuple[JointModel, Vocabulary, Vocabulary]
         raise CheckpointError(
             f"checkpoint footer names no known protocol: {footer.get('protocol')!r}"
         )
-    for key, value in hyper.items():
-        if key != "dropout" and (type(value) is not int or value < 1):
-            raise CheckpointError(f"checkpoint model hyperparameter {key!r} is not a "
-                                  f"positive integer: {value!r}")
     try:
         model = JointModel(seed=None, **hyper)
     except (TypeError, ConfigError) as exc:  # a missing or unknown name, a bad value
@@ -427,18 +423,8 @@ def train(
     best_path = out_dir / "best.sltc"
 
     d_in = train_samples[0].features.shape[1]
-    model = JointModel(
-        d_in=d_in,
-        d=cfg.d,
-        n_heads=cfg.n_heads,
-        n_enc_layers=cfg.n_enc_layers,
-        n_dec_layers=cfg.n_dec_layers,
-        n_glosses=len(gloss_vocab),
-        n_words=len(text_vocab),
-        d_ff=cfg.d_ff,
-        dropout=cfg.dropout,
-        seed=cfg.seed,
-    )
+    model = JointModel(d_in=d_in, n_glosses=len(gloss_vocab), n_words=len(text_vocab),
+                       seed=cfg.seed, **{name: getattr(cfg, name) for name in MODEL_FIELDS})
     params = model.trainable_parameters(cfg.protocol)
     optimizer = init_optimizer(
         params, cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,

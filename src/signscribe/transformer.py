@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError
+from .errors import ContractError
 
 MASK_FILL = -1e30
 DEFAULT_D_FF = 2048
@@ -98,8 +98,6 @@ class AttentionParams:
     """
 
     def __init__(self, d: int, n_heads: int, rng: np.random.Generator):
-        if d % n_heads != 0:
-            raise ConfigError(f"model dimension {d} not divisible by {n_heads} heads")
         self.d = d
         self.n_heads = n_heads
         self.wq = ad.xavier_uniform((d, d), rng)
@@ -255,8 +253,6 @@ class EncoderStack:
         n_gloss_out: int,
         rng: np.random.Generator,
     ):
-        if n_layers < 1:
-            raise ConfigError(f"encoder needs at least one layer, got {n_layers}")
         self.d = d
         self.blocks = [EncoderBlock(d, n_heads, d_ff, rng) for _ in range(n_layers)]
         self.final_norm = NormParams(d)
@@ -285,8 +281,6 @@ class DecoderStack:
         n_words: int,
         rng: np.random.Generator,
     ):
-        if n_layers < 1:
-            raise ConfigError(f"decoder needs at least one layer, got {n_layers}")
         self.d = d
         self.blocks = [DecoderBlock(d, n_heads, d_ff, rng) for _ in range(n_layers)]
         self.final_norm = NormParams(d)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from signscribe import cli, data, evaluation, training
+from signscribe import model as jm
 from signscribe.config import RunConfig
 from signscribe.metrics import bleu
 
@@ -117,6 +118,17 @@ class TestTrainCommand:
     def test_missing_corpus_is_config_error(self, tmp_path):
         code = cli.main(train_args(tmp_path / "nowhere", tmp_path / "out"))
         assert code == 2
+
+    def test_odd_width_is_config_error_before_output(self, corpus, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        log = out / "train_log.jsonl"
+        log.write_bytes(b'{"iteration": 2}\n')
+        assert cli.main(train_args(corpus, out, d=5, n_heads=1)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert log.read_bytes() == b'{"iteration": 2}\n'
+        assert not (out / "best.sltc").exists()
 
     def test_inconsistent_weights_is_config_error(self, corpus, tmp_path):
         code = cli.main(
@@ -289,12 +301,15 @@ class TestTranslateCommand:
         assert code == 0
         assert capsys.readouterr().out.strip()
 
-    def test_blank_glosses_translate_from_one_pad(self, gloss2text_ckpt, capsys):
+    @pytest.mark.parametrize("glosses", ["", " ", "  \t "], ids=["empty", "space", "blank"])
+    def test_blank_glosses_are_config_error(self, gloss2text_ckpt, capsys, glosses):
         code = cli.main(["translate", "--checkpoint", str(gloss2text_ckpt),
-                         "--glosses", " "])
-        assert code == 0
+                         "--glosses", glosses])
+        assert code == 2
         captured = capsys.readouterr()
-        assert captured.out.endswith("\n") and not captured.err
+        assert captured.err == ("configuration error: glosses: a gloss2text checkpoint "
+                                "needs --glosses\n")
+        assert captured.out == ""
 
     def test_sign2gloss_checkpoint_is_one_line_config_error(self, corpus, sign2gloss_ckpt,
                                                             capsys, monkeypatch):
@@ -428,7 +443,17 @@ class TestPipelineCommand:
             "--corpus", str(corpus), "--oracle-glosses",
         ])
         assert code == 0
-        assert "oracle glosses" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "oracle glosses" in out
+        # stage 2 on the reference glosses scores what evaluate scores on test
+        model, gloss_vocab, text_vocab = training.restore_model(
+            training.checkpoint_load(gloss2text_ckpt))
+        samples, _, _ = data.load_corpus(corpus, "test")
+        b = evaluation.evaluate_corpus(model, samples, gloss_vocab, text_vocab,
+                                       "gloss2text").bleu
+        assert out.splitlines()[-1] == (
+            f"[stage2] BLEU-1 {b.bleu1:.2f}  BLEU-2 {b.bleu2:.2f}  BLEU-3 {b.bleu3:.2f}  "
+            f"BLEU-4 {b.bleu4:.2f}  (BP {b.brevity_penalty:.3f})")
 
     def test_wrong_translator_protocol_is_compat_error(self, corpus,
                                                        joint_ckpt):
@@ -565,6 +590,24 @@ class TestArtifactErrors:
         err = capsys.readouterr().err
         assert err.startswith("artifact error: ")
         assert err.count("\n") == 1
+
+    def test_odd_width_checkpoint_is_artifact_error_at_load(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # footer and tensor shapes both say d = 5: a model built past the size rule
+        with monkeypatch.context() as patch:
+            patch.setattr(jm, "check_sizes", lambda sizes: None)
+            odd = jm.JointModel(d_in=3, d=5, n_heads=1, n_enc_layers=1, n_dec_layers=1,
+                                n_glosses=3, n_words=5, d_ff=4, dropout=0.0)
+        gloss = data.Vocabulary({"A"}, data.GLOSS_SPECIALS)
+        text = data.Vocabulary({"w"}, data.TEXT_SPECIALS)
+        path = training.checkpoint_save(tmp_path / "odd.sltc", odd, gloss, text, "sign2text")
+        assert training.checkpoint_load(path).footer["model"]["d"] == 5
+        # the feature path does not exist: the file must be refused before it is read
+        code = cli.main(["translate", "--checkpoint", str(path),
+                         "--features", str(tmp_path / "missing.sltf")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("artifact error: ") and err.count("\n") == 1
 
     def test_empty_split_is_one_line_runtime_error(self, corpus, joint_ckpt, tmp_path,
                                                    capsys):

@@ -71,6 +71,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="heads"):
             RunConfig(d=100, n_heads=8)
 
+    def test_odd_width_rejected(self):
+        # the sine/cosine position table needs an even d, even with one head
+        with pytest.raises(ConfigError, match="'d' is not even"):
+            RunConfig(d=5, n_heads=1)
+
     @pytest.mark.parametrize(
         "field,value",
         [

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from signscribe import autodiff as ad
 from signscribe import embeddings as emb
 from signscribe.autodiff import Graph, Tensor
-from signscribe.errors import ConfigError, DimensionError, VocabularyError
+from signscribe.errors import DimensionError, VocabularyError
 from signscribe.transformer import Rows
 
 from conftest import assert_grad_close, finite_difference_grad
@@ -33,10 +33,6 @@ class TestPositionalEncoding:
     def test_range(self):
         pe = emb.positional_encoding(500, 32).data
         assert np.all(pe >= -1.0) and np.all(pe <= 1.0)
-
-    def test_odd_d_rejected(self):
-        with pytest.raises(ConfigError):
-            emb.positional_encoding(4, 7)
 
     @pytest.mark.parametrize("d", [2, 8, 64])
     def test_short_table_is_a_prefix_of_a_long_one_bitwise(self, d):

@@ -9,12 +9,14 @@ from signscribe import autodiff as ad
 from signscribe import data, decoding, model as jm
 from signscribe import transformer as tf
 from signscribe.autodiff import Graph, Tensor
+from signscribe.config import RunConfig
 from signscribe.data import GLOSS_SPECIALS, TEXT_PAD, TEXT_SPECIALS, Sample, Vocabulary
 from signscribe.embeddings import positional_encoding
-from signscribe.errors import ConfigError, ContractError
+from signscribe.errors import CheckpointError, ConfigError, ContractError
 from signscribe.evaluation import FORBIDDEN_WORDS, encode_split
 from signscribe.losses import LossWeights, ctc_log_prob, translation_loss
 from signscribe.model import JointModel, batch_losses
+from signscribe.training import Checkpoint, checkpoint_load, checkpoint_save, restore_model
 
 from conftest import oracle_beam_search, oracle_chunk
 
@@ -95,6 +97,11 @@ class TestWiring:
         with pytest.raises(ConfigError):
             tiny_model(dropout=1.0)
 
+    @pytest.mark.parametrize("name", ["d_ff", "d_in", "n_glosses", "n_words"])
+    def test_zero_size_rejected(self, name):
+        with pytest.raises(ConfigError, match=f"'{name}' is not a positive integer: 0"):
+            tiny_model(**{name: 0})
+
     def test_same_seed_same_init(self):
         a = tiny_model(seed=3).named_parameters()
         b = tiny_model(seed=3).named_parameters()
@@ -105,6 +112,56 @@ class TestWiring:
         m = tiny_model()
         with pytest.raises(ConfigError):
             m.trainable_parameters("speech2text")
+
+
+# One table of bad model sizes, each broken rule with a pattern its message
+# matches at every boundary: the run config, the model, a checkpoint footer.
+BAD_SIZES = {
+    "odd-d": ({"d": 5, "n_heads": 1}, "'d' is not even"),
+    "indivisible-heads": ({"d": 6, "n_heads": 4}, "heads"),
+    "zero-enc-layers": ({"n_enc_layers": 0}, "n_enc_layers"),
+    "zero-dec-layers": ({"n_dec_layers": 0}, "n_dec_layers"),
+    "zero-d_ff": ({"d_ff": 0}, "d_ff"),
+    "bool-n_heads": ({"n_heads": True}, "n_heads"),
+    "nan-dropout": ({"dropout": float("nan")}, "dropout"),
+    "unit-dropout": ({"dropout": 1.0}, "dropout"),
+}
+
+
+class TestSizeRule:
+    @pytest.mark.parametrize("case", sorted(BAD_SIZES))
+    def test_run_config_rejects(self, case):
+        sizes, pattern = BAD_SIZES[case]
+        with pytest.raises(ConfigError, match=pattern):
+            RunConfig(**sizes)
+
+    @pytest.mark.parametrize("case", sorted(BAD_SIZES))
+    def test_joint_model_rejects(self, case):
+        sizes, pattern = BAD_SIZES[case]
+        with pytest.raises(ConfigError, match=pattern):
+            tiny_model(**sizes)
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        gloss = Vocabulary({"A", "B", "C", "D"}, GLOSS_SPECIALS)
+        text = Vocabulary({"u", "v", "w", "x", "y"}, TEXT_SPECIALS)
+        path = tmp_path_factory.mktemp("sizes") / "m.sltc"
+        return checkpoint_load(checkpoint_save(path, tiny_model(), gloss, text, "sign2text"))
+
+    @pytest.mark.parametrize("case", sorted(BAD_SIZES))
+    def test_restore_model_rejects(self, saved, case):
+        sizes, pattern = BAD_SIZES[case]
+        footer = {**saved.footer, "model": {**saved.footer["model"], **sizes}}
+        with pytest.raises(CheckpointError, match=pattern):
+            restore_model(Checkpoint(tensors=saved.tensors, footer=footer))
+
+    def test_footer_keeps_the_nine_size_keys(self, saved):
+        # files saved before the rule moved must still load
+        assert set(saved.footer["model"]) == {
+            "d_in", "d", "n_heads", "n_enc_layers", "n_dec_layers", "n_glosses",
+            "n_words", "d_ff", "dropout"}
+        model, _, _ = restore_model(saved)
+        assert model.hyperparams == saved.footer["model"]
 
 
 class TestTrainableSubsets:

@@ -6,7 +6,7 @@ import pytest
 from signscribe import autodiff as ad
 from signscribe import transformer as tf
 from signscribe.autodiff import Graph, Tensor
-from signscribe.errors import ConfigError, ContractError
+from signscribe.errors import ContractError
 
 from conftest import assert_grad_close, finite_difference_grad
 
@@ -118,10 +118,6 @@ class TestMultiHeadAttention:
         for b in range(3):
             assert out[b] == pytest.approx(ref_mha(xs[b], xs[b], mask[b], attn), abs=1e-12)
 
-    def test_indivisible_heads_rejected(self):
-        with pytest.raises(ConfigError):
-            tf.AttentionParams(6, 4, np.random.default_rng(0))
-
     def test_gradients_flow_through_attention(self):
         attn = make_attn(10, d=4, heads=2)
         rng = np.random.default_rng(11)
@@ -218,10 +214,6 @@ class TestEncoder:
         stack = self.make_stack()
         with pytest.raises(ContractError):
             tf.run_encoder(Tensor(np.zeros((0, D))), tf.Rows(np.zeros(2, dtype=bool)), stack)
-
-    def test_zero_layers_rejected(self):
-        with pytest.raises(ConfigError):
-            tf.EncoderStack(0, D, H, DFF, 5, np.random.default_rng(0))
 
 
 class TestGlossLogits:
