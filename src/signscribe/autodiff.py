@@ -14,6 +14,9 @@ add. :func:`add`, :func:`mul` and :func:`linear` build no gradient for a
 parent that does not require one. Gradient ownership: :func:`backward`
 never writes into a gradient array, and every leaf's ``grad`` owns memory
 no other leaf's ``grad`` shares.
+
+:class:`Params` is the base of every parameter group: it names each
+parameter by its attribute path, the name it is trained and stored under.
 """
 
 from __future__ import annotations
@@ -137,6 +140,29 @@ class Tensor:
 
     def mean(self, axis=None, keepdims: bool = False):
         return tensor_mean(self, axis=axis, keepdims=keepdims)
+
+
+class Params:
+    """A group of parameters, each named by its attribute path.
+
+    named_parameters walks the group's attributes in assignment order: a
+    Tensor attribute is a parameter under its attribute name, a nested
+    group's parameters are named `attr.name`, and a list's items
+    `attr.i` or `attr.i.name`. Nothing else (an int, dict or ndarray) is a
+    parameter. The walk runs per model build, save or restore, never per step.
+    """
+
+    def named_parameters(self) -> dict[str, Tensor]:
+        out: dict[str, Tensor] = {}
+        for attr, value in vars(self).items():
+            items = ([(f"{attr}.{i}", v) for i, v in enumerate(value)]
+                     if isinstance(value, list) else [(attr, value)])
+            for name, v in items:
+                if isinstance(v, Tensor):
+                    out[name] = v
+                elif isinstance(v, Params):
+                    out.update((f"{name}.{n}", p) for n, p in v.named_parameters().items())
+        return out
 
 
 def as_tensor(value) -> Tensor:

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .evaluation import (
     EvalReport,
+    check_batch_size,
     corpus_wer,
     decode_glosses,
     decode_sentences,
@@ -80,6 +81,7 @@ def _add_decode_flags(sub: argparse.ArgumentParser) -> None:
 def _check_decode_flags(args) -> None:
     """Reject unusable decode flags before any checkpoint or corpus is read."""
     DecodeConfig(args.beam_width, args.alpha, args.max_len_cap)
+    check_batch_size(getattr(args, "batch_size", 1))  # translate has no --batch-size
 
 
 def _resolve_config(args) -> RunConfig:
@@ -219,11 +221,6 @@ def cmd_translate(args) -> int:
                               "pass --features")
         features = read_features(args.features)
         check_features(features, str(args.features))
-        if features.shape[1] != model.d_in:
-            raise CompatibilityError(
-                f"feature width {features.shape[1]} does not match the "
-                f"checkpoint's input width {model.d_in}"
-            )
         sample = Sample(id=str(args.features), features=features, glosses=(),
                         sentence=())
     encoded = encode_split(model, [sample], gloss_vocab, text_vocab, protocol)

@@ -33,7 +33,7 @@ def positional_encoding(length: int, d: int) -> Tensor:
     return Tensor(pe)
 
 
-class WordEmbedder:
+class WordEmbedder(ad.Params):
     """Token-index to vector lookup backed by a |vocab| x d table."""
 
     def __init__(self, vocab_size: int, d: int, rng: np.random.Generator):
@@ -83,12 +83,11 @@ def _batch_norm_time(
     return ad.custom_op(out, (x, gain, bias), bwd), mu, var
 
 
-class SpatialEmbedder:
+class SpatialEmbedder(ad.Params):
     """Linear projection + batch norm over the time axis + ReLU for frame features."""
 
     def __init__(self, d_in: int, d: int, rng: np.random.Generator):
         self.d_in = d_in
-        self.d = d
         self.weight = ad.xavier_uniform((d_in, d), rng)
         self.bias = ad.zeros(d)
         self.bn_gain = ad.ones(d)

@@ -22,7 +22,7 @@ from . import decoding
 from .autodiff import Tensor
 from .data import GLOSS_BLANK, GLOSS_PAD, TEXT_BOS, TEXT_PAD, Vocabulary, make_batch
 from .decoding import DecodeConfig
-from .errors import ConfigError, CorpusError
+from .errors import CompatibilityError, ConfigError, CorpusError
 from .metrics import BleuReport, WerReport, bleu, wer
 from .model import GLOSS_INPUT, RECOGNITION, TRANSLATION, JointModel
 
@@ -89,6 +89,12 @@ def _require_samples(samples) -> None:
         raise CorpusError("cannot score an empty split")
 
 
+def check_batch_size(batch_size: int) -> None:
+    """Refuse a chunk size below 1, a ConfigError."""
+    if batch_size < 1:
+        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
+
+
 def encode_split(model: JointModel, samples, gloss_vocab, text_vocab, protocol,
                  batch_size: int = 32):
     """Encode a split once; returns (batch, z ndarray, key mask, estimates,
@@ -105,10 +111,16 @@ def encode_split(model: JointModel, samples, gloss_vocab, text_vocab, protocol,
     decode_sentences sets its generation cap: the true count (at least 1,
     as an empty row encodes one <pad>) for gloss input, frames / 3 for
     frame input.
+
+    Frame input is checked against the model's input width first: a sample
+    of another width is a CompatibilityError naming it.
     """
-    if batch_size < 1:
-        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
+    check_batch_size(batch_size)
     gloss_input = protocol in GLOSS_INPUT
+    for s in () if gloss_input else samples:
+        if s.features.shape[1] != model.d_in:
+            raise CompatibilityError(f"{s.id}: feature width {s.features.shape[1]} does not "
+                                     f"match the checkpoint's input width {model.d_in}")
     lengths = [len(s.glosses) if gloss_input else s.n_frames for s in samples]
     # frames per gloss average 3 on the synthetic task; the estimate only
     # sets a generation cap, exactness does not matter

@@ -108,9 +108,6 @@ class BleuReport:
     precisions: tuple[float, float, float, float]
     brevity_penalty: float
 
-    def score(self, n: int) -> float:
-        return (self.bleu1, self.bleu2, self.bleu3, self.bleu4)[n - 1]
-
 
 def _ngrams(tokens: list, n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))

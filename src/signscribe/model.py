@@ -90,7 +90,7 @@ def check_sizes(sizes: dict) -> None:
         raise ConfigError(f"model size 'dropout' is not a number in [0, 1): {dropout!r}")
 
 
-class JointModel:
+class JointModel(ad.Params):
     """Spatial/word embedders plus transformer encoder and decoder stacks.
 
     Its sizes obey check_sizes, which the constructor runs before any draw.
@@ -135,23 +135,12 @@ class JointModel:
 
     # -- parameter bookkeeping ---------------------------------------------
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        out = {
-            "spatial.weight": self.spatial.weight,
-            "spatial.bias": self.spatial.bias,
-            "spatial.bn_gain": self.spatial.bn_gain,
-            "spatial.bn_bias": self.spatial.bn_bias,
-            "gloss_words.table": self.gloss_words.table,
-            "words.table": self.words.table,
-        }
-        for name, p in self.encoder.named_parameters():
-            out[f"encoder.{name}"] = p
-        for name, p in self.decoder.named_parameters():
-            out[f"decoder.{name}"] = p
-        return out
-
     def named_buffers(self) -> dict[str, np.ndarray]:
-        """Persistent non-trainable state (batch-norm running statistics)."""
+        """Persistent non-trainable state (batch-norm running statistics).
+
+        Named here, as ndarrays are no parameters: the position table _pe,
+        also an ndarray, is never stored.
+        """
         return {
             "spatial.bn_running_mean": self.spatial.bn_running_mean,
             "spatial.bn_running_var": self.spatial.bn_running_var,

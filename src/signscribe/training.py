@@ -188,12 +188,14 @@ class Checkpoint:
     footer: dict
 
 
+def _model_arrays(model: JointModel) -> dict[str, np.ndarray]:
+    """The model's own arrays a checkpoint stores: every parameter and buffer."""
+    return {**{name: p.data for name, p in model.named_parameters().items()},
+            **model.named_buffers()}
+
+
 def _collect_tensors(model: JointModel, optimizer: OptimizerState | None) -> dict[str, np.ndarray]:
-    tensors: dict[str, np.ndarray] = {}
-    for name, p in model.named_parameters().items():
-        tensors[name] = p.data
-    for name, buf in model.named_buffers().items():
-        tensors[name] = buf
+    tensors = _model_arrays(model)
     if optimizer is not None:
         for name, arr in optimizer.m.items():
             tensors[f"adam.m.{name}"] = arr
@@ -331,11 +333,15 @@ def _stored_tensor(ckpt: Checkpoint, name: str, shape) -> np.ndarray:
         raise CheckpointError(f"{name}: stored shape {arr.shape} != model shape {shape}")
     if not np.all(np.isfinite(arr)):
         raise CheckpointError(f"{name}: non-finite stored values")
-    return arr.copy()
+    return arr
 
 
 def restore_model(ckpt: Checkpoint) -> tuple[JointModel, Vocabulary, Vocabulary]:
-    """Rebuild the model and vocabularies a checkpoint was saved from."""
+    """Rebuild the model and vocabularies a checkpoint was saved from.
+
+    The model is built draw-free, and each stored tensor is copied into the
+    array its name finds in named_parameters or named_buffers.
+    """
     from .data import GLOSS_SPECIALS, TEXT_SPECIALS
 
     footer = ckpt.footer
@@ -360,11 +366,8 @@ def restore_model(ckpt: Checkpoint) -> tuple[JointModel, Vocabulary, Vocabulary]
         raise CheckpointError(f"checkpoint model hyperparameters do not fit: {exc}") from exc
     if model.n_glosses != len(gloss_tokens) or model.n_words != len(text_tokens):
         raise CheckpointError("stored dims disagree with stored vocabularies")
-    for name, p in model.named_parameters().items():
-        p.data = _stored_tensor(ckpt, name, p.data.shape)
-    spatial = model.spatial
-    spatial.bn_running_mean = _stored_tensor(ckpt, "spatial.bn_running_mean", (model.d,))
-    spatial.bn_running_var = _stored_tensor(ckpt, "spatial.bn_running_var", (model.d,))
+    for name, arr in _model_arrays(model).items():
+        arr[...] = _stored_tensor(ckpt, name, arr.shape)
     gloss_vocab = _rebuild_vocab(gloss_tokens, GLOSS_SPECIALS)
     text_vocab = _rebuild_vocab(text_tokens, TEXT_SPECIALS)
     return model, gloss_vocab, text_vocab

@@ -28,8 +28,6 @@ give the bits of the separate ops they replace.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from . import autodiff as ad
@@ -78,19 +76,23 @@ class Rows:
         return ad.scatter_rows(x, self.index, self.mask.shape)
 
 
-class NormParams:
+class NormParams(ad.Params):
     """Learnable gain and bias for one layer-norm site."""
 
     def __init__(self, d: int):
         self.gain = ad.ones(d)
         self.bias = ad.zeros(d)
 
-    def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
-        yield "gain", self.gain
-        yield "bias", self.bias
+
+class Linear(ad.Params):
+    """An affine projection's (d_in, d_out) weight and (d_out,) bias."""
+
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
+        self.weight = ad.xavier_uniform((d_in, d_out), rng)
+        self.bias = ad.zeros(d_out)
 
 
-class AttentionParams:
+class AttentionParams(ad.Params):
     """Projection weights for one multi-head attention site.
 
     The per-head query/key/value projections are stored as single d x d
@@ -109,12 +111,8 @@ class AttentionParams:
         self.wo = ad.xavier_uniform((d, d), rng)
         self.bo = ad.zeros(d)
 
-    def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
-        for name in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"):
-            yield name, getattr(self, name)
 
-
-class FeedForwardParams:
+class FeedForwardParams(ad.Params):
     """Two-layer position-wise FFN, d -> d_ff -> d with ReLU between."""
 
     def __init__(self, d: int, d_ff: int, rng: np.random.Generator):
@@ -122,10 +120,6 @@ class FeedForwardParams:
         self.b1 = ad.zeros(d_ff)
         self.w2 = ad.xavier_uniform((d_ff, d), rng)
         self.b2 = ad.zeros(d)
-
-    def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
-        for name in ("w1", "b1", "w2", "b2"):
-            yield name, getattr(self, name)
 
 
 def _split_heads(x: Tensor, n_heads: int, rows: Rows) -> Tensor:
@@ -213,20 +207,15 @@ def _feed_forward(
     return ad.linear(h, ffn.w2, ffn.b2)
 
 
-class EncoderBlock:
+class EncoderBlock(ad.Params):
     def __init__(self, d: int, n_heads: int, d_ff: int, rng: np.random.Generator):
         self.attn = AttentionParams(d, n_heads, rng)
         self.ffn = FeedForwardParams(d, d_ff, rng)
         self.norm1 = NormParams(d)
         self.norm2 = NormParams(d)
 
-    def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
-        for sub in ("attn", "ffn", "norm1", "norm2"):
-            for name, p in getattr(self, sub).named_parameters():
-                yield f"{sub}.{name}", p
 
-
-class DecoderBlock:
+class DecoderBlock(ad.Params):
     def __init__(self, d: int, n_heads: int, d_ff: int, rng: np.random.Generator):
         self.self_attn = AttentionParams(d, n_heads, rng)
         self.cross_attn = AttentionParams(d, n_heads, rng)
@@ -235,13 +224,8 @@ class DecoderBlock:
         self.norm2 = NormParams(d)
         self.norm3 = NormParams(d)
 
-    def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
-        for sub in ("self_attn", "cross_attn", "ffn", "norm1", "norm2", "norm3"):
-            for name, p in getattr(self, sub).named_parameters():
-                yield f"{sub}.{name}", p
 
-
-class EncoderStack:
+class EncoderStack(ad.Params):
     """L encoder blocks, a closing layer norm, and the gloss projection."""
 
     def __init__(
@@ -253,23 +237,12 @@ class EncoderStack:
         n_gloss_out: int,
         rng: np.random.Generator,
     ):
-        self.d = d
-        self.blocks = [EncoderBlock(d, n_heads, d_ff, rng) for _ in range(n_layers)]
+        self.layers = [EncoderBlock(d, n_heads, d_ff, rng) for _ in range(n_layers)]
         self.final_norm = NormParams(d)
-        self.gloss_w = ad.xavier_uniform((d, n_gloss_out), rng)
-        self.gloss_b = ad.zeros(n_gloss_out)
-
-    def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
-        for i, block in enumerate(self.blocks):
-            for name, p in block.named_parameters():
-                yield f"layers.{i}.{name}", p
-        for name, p in self.final_norm.named_parameters():
-            yield f"final_norm.{name}", p
-        yield "gloss_proj.weight", self.gloss_w
-        yield "gloss_proj.bias", self.gloss_b
+        self.gloss_proj = Linear(d, n_gloss_out, rng)
 
 
-class DecoderStack:
+class DecoderStack(ad.Params):
     """L decoder blocks, a closing layer norm, and the word projection."""
 
     def __init__(
@@ -281,20 +254,9 @@ class DecoderStack:
         n_words: int,
         rng: np.random.Generator,
     ):
-        self.d = d
-        self.blocks = [DecoderBlock(d, n_heads, d_ff, rng) for _ in range(n_layers)]
+        self.layers = [DecoderBlock(d, n_heads, d_ff, rng) for _ in range(n_layers)]
         self.final_norm = NormParams(d)
-        self.word_w = ad.xavier_uniform((d, n_words), rng)
-        self.word_b = ad.zeros(n_words)
-
-    def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
-        for i, block in enumerate(self.blocks):
-            for name, p in block.named_parameters():
-                yield f"layers.{i}.{name}", p
-        for name, p in self.final_norm.named_parameters():
-            yield f"final_norm.{name}", p
-        yield "word_proj.weight", self.word_w
-        yield "word_proj.bias", self.word_b
+        self.word_proj = Linear(d, n_words, rng)
 
 
 def _key_mask(pad_mask) -> np.ndarray | None:
@@ -327,7 +289,7 @@ def run_encoder(
     """
     x = f_hat
     mask = _key_mask(rows.mask)
-    for block in stack.blocks:
+    for block in stack.layers:
         a = multi_head_attention(
             _queries(x, rows, block.attn), *_keys_values(x, rows, block.attn), mask,
             block.attn, rows, train=train, rng=rng, dropout_rate=dropout_rate,
@@ -340,7 +302,7 @@ def run_encoder(
 
 def gloss_logits(z: Tensor, stack: EncoderStack) -> Tensor:
     """Per-frame gloss scores; column 0 is reserved for the CTC blank."""
-    return ad.linear(z, stack.gloss_w, stack.gloss_b)
+    return ad.linear(z, stack.gloss_proj.weight, stack.gloss_proj.bias)
 
 
 def _cross_keys_values(z: Tensor, src_rows: Rows, stack: DecoderStack
@@ -351,7 +313,7 @@ def _cross_keys_values(z: Tensor, src_rows: Rows, stack: DecoderStack
     src_rows, and the source key mask lifted and checked once (_key_mask).
     """
     src_mask = _key_mask(src_rows.mask)
-    return [_keys_values(z, src_rows, block.cross_attn) for block in stack.blocks], src_mask
+    return [_keys_values(z, src_rows, block.cross_attn) for block in stack.layers], src_mask
 
 
 class DecoderCache:
@@ -389,7 +351,7 @@ class DecoderCache:
         self._in_proj = [  # per layer: (d, 3d) weight, (3d,) bias, heads
             (Tensor(np.concatenate([a.wq.data, a.wk.data, a.wv.data], axis=1)),
              Tensor(np.concatenate([a.bq.data, a.bk.data, a.bv.data])), a.n_heads)
-            for a in (block.self_attn for block in stack.blocks)
+            for a in (block.self_attn for block in stack.layers)
         ]
         self.sources = np.arange(z.shape[0])  # the source each row decodes
         self.cross = self._cross  # per layer, gathered per row
@@ -476,7 +438,7 @@ def run_decoder(
         # mask keeps each row's own position, so it needs no check
         past = cache.length
         causal = None if u == 1 else np.tril(np.ones((u, past + u), dtype=bool), k=past)
-    for i, block in enumerate(stack.blocks):
+    for i, block in enumerate(stack.layers):
         qkv = (cache.extend(i, x) if cache is not None else
                (_queries(x, rows, block.self_attn), *_keys_values(x, rows, block.self_attn)))
         a = multi_head_attention(
@@ -492,4 +454,4 @@ def run_decoder(
         f = _feed_forward(x, block.ffn, train, rng, dropout_rate)
         x = ad.layer_norm(x, block.norm3.gain, block.norm3.bias, residual=f)
     h = ad.layer_norm(x, stack.final_norm.gain, stack.final_norm.bias)
-    return ad.linear(h, stack.word_w, stack.word_b)
+    return ad.linear(h, stack.word_proj.weight, stack.word_proj.bias)

@@ -684,3 +684,25 @@ def test_model_step_grads_bitwise_equal_copying_backward():
     for got, want in zip(new, old):
         assert np.array_equal(got, want)
     assert_no_shared_grads(new)
+
+
+def test_params_names_each_tensor_by_its_attribute_path():
+    class Leaf(ad.Params):
+        def __init__(self):
+            self.w = ad.zeros(2)
+            self.size = 2  # an int, an ndarray and a dict hold no parameter
+            self.stats = np.zeros(2)
+            self.meta = {"w": ad.zeros(2)}
+
+    class Tree(ad.Params):
+        def __init__(self):
+            self.b = ad.ones(1)
+            self.leaf = Leaf()
+            self.layers = [Leaf(), Leaf()]
+            self.tables = [ad.zeros(3)]
+
+    t = Tree()
+    named = t.named_parameters()
+    assert list(named) == ["b", "leaf.w", "layers.0.w", "layers.1.w", "tables.0"]
+    assert named["layers.1.w"] is t.layers[1].w
+    assert named["tables.0"] is t.tables[0]

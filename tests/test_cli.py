@@ -54,6 +54,17 @@ def train_args(corpus, out_dir, protocol="sign2gloss+text", **extra):
 
 
 @pytest.fixture(scope="module")
+def narrow_corpus(corpus, tmp_path_factory):
+    # the main corpus with every feature file cut to 8 of its 16 columns:
+    # the same vocabularies at another input width
+    root = tmp_path_factory.mktemp("cli-narrow") / "corpus"
+    shutil.copytree(corpus, root)
+    for path in (root / "features").glob("*.sltf"):
+        data.write_features(path, data.read_features(path)[:, :8])
+    return root
+
+
+@pytest.fixture(scope="module")
 def joint_ckpt(corpus, tmp_path_factory):
     out = tmp_path_factory.mktemp("cli-joint")
     assert cli.main(train_args(corpus, out)) == 0
@@ -238,6 +249,24 @@ class TestEvaluateCommand:
         ])
         assert code == 3
 
+    def test_wrong_feature_width_is_one_line_compat_error(self, narrow_corpus, joint_ckpt,
+                                                           capsys):
+        capsys.readouterr()
+        code = cli.main(["evaluate", "--checkpoint", str(joint_ckpt),
+                         "--corpus", str(narrow_corpus)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("artifact error: ")
+        assert "feature width 8 does not match the checkpoint's input width 16" in err
+        assert err.count("\n") == 1
+
+    def test_gloss_input_reads_no_feature_width(self, narrow_corpus, gloss2text_ckpt,
+                                                capsys):
+        code = cli.main(["evaluate", "--checkpoint", str(gloss2text_ckpt),
+                         "--corpus", str(narrow_corpus)])
+        assert code == 0
+        assert "BLEU-4" in capsys.readouterr().out
+
     def test_identical_invocations_identical_reports(self, corpus, joint_ckpt,
                                                      capsys):
         argv = ["evaluate", "--checkpoint", str(joint_ckpt),
@@ -329,7 +358,7 @@ class TestTranslateCommand:
     def test_frame_checkpoint_needs_features(self, joint_ckpt):
         assert cli.main(["translate", "--checkpoint", str(joint_ckpt)]) == 2
 
-    def test_wrong_feature_width_is_compat_error(self, joint_ckpt, tmp_path):
+    def test_wrong_feature_width_is_compat_error(self, joint_ckpt, tmp_path, capsys):
         bad = tmp_path / "wide.sltf"
         data.write_features(bad, np.zeros((4, 99), dtype=np.float32))
         code = cli.main([
@@ -337,6 +366,8 @@ class TestTranslateCommand:
             "--features", str(bad),
         ])
         assert code == 3
+        assert capsys.readouterr().err == (f"artifact error: {bad}: feature width 99 does not "
+                                           f"match the checkpoint's input width 16\n")
 
     @pytest.mark.parametrize("frames, message", [
         (0, "empty feature sequence"),
@@ -387,6 +418,18 @@ def test_batch_size_below_one_is_one_line_config_error(corpus, joint_ckpt, gloss
     captured = capsys.readouterr()
     assert captured.err == f"configuration error: batch size must be >= 1, got {size}\n"
     assert "[sweep]" not in captured.out and "[stage1]" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["evaluate", "pipeline"])
+def test_batch_size_is_checked_before_any_checkpoint(corpus, tmp_path, capsys, command):
+    missing = str(tmp_path / "none.sltc")
+    if command == "pipeline":
+        argv = ["pipeline", "--recognizer", missing, "--translator", missing]
+    else:
+        argv = ["evaluate", "--checkpoint", missing]
+    capsys.readouterr()
+    assert cli.main(argv + ["--corpus", str(corpus), "--batch-size", "0"]) == 2
+    assert capsys.readouterr().err == "configuration error: batch size must be >= 1, got 0\n"
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -472,6 +515,21 @@ class TestPipelineCommand:
             "--corpus", str(corpus),
         ])
         assert code == 3
+
+    def test_wrong_feature_width_is_one_line_compat_error(self, narrow_corpus,
+                                                           sign2gloss_ckpt, gloss2text_ckpt,
+                                                           capsys):
+        capsys.readouterr()
+        code = cli.main([
+            "pipeline", "--recognizer", str(sign2gloss_ckpt),
+            "--translator", str(gloss2text_ckpt), "--corpus", str(narrow_corpus),
+        ])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("artifact error: ")
+        assert "does not match the checkpoint's input width 16" in captured.err
+        assert captured.err.count("\n") == 1
+        assert "[stage1]" not in captured.out
 
     def test_missing_translator_is_config_error(self, corpus, joint_ckpt,
                                                 tmp_path):

@@ -82,6 +82,17 @@ class TestWiring:
         tensors = list(m.named_parameters().values())
         assert len({id(t) for t in tensors}) == len(tensors)
 
+    def test_a_tensor_set_later_is_trained_and_saved(self, tmp_path):
+        # a parameter is named by its attribute path, so no name list can miss it
+        m = tiny_model()
+        m.encoder.final_norm.extra = ad.zeros(8)
+        name = "encoder.final_norm.extra"
+        assert m.named_parameters()[name] is m.encoder.final_norm.extra
+        assert m.trainable_parameters("sign2gloss")[name] is m.encoder.final_norm.extra
+        _, gloss, text = tiny_samples()
+        path = checkpoint_save(tmp_path / "m.sltc", m, gloss, text, "sign2gloss")
+        assert name in checkpoint_load(path).tensors
+
     def test_buffers_are_running_stats(self):
         m = tiny_model()
         bufs = m.named_buffers()
@@ -90,8 +101,8 @@ class TestWiring:
 
     def test_projection_widths_span_vocabularies(self):
         m = tiny_model()
-        assert m.encoder.gloss_w.shape == (8, 6)
-        assert m.decoder.word_w.shape == (8, 9)
+        assert m.encoder.gloss_proj.weight.shape == (8, 6)
+        assert m.decoder.word_proj.weight.shape == (8, 9)
 
     def test_dropout_range_checked(self):
         with pytest.raises(ConfigError):
@@ -719,7 +730,7 @@ class TestCachedSteps:
 
         monkeypatch.setattr(tf, "multi_head_attention", all_true)
         with_mask = steps()
-        assert unmasked == [u + 1 for u in range(6) for _ in m.decoder.blocks]
+        assert unmasked == [u + 1 for u in range(6) for _ in m.decoder.layers]
         for got, want in zip(without, with_mask):
             assert got.tobytes() == want.tobytes()
 
@@ -739,7 +750,7 @@ class TestCachedSteps:
 
         monkeypatch.setattr(ad, "linear", counted)
         m.step(state, list(range(5)), None)
-        n_layers = len(m.decoder.blocks)
+        n_layers = len(m.decoder.layers)
         assert len(calls) == 6 * n_layers + 1, calls
         assert calls.count((m.d, 3 * m.d)) == n_layers
 

@@ -165,8 +165,8 @@ class TestEncoder:
         stack = self.make_stack(n_layers=2, seed=22)
         x = np.random.default_rng(23).normal(size=(3, D))
         z = tf.run_encoder(Tensor(x), all_real(3), stack).data
-        h = ref_encoder_layer(x, None, stack.blocks[0])
-        h = ref_encoder_layer(h, None, stack.blocks[1])
+        h = ref_encoder_layer(x, None, stack.layers[0])
+        h = ref_encoder_layer(h, None, stack.layers[1])
         expect = ref_layer_norm(h, stack.final_norm.gain.data, stack.final_norm.bias.data)
         assert z == pytest.approx(expect, abs=1e-12)
 
@@ -219,22 +219,22 @@ class TestEncoder:
 class TestGlossLogits:
     def test_zero_projection_gives_zero_logits(self):
         stack = tf.EncoderStack(1, D, H, DFF, 4, np.random.default_rng(30))
-        stack.gloss_w = Tensor(np.zeros((D, 4)))
-        stack.gloss_b = Tensor(np.zeros(4))
+        stack.gloss_proj.weight = Tensor(np.zeros((D, 4)))
+        stack.gloss_proj.bias = Tensor(np.zeros(4))
         out = tf.gloss_logits(Tensor(np.random.default_rng(31).normal(size=(3, D))), stack)
         assert np.all(out.data == 0.0)
 
     def test_identity_projection_copies_rows(self):
         stack = tf.EncoderStack(1, D, H, DFF, D, np.random.default_rng(32))
-        stack.gloss_w = Tensor(np.eye(D))
-        stack.gloss_b = Tensor(np.zeros(D))
+        stack.gloss_proj.weight = Tensor(np.eye(D))
+        stack.gloss_proj.bias = Tensor(np.zeros(D))
         z = np.random.default_rng(33).normal(size=(2, D))
         assert np.array_equal(tf.gloss_logits(Tensor(z), stack).data, z)
 
     def test_matmul_oracle(self):
         stack = tf.EncoderStack(1, D, H, DFF, 6, np.random.default_rng(34))
         z = np.random.default_rng(35).normal(size=(5, D))
-        expect = z @ stack.gloss_w.data + stack.gloss_b.data
+        expect = z @ stack.gloss_proj.weight.data + stack.gloss_proj.bias.data
         assert tf.gloss_logits(Tensor(z), stack).data == pytest.approx(expect, abs=1e-14)
 
 
@@ -282,10 +282,10 @@ class TestDecoder:
         out = tf.run_decoder(Tensor(m), all_real(2), Tensor(z), tf.Rows(src_mask), stack).data
 
         causal = np.tril(np.ones((2, 2), dtype=bool))
-        h = ref_decoder_layer(m, z, causal, src_mask[None, :], stack.blocks[0])
-        h = ref_decoder_layer(h, z, causal, src_mask[None, :], stack.blocks[1])
+        h = ref_decoder_layer(m, z, causal, src_mask[None, :], stack.layers[0])
+        h = ref_decoder_layer(h, z, causal, src_mask[None, :], stack.layers[1])
         h = ref_layer_norm(h, stack.final_norm.gain.data, stack.final_norm.bias.data)
-        expect = h @ stack.word_w.data + stack.word_b.data
+        expect = h @ stack.word_proj.weight.data + stack.word_proj.bias.data
         assert out == pytest.approx(expect, abs=1e-12)
 
     def test_source_padding_isolated_from_decoder(self):
@@ -340,10 +340,10 @@ class TestDecoder:
             z = tf.run_encoder(frames, all_real(3), enc)
             logits = tf.run_decoder(m, all_real(2), z, all_real(3), stack)
             ad.backward(g, ad.tensor_sum(logits * logits))
-        for name, p in stack.named_parameters():
+        for name, p in stack.named_parameters().items():
             assert p.grad is not None, name
             assert np.all(np.isfinite(p.grad)), name
-        for name, p in enc.named_parameters():
+        for name, p in enc.named_parameters().items():
             if name.startswith("gloss_proj"):
                 continue  # not on this loss path
             assert p.grad is not None, name
@@ -395,8 +395,8 @@ class TestParameterNaming:
     def test_names_are_unique_and_complete(self):
         enc = tf.EncoderStack(2, D, H, DFF, 5, np.random.default_rng(70))
         dec = tf.DecoderStack(2, D, H, DFF, 9, np.random.default_rng(71))
-        enc_names = [n for n, _ in enc.named_parameters()]
-        dec_names = [n for n, _ in dec.named_parameters()]
+        enc_names = list(enc.named_parameters())
+        dec_names = list(dec.named_parameters())
         assert len(enc_names) == len(set(enc_names))
         assert len(dec_names) == len(set(dec_names))
         # per encoder layer: 8 attention + 4 ffn + 4 norm; stack adds 2 norm + 2 proj
@@ -449,7 +449,7 @@ def uncached_run_decoder(m_hat, z, src_pad_mask, stack, *, train, rng, dropout_r
     causal = np.tril(np.ones((u, u), dtype=bool))
     src_mask = src_pad_mask[:, None, :]
     x = m_hat
-    for block in stack.blocks:
+    for block in stack.layers:
         a = uncached_mha(x, x, causal, block.self_attn, train, rng, dropout_rate)
         x = ad.layer_norm(x + a, block.norm1.gain, block.norm1.bias)
         c = uncached_mha(x, z, src_mask, block.cross_attn, train, rng, dropout_rate)
@@ -457,7 +457,7 @@ def uncached_run_decoder(m_hat, z, src_pad_mask, stack, *, train, rng, dropout_r
         f = tf._feed_forward(x, block.ffn, train, rng, dropout_rate)
         x = ad.layer_norm(x + f, block.norm3.gain, block.norm3.bias)
     h = ad.layer_norm(x, stack.final_norm.gain, stack.final_norm.bias)
-    return ad.linear(h, stack.word_w, stack.word_b)
+    return ad.linear(h, stack.word_proj.weight, stack.word_proj.bias)
 
 
 class TestTeacherForcedDecoderUnchanged:
@@ -474,7 +474,7 @@ class TestTeacherForcedDecoderUnchanged:
         z = Tensor(rng.normal(size=(3, 4, D)), requires_grad=True)
         src_mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 0, 0]], dtype=bool)
         probe = rng.normal(size=(3, 5, 9))
-        named = [("m_hat", m_hat), ("z", z)] + list(stack.named_parameters())
+        named = [("m_hat", m_hat), ("z", z)] + list(stack.named_parameters().items())
 
         def run(decoder):
             for _, leaf in named:
