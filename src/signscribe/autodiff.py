@@ -6,6 +6,12 @@ order and accumulates gradients into the participating leaves. Without an
 active graph every operation is a plain numpy computation, which is what
 inference-time code paths use.
 
+The ops are the ones some model path records, and no others: :func:`add`,
+:func:`mul`, :func:`neg`, :func:`relu`, :func:`tensor_sum`,
+:func:`reshape`, :func:`transpose`, :func:`linear`, :func:`log_softmax`,
+:func:`layer_norm`, :func:`attention`, :func:`embedding`,
+:func:`gather_rows`, :func:`scatter_rows`, :func:`take_along_last`,
+:func:`dropout`, and :func:`custom_op` for the fused losses and batch norm.
 :func:`linear` is the fused affine op the model's projections use: one tape
 node for ``x @ W + b``, whose backward folds the leading axes into a single
 weight-gradient GEMM. :func:`attention` is one node from queries, keys and
@@ -100,32 +106,14 @@ class Tensor:
     def __radd__(self, other):
         return add(as_tensor(other), self)
 
-    def __sub__(self, other):
-        return sub(self, as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, as_tensor(other))
 
     def __rmul__(self, other):
         return mul(as_tensor(other), self)
 
-    def __truediv__(self, other):
-        return div(self, as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
-
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, as_tensor(other))
-
-    def __getitem__(self, key):
-        return getitem(self, key)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -137,9 +125,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims: bool = False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
 
 
 class Params:
@@ -259,15 +244,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-
-    def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _record(out, (a, b), bwd)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
     a_data, b_data = a.data, b.data
@@ -275,18 +251,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         return (_unbroadcast(g * b_data, a.shape) if a.requires_grad else None,
                 _unbroadcast(g * a_data, b.shape) if b.requires_grad else None)
-
-    return _record(out, (a, b), bwd)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data / b.data
-    a_data, b_data = a.data, b.data
-
-    def bwd(g):
-        ga = _unbroadcast(g / b_data, a.shape)
-        gb = _unbroadcast(-g * a_data / (b_data * b_data), b.shape)
-        return ga, gb
 
     return _record(out, (a, b), bwd)
 
@@ -302,16 +266,6 @@ def relu(a: Tensor) -> Tensor:
     return _record(np.maximum(a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return _record(out, (a,), lambda g: (g * out,))
-
-
-def log(a: Tensor) -> Tensor:
-    a_data = a.data
-    return _record(np.log(a_data), (a,), lambda g: (g / a_data,))
-
-
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
@@ -320,19 +274,6 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             return (np.broadcast_to(g, a.shape).copy(),)
         g_exp = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(g_exp, a.shape).copy(),)
-
-    return _record(out, (a,), bwd)
-
-
-def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else a.data.shape[axis]
-
-    def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, a.shape).copy(),)
-        g_exp = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_exp / count, a.shape).copy(),)
 
     return _record(out, (a,), bwd)
 
@@ -346,34 +287,6 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
     return _record(a.data.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
-
-
-def getitem(a: Tensor, key) -> Tensor:
-    """Basic (non-overlapping) indexing: ints, slices, tuples thereof."""
-    out = a.data[key]
-
-    def bwd(g):
-        ga = np.zeros_like(a.data)
-        ga[key] = g
-        return (ga,)
-
-    return _record(out, (a,), bwd)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    out = np.matmul(a.data, b.data)
-    a_data, b_data = a.data, b.data
-
-    def bwd(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b.shape)
-        return ga, gb
-
-    return _record(out, (a, b), bwd)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -410,19 +323,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # Fused neural-net ops
 # ---------------------------------------------------------------------------
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Max-subtracted softmax; outputs sum to 1 along ``axis``."""
-    out = a.data - a.data.max(axis=axis, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        dot = (out * g).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
-
-    return _record(out, (a,), bwd)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -488,7 +388,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, fill=None,
     before they weight v. The forward keeps the order of the composed ops
     (matmul, scale, fill, softmax, dropout, matmul), and the backward is
     their closed form, dS = P * (dP - rowsum(dP * P)), so both are bitwise
-    what the composed graph computes.
+    what the composed graph computes. That graph's matmul, masked fill and
+    softmax are reference ops of the tests, not of this module.
     """
     if not (q.ndim == k.ndim == v.ndim >= 2):
         raise DimensionError(f"attention needs operands of one rank >= 2, got "
@@ -579,17 +480,6 @@ def take_along_last(x: Tensor, indices: np.ndarray) -> Tensor:
         gx = np.zeros_like(x.data)
         np.put_along_axis(gx, idx[..., None], g[..., None], axis=-1)
         return (gx,)
-
-    return _record(out, (x,), bwd)
-
-
-def masked_fill(x: Tensor, mask: np.ndarray, value: float) -> Tensor:
-    """Replace entries where ``mask`` is true by ``value`` (mask broadcasts over x)."""
-    mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-    out = np.where(mask, value, x.data)
-
-    def bwd(g):
-        return (np.where(mask, 0.0, g),)
 
     return _record(out, (x,), bwd)
 

@@ -167,6 +167,15 @@ def check_features(features: np.ndarray, name: str) -> None:
         raise CorpusError(f"{name}: feature width 0, expected at least 1")
 
 
+def check_glosses(samples, gloss_vocab: Vocabulary) -> None:
+    """Refuse a gloss the train split lacks: as model input it has no id."""
+    for s in samples:
+        for g in s.glosses:
+            if g not in gloss_vocab:
+                raise CorpusError(f"{s.id}: gloss {g!r} is not in the train split's "
+                                  "vocabulary, so it cannot be model input")
+
+
 def _parse_manifest(path: Path) -> list[dict]:
     records = []
     seen: set[str] = set()
@@ -223,7 +232,8 @@ def load_corpus(root, split: str) -> tuple[list[Sample], Vocabulary, Vocabulary]
 
     Samples whose frame count cannot cover their gloss count are rejected;
     frame counts below the fully blank-interleaved length 2N+1 only warn,
-    since such targets usually remain feasible.
+    since such targets usually remain feasible. All of a split's feature
+    files have one width; the first sample of another width is rejected.
     """
     if split not in SPLITS:
         raise CorpusError(f"unknown split {split!r}, expected one of {SPLITS}")
@@ -233,6 +243,9 @@ def load_corpus(root, split: str) -> tuple[list[Sample], Vocabulary, Vocabulary]
     for rec in _parse_manifest(root / f"{split}.jsonl"):
         features = read_features(root / rec["features"])
         check_features(features, rec["id"])
+        if samples and features.shape[1] != samples[0].features.shape[1]:
+            raise CorpusError(f"{rec['id']}: feature width {features.shape[1]} differs from "
+                              f"the split's width {samples[0].features.shape[1]}")
         glosses = tuple(rec["gloss"].split())
         n = len(glosses)
         t = features.shape[0]
@@ -298,8 +311,13 @@ def pad_ids(sequences, pad_id: int) -> tuple[np.ndarray, np.ndarray]:
     return ids, mask
 
 
-def make_batch(samples, gloss_vocab: Vocabulary, text_vocab: Vocabulary) -> Batch:
-    """Right-pad a group of samples into dense arrays with masks."""
+def make_batch(samples, gloss_vocab: Vocabulary | None, text_vocab: Vocabulary) -> Batch:
+    """Right-pad a group of samples into dense arrays with masks.
+
+    gloss_vocab None leaves every gloss row empty. Frame-input evaluation
+    batches this way: its glosses are only scoring references and need no
+    ids, so a gloss the train split lacks is scored, not refused.
+    """
     if not samples:
         raise ContractError("cannot batch zero samples")
     b = len(samples)
@@ -316,9 +334,9 @@ def make_batch(samples, gloss_vocab: Vocabulary, text_vocab: Vocabulary) -> Batc
         t = s.n_frames
         features[i, :t] = s.features.astype(np.float64)
         src_mask[i, :t] = True
-    gloss_ids, gloss_mask = pad_ids(
-        [gloss_vocab.encode(s.glosses) for s in samples], GLOSS_PAD
-    )
+    gloss_rows = [[] if gloss_vocab is None else gloss_vocab.encode(s.glosses)
+                  for s in samples]
+    gloss_ids, gloss_mask = pad_ids(gloss_rows, GLOSS_PAD)
     words = [text_vocab.encode(s.sentence) for s in samples]
     text_in, text_mask = pad_ids([[TEXT_BOS, *w] for w in words], TEXT_PAD)
     text_out, _ = pad_ids([[*w, TEXT_EOS] for w in words], TEXT_PAD)
@@ -330,7 +348,7 @@ def make_batch(samples, gloss_vocab: Vocabulary, text_vocab: Vocabulary) -> Batc
         frame_counts=tuple(s.n_frames for s in samples),
         gloss_ids=gloss_ids,
         gloss_mask=gloss_mask,
-        gloss_counts=tuple(len(s.glosses) for s in samples),
+        gloss_counts=tuple(len(row) for row in gloss_rows),
         text_in=text_in,
         text_out=text_out,
         text_mask=text_mask,

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 from . import decoding
 from .autodiff import Tensor
-from .data import GLOSS_BLANK, GLOSS_PAD, TEXT_BOS, TEXT_PAD, Vocabulary, make_batch
+from .data import (GLOSS_BLANK, GLOSS_PAD, TEXT_BOS, TEXT_PAD, Vocabulary, check_glosses,
+                   make_batch)
 from .decoding import DecodeConfig
 from .errors import CompatibilityError, ConfigError, CorpusError
-from .metrics import BleuReport, WerReport, bleu, wer
+from .metrics import BleuReport, WerReport, bleu, split_tokens, wer
 from .model import GLOSS_INPUT, RECOGNITION, TRANSLATION, JointModel
 
 SWEEP_WIDTHS = tuple(range(11))
@@ -62,16 +63,23 @@ class SweepResult:
 
 
 def corpus_wer(references, hypotheses) -> WerReport:
-    """Pool edit counts over all pairs, then normalize once."""
-    if not references:
-        raise CorpusError("corpus WER needs at least one reference")
+    """Pool edit counts over all pairs, then normalize once.
+
+    Every token hypothesized for an empty reference is an insertion; only a
+    corpus whose references are all empty has no WER.
+    """
     subs = dels = ins = ref_len = 0
     for ref, hyp in zip(references, hypotheses):
+        if not split_tokens(ref):
+            ins += len(split_tokens(hyp))
+            continue
         r = wer(ref, hyp)
         subs += r.substitutions
         dels += r.deletions
         ins += r.insertions
         ref_len += r.ref_len
+    if not ref_len:
+        raise CorpusError("corpus WER needs at least one non-empty reference")
     return WerReport(
         wer=100.0 * (subs + dels + ins) / ref_len,
         sub_rate=100.0 * subs / ref_len,
@@ -113,10 +121,15 @@ def encode_split(model: JointModel, samples, gloss_vocab, text_vocab, protocol,
     frame input.
 
     Frame input is checked against the model's input width first: a sample
-    of another width is a CompatibilityError naming it.
+    of another width is a CompatibilityError naming it. Its glosses are
+    only scoring references, so they are not encoded. Gloss input is
+    checked against the gloss vocabulary first: a gloss the train split
+    lacks is a CorpusError naming the sample.
     """
     check_batch_size(batch_size)
     gloss_input = protocol in GLOSS_INPUT
+    if gloss_input:
+        check_glosses(samples, gloss_vocab)
     for s in () if gloss_input else samples:
         if s.features.shape[1] != model.d_in:
             raise CompatibilityError(f"{s.id}: feature width {s.features.shape[1]} does not "
@@ -129,7 +142,8 @@ def encode_split(model: JointModel, samples, gloss_vocab, text_vocab, protocol,
     out = []
     for start in range(0, len(order), batch_size):
         positions = order[start:start + batch_size]
-        batch = make_batch([samples[i] for i in positions], gloss_vocab, text_vocab)
+        batch = make_batch([samples[i] for i in positions],
+                           gloss_vocab if gloss_input else None, text_vocab)
         z, mask = model.encode(batch, protocol)
         out.append((batch, z.data, mask, [estimates[i] for i in positions], positions))
     return out

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ContractError
 
 
-def _tokens(seq) -> list:
+def split_tokens(seq) -> list:
     if isinstance(seq, str):
         return seq.split()
     return list(seq)
@@ -46,8 +46,8 @@ def wer(reference, hypothesis) -> WerReport:
     is a reference token the hypothesis skipped; an insertion is an extra
     hypothesis token.
     """
-    ref = _tokens(reference)
-    hyp = _tokens(hypothesis)
+    ref = split_tokens(reference)
+    hyp = split_tokens(hypothesis)
     if not ref:
         raise ContractError("WER needs a non-empty reference")
     r, h = len(ref), len(hyp)
@@ -127,8 +127,8 @@ def bleu(references, hypotheses) -> BleuReport:
     candidates = [0, 0, 0, 0]
     ref_len = hyp_len = 0
     for ref_raw, hyp_raw in zip(references, hypotheses):
-        ref = _tokens(ref_raw)
-        hyp = _tokens(hyp_raw)
+        ref = split_tokens(ref_raw)
+        hyp = split_tokens(hyp_raw)
         ref_len += len(ref)
         hyp_len += len(hyp)
         for n in range(1, 5):

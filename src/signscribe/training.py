@@ -33,17 +33,18 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Graph, Tensor
 from .config import MODEL_FIELDS, RunConfig
-from .data import Vocabulary, atomic_write, load_corpus, make_batch
+from .data import Vocabulary, atomic_write, check_glosses, load_corpus, make_batch
 from .errors import (
     CheckpointError,
     ConfigError,
     ContractError,
+    CorpusError,
     DimensionError,
     NonFiniteLossError,
 )
 from .evaluation import evaluate_corpus
 from .losses import LossWeights
-from .model import PROTOCOLS, JointModel, batch_losses
+from .model import GLOSS_INPUT, PROTOCOLS, JointModel, batch_losses
 
 log = logging.getLogger("signscribe.training")
 
@@ -419,13 +420,20 @@ def train(
         raise ContractError("no training samples")
     if not dev_samples:
         raise ContractError("plateau scheduling needs a non-empty dev split")
+    d_in = train_samples[0].features.shape[1]
+    if cfg.protocol in GLOSS_INPUT:
+        check_glosses([*train_samples, *dev_samples], gloss_vocab)
+    else:
+        for s in dev_samples:
+            if s.features.shape[1] != d_in:
+                raise CorpusError(f"{s.id}: dev feature width {s.features.shape[1]} differs "
+                                  f"from the train width {d_in}")
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "train_log.jsonl"
     best_path = out_dir / "best.sltc"
 
-    d_in = train_samples[0].features.shape[1]
     model = JointModel(d_in=d_in, n_glosses=len(gloss_vocab), n_words=len(text_vocab),
                        seed=cfg.seed, **{name: getattr(cfg, name) for name in MODEL_FIELDS})
     params = model.trainable_parameters(cfg.protocol)

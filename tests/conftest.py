@@ -9,7 +9,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from signscribe import autodiff as ad
 from signscribe import data
+from signscribe.errors import DimensionError
 from signscribe.model import JointModel
 
 
@@ -55,6 +57,61 @@ def assert_grad_close(analytic: np.ndarray, numeric: np.ndarray, rel_tol: float 
     rel = np.abs(analytic - numeric) / denom
     worst = float(rel.max()) if rel.size else 0.0
     assert worst < rel_tol, f"gradient mismatch: worst relative error {worst:.3e}"
+
+
+# ---------------------------------------------------------------------------
+# Reference ops: the composed graphs that fused package ops are checked
+# against bit for bit (attention, linear, the teacher-forced decoder) and the
+# slicing of the per-sample CTC oracle. No model path records them.
+# ---------------------------------------------------------------------------
+
+
+def getitem(a, key):
+    """Basic (non-overlapping) indexing: ints, slices, tuples thereof."""
+    def bwd(g):
+        ga = np.zeros_like(a.data)
+        ga[key] = g
+        return (ga,)
+
+    return ad.custom_op(a.data[key], (a,), bwd)
+
+
+def matmul(a, b):
+    if a.ndim < 2 or b.ndim < 2:
+        raise DimensionError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise DimensionError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
+    a_data, b_data = a.data, b.data
+
+    def bwd(g):
+        ga = ad._unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a.shape)
+        gb = ad._unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b.shape)
+        return ga, gb
+
+    return ad.custom_op(np.matmul(a_data, b_data), (a, b), bwd)
+
+
+def softmax(a, axis: int = -1):
+    """Max-subtracted softmax; outputs sum to 1 along axis."""
+    out = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+
+    def bwd(g):
+        dot = (out * g).sum(axis=axis, keepdims=True)
+        return (out * (g - dot),)
+
+    return ad.custom_op(out, (a,), bwd)
+
+
+def masked_fill(x, mask, value: float):
+    """Replace entries where mask is true by value (mask broadcasts over x)."""
+    mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
+
+    def bwd(g):
+        return (np.where(mask, 0.0, g),)
+
+    return ad.custom_op(np.where(mask, value, x.data), (x,), bwd)
 
 
 def oracle_beam_search(score, cfg, *, eos_id: int = 2, forbid=()):

@@ -723,3 +723,95 @@ class TestArtifactErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {missing}: cannot read feature file: ")
         assert err.count("\n") == 1
+
+
+def edited_corpus(corpus, root, split, index, edit):
+    """A copy of corpus at root whose split record index is rewritten by edit."""
+    shutil.copytree(corpus, root)
+    path = root / f"{split}.jsonl"
+    lines = path.read_text().splitlines()
+    lines[index] = json.dumps(edit(json.loads(lines[index])))
+    path.write_text("\n".join(lines) + "\n")
+    return root
+
+
+def with_gloss(extra):
+    return lambda rec: {**rec, "gloss": f"{rec['gloss']} {extra}".strip() if extra else ""}
+
+
+UNSEEN = "error: {id}: gloss 'ZZZ' is not in the train split's vocabulary, so it cannot be " \
+         "model input\n"
+
+
+class TestSplitContents:
+    def test_split_of_two_widths_names_the_odd_sample_before_output(self, corpus, tmp_path,
+                                                                    capsys):
+        bad = tmp_path / "corpus"
+        shutil.copytree(corpus, bad)
+        odd = bad / "features" / "train-00025.sltf"
+        data.write_features(odd, data.read_features(odd)[:, :8])
+        out = tmp_path / "out"
+        assert cli.main(train_args(bad, out)) == 1
+        assert capsys.readouterr().err == (
+            "error: train-00025: feature width 8 differs from the split's width 16\n")
+        assert not out.exists()
+
+    def test_dev_width_other_than_train_width_is_refused_before_output(
+            self, corpus, narrow_corpus, tmp_path, capsys):
+        bad = tmp_path / "corpus"
+        shutil.copytree(corpus, bad)
+        for path in (narrow_corpus / "features").glob("dev-*.sltf"):
+            shutil.copy(path, bad / "features" / path.name)
+        out = tmp_path / "out"
+        assert cli.main(train_args(bad, out)) == 1
+        assert capsys.readouterr().err == (
+            "error: dev-00000: dev feature width 8 differs from the train width 16\n")
+        assert not out.exists()
+
+    def test_empty_gloss_row_is_scored(self, corpus, sign2gloss_ckpt, tmp_path, capsys):
+        bad = edited_corpus(corpus, tmp_path / "corpus", "dev", 1, with_gloss(None))
+        assert cli.main(train_args(bad, tmp_path / "out", protocol="sign2gloss",
+                                   lambda_t=0)) == 0
+        assert cli.main(["evaluate", "--checkpoint", str(sign2gloss_ckpt),
+                         "--corpus", str(bad), "--split", "dev"]) == 0
+        assert "[dev] WER" in capsys.readouterr().out
+
+    def test_unseen_gloss_is_scored_under_frame_input(self, corpus, joint_ckpt,
+                                                      gloss2text_ckpt, tmp_path, capsys):
+        bad = edited_corpus(corpus, tmp_path / "corpus", "dev", 0, with_gloss("ZZZ"))
+        assert cli.main(train_args(bad, tmp_path / "out")) == 0
+        assert cli.main(["evaluate", "--checkpoint", str(joint_ckpt),
+                         "--corpus", str(bad), "--split", "dev"]) == 0
+        assert cli.main(["pipeline", "--recognizer", str(joint_ckpt),
+                         "--translator", str(gloss2text_ckpt),
+                         "--corpus", str(bad), "--split", "dev"]) == 0
+        out = capsys.readouterr().out
+        assert "[dev] WER" in out and "[stage1] WER" in out
+
+    def test_unseen_gloss_is_refused_as_gloss_input(self, corpus, joint_ckpt,
+                                                    gloss2text_ckpt, tmp_path, capsys):
+        bad = edited_corpus(corpus, tmp_path / "corpus", "dev", 2, with_gloss("ZZZ"))
+        refused = UNSEEN.format(id="dev-00002")
+        assert cli.main(["evaluate", "--checkpoint", str(gloss2text_ckpt),
+                         "--corpus", str(bad), "--split", "dev"]) == 1
+        assert capsys.readouterr().err == refused
+        assert cli.main(["pipeline", "--recognizer", str(joint_ckpt),
+                         "--translator", str(gloss2text_ckpt), "--oracle-glosses",
+                         "--corpus", str(bad), "--split", "dev"]) == 1
+        assert capsys.readouterr().err == refused
+        assert cli.main(["translate", "--checkpoint", str(gloss2text_ckpt),
+                         "--glosses", "G01 ZZZ"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.err, captured.out) == (UNSEEN.format(id="glosses"), "")
+
+    def test_unseen_gloss_stops_gloss2text_training_before_the_log(self, corpus, tmp_path,
+                                                                   capsys):
+        bad = edited_corpus(corpus, tmp_path / "corpus", "dev", 2, with_gloss("ZZZ"))
+        out = tmp_path / "out"
+        out.mkdir()
+        log = out / "train_log.jsonl"
+        log.write_bytes(b'{"iteration": 2}\n')
+        assert cli.main(train_args(bad, out, protocol="gloss2text")) == 1
+        assert capsys.readouterr().err == UNSEEN.format(id="dev-00002")
+        assert log.read_bytes() == b'{"iteration": 2}\n'
+        assert not (out / "best.sltc").exists()

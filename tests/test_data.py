@@ -230,6 +230,15 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="train.jsonl:1: malformed record"):
             data.load_corpus(tmp_path, "train")
 
+    def test_split_of_two_widths_names_the_first_sample_of_the_other(self, tmp_path):
+        write_corpus(tmp_path, {"train": [("t0", frames(5), "A", "x"),
+                                          ("t1", frames(5), "A", "x"),
+                                          ("t2", frames(5, d=3), "A", "x"),
+                                          ("t3", frames(5, d=3), "A", "x")]})
+        with pytest.raises(CorpusError, match=r"^t2: feature width 3 differs from the "
+                                              r"split's width 4$"):
+            data.load_corpus(tmp_path, "train")
+
     @pytest.mark.parametrize("feat, message", [
         (np.zeros((0, 4), dtype=np.float32), "empty feature sequence"),
         (np.array([[0.5, np.nan, 0.5, 0.5]] * 3, dtype=np.float32), "non-finite"),
@@ -374,6 +383,13 @@ class TestMakeBatch:
         gloss, text = self.vocabs()
         with pytest.raises(ContractError):
             data.make_batch([], gloss, text)
+
+    def test_no_gloss_vocabulary_leaves_gloss_rows_empty(self):
+        gloss, text = self.vocabs()
+        batch = data.make_batch([self.sample("a", 2, ["A", "ZZZ"], ["x"])], None, text)
+        assert batch.gloss_counts == (0,) and not batch.gloss_mask.any()
+        with pytest.raises(VocabularyError):
+            data.make_batch([self.sample("a", 2, ["A", "ZZZ"], ["x"])], gloss, text)
 
     def test_mixed_widths_rejected(self):
         gloss, text = self.vocabs()

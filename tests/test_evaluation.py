@@ -1,5 +1,7 @@
 """Corpus evaluation and decode-parameter sweep tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,15 @@ class TestCorpusWer:
     def test_no_references_is_corpus_error(self):
         with pytest.raises(CorpusError):
             corpus_wer([], [])
+
+    def test_empty_reference_counts_its_hypothesis_as_insertions(self):
+        report = corpus_wer([[], ["a", "b"]], [["x"], ["a", "b"]])
+        assert (report.insertions, report.ref_len) == (1, 2)
+        assert report.wer == 50.0
+
+    def test_only_empty_references_is_corpus_error(self):
+        with pytest.raises(CorpusError, match="at least one non-empty reference"):
+            corpus_wer([[], " "], [["x"], []])
 
 
 def small_setup(seed=3):
@@ -101,6 +112,24 @@ class TestEvaluateCorpus:
                                  "sign2gloss+text", beam_width=2, alpha=1.0)
         assert report.beam_width == 2
         assert report.alpha == 1.0
+
+    def test_unseen_gloss_is_a_missed_reference_token_under_frame_input(self):
+        model, samples, gloss, text = small_setup()
+        unseen = samples[:2] + [dataclasses.replace(samples[2], glosses=("B", "ZZZ", "A"))]
+        got = evaluate_corpus(model, unseen, gloss, text, "sign2gloss+text").wer
+        want = corpus_wer([list(s.glosses) for s in unseen],
+                          decode_glosses(model, encode_split(model, samples, gloss, text,
+                                                             "sign2gloss+text"), gloss))
+        assert got == want and got.ref_len == 6
+
+    @pytest.mark.parametrize("sweep", [False, True])
+    def test_unseen_gloss_is_refused_as_gloss_input(self, sweep):
+        model, samples, gloss, text = small_setup()
+        unseen = [samples[0], dataclasses.replace(samples[1], glosses=("C", "ZZZ"))]
+        run = sweep_decode_parameters if sweep else evaluate_corpus
+        with pytest.raises(CorpusError, match="^s1: gloss 'ZZZ' is not in the train split's "
+                                              "vocabulary, so it cannot be model input$"):
+            run(model, unseen, gloss, text, "gloss2text")
 
     @pytest.mark.parametrize("protocol", ["sign2gloss", "sign2text", "gloss2text"])
     def test_empty_split_is_corpus_error(self, protocol):

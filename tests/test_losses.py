@@ -14,7 +14,7 @@ from signscribe.errors import ConfigError, ContractError, DimensionError, Vocabu
 from signscribe.losses import CtcTarget, LossWeights
 from signscribe.transformer import Rows
 
-from conftest import assert_grad_close, finite_difference_grad
+from conftest import assert_grad_close, finite_difference_grad, getitem
 
 
 def collapse(path, blank=0):
@@ -345,7 +345,7 @@ def per_sample_recognition_loss(lp, counts, targets):
             if not target.feasible(int(t_i)):
                 skipped.append(i)
                 continue
-            logp = losses.ctc_log_prob(x[i, : int(t_i)], target)
+            logp = losses.ctc_log_prob(getitem(x, np.s_[i, : int(t_i)]), target)
             terms.append(ad.neg(logp))
         if not terms:
             return None, None, skipped

@@ -8,7 +8,7 @@ from signscribe import transformer as tf
 from signscribe.autodiff import Graph, Tensor
 from signscribe.errors import ContractError
 
-from conftest import assert_grad_close, finite_difference_grad
+from conftest import assert_grad_close, finite_difference_grad, masked_fill, matmul, softmax
 
 D, H, DFF = 8, 2, 16
 
@@ -432,16 +432,16 @@ def uncached_mha(queries, keys_values, mask, attn, train, rng, dropout_rate):
     v = split_heads(ad.linear(keys_values, attn.wv, attn.bv), attn.n_heads)
     kt_axes = list(range(k.ndim))
     kt_axes[-2], kt_axes[-1] = kt_axes[-1], kt_axes[-2]
-    logits = ad.matmul(q, k.transpose(kt_axes)) * (1.0 / np.sqrt(dh))
+    logits = matmul(q, k.transpose(kt_axes)) * (1.0 / np.sqrt(dh))
     if mask is not None:
         fill = ~mask
         if fill.ndim == 3:
             fill = fill[:, None]
-        logits = ad.masked_fill(logits, fill, tf.MASK_FILL)
-    weights = ad.softmax(logits, axis=-1)
+        logits = masked_fill(logits, fill, tf.MASK_FILL)
+    weights = softmax(logits, axis=-1)
     if train and dropout_rate > 0.0:
         weights = ad.dropout(weights, dropout_rate, rng)
-    return ad.linear(merge_heads(ad.matmul(weights, v)), attn.wo, attn.bo)
+    return ad.linear(merge_heads(matmul(weights, v)), attn.wo, attn.bo)
 
 
 def uncached_run_decoder(m_hat, z, src_pad_mask, stack, *, train, rng, dropout_rate):
