@@ -1,6 +1,7 @@
 """Joint model tests: wiring, protocol isolation, decoding pathway, batching."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -695,6 +696,21 @@ class TestCachedSteps:
         checked.step(state, [1] * width, [4, 5, 6, 7][:width])
         checked.step(state, list(range(width))[::-1], [3, 8, 4, 6][:width])
         assert {source for source, _ in checked.rows} == {0}  # through row 1 of step 2
+
+    def test_step_logits_are_pinned(self):
+        # the bits of a fixed step sequence: the first step, identity parents,
+        # permuted parents, then repeated parents that shrink the rows to four
+        # and a step that grows them to six, each re-gathering the cross keys
+        m, z, mask = sharpened_chunk()
+        state = m.start(z, mask)
+        h = hashlib.sha256()
+        for parents, tokens in [([0, 1, 2, 3, 4], None),
+                                ([0, 1, 2, 3, 4], [5, 6, 7, 8, 3]),
+                                ([3, 0, 4, 1, 2], [4, 5, 6, 7, 8]),
+                                ([1, 1, 2, 2], [3, 4, 5, 6]),
+                                ([3, 0, 2, 1, 0, 3], [8, 7, 6, 5, 4, 3])]:
+            h.update(m.step(state, parents, tokens).tobytes())
+        assert h.hexdigest() == "210e7acad5bbdf02274dcd0851728aa1048ee1fa33205888d311bc3d99bcca0f"
 
     def test_one_word_at_a_time_reproduces_teacher_forcing(self):
         m, z, mask = sharpened_chunk()
