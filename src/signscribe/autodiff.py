@@ -16,7 +16,11 @@ The ops are the ones some model path records, and no others: :func:`add`,
 node for ``x @ W + b``, whose backward folds the leading axes into a single
 weight-gradient GEMM. :func:`attention` is one node from queries, keys and
 values to the weighted values, and :func:`layer_norm` can take a residual
-add. :func:`add`, :func:`mul` and :func:`linear` build no gradient for a
+add. The forward arithmetic of :func:`linear`, :func:`layer_norm` and
+:func:`attention` is the array kernels of :mod:`signscribe.kernels`
+(``affine``, ``layer_norm`` and ``attention_probs``), which the cached
+decoder step calls too, off the tape; attention dropout stays in the op.
+:func:`add`, :func:`mul` and :func:`linear` build no gradient for a
 parent that does not require one. Gradient ownership: :func:`backward`
 never writes into a gradient array, and every leaf's ``grad`` owns memory
 no other leaf's ``grad`` shares.
@@ -31,6 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import kernels
 from .errors import ContractError, DimensionError
 
 _GRAPH_STACK: list["Graph"] = []
@@ -306,9 +311,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
         raise DimensionError(f"linear shapes disagree: {x.shape} @ {w.shape} + {b.shape}")
     x_data, w_data = x.data, w.data
-    out = x_data.reshape(-1, x_data.shape[-1]) @ w_data
-    out += b.data  # the same sum as (x @ w) + b, without a second output array
-    out = out.reshape(*x_data.shape[:-1], w_data.shape[1])
+    out = kernels.affine(x_data, w_data, b.data)
 
     def bwd(g):
         g2 = g.reshape(-1, g.shape[-1])
@@ -335,8 +338,8 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6, *,
-               residual: Tensor | None = None) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = kernels.LAYER_NORM_EPS,
+               *, residual: Tensor | None = None) -> Tensor:
     """Normalize the last axis to mean 0 / variance 1, then apply gain and bias.
 
     eps sits inside the square root: y = (x - mu) / sqrt(var + eps) * gain + bias.
@@ -346,16 +349,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6, *,
     d = x.shape[-1]
     if residual is not None and residual.shape != x.shape:
         raise DimensionError(f"layer_norm residual {residual.shape} must match {x.shape}")
-    xs = x.data if residual is None else x.data + residual.data
-    # np.add.reduce(...) / d is the sum and division ndarray.mean makes, so the
-    # same bits, without its Python wrapper; var is np.var's mean of squares
-    xhat = xs - np.add.reduce(xs, axis=-1, keepdims=True) / d
-    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat *= inv_std
-    out = xhat * gain.data
-    out += bias.data
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise DimensionError(
+            f"layer_norm gain/bias must have shape ({d},), got {gain.shape}/{bias.shape}"
+        )
     gain_data = gain.data
+    out, xhat, inv_std = kernels.layer_norm(
+        x.data, gain_data, bias.data, eps, None if residual is None else residual.data)
 
     def bwd(g):
         gg = g * gain_data
@@ -368,10 +368,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6, *,
         dbias = g.sum(axis=lead) if lead else g.copy()
         return (gx, dgain, dbias) if residual is None else (gx, gx, dgain, dbias)
 
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise DimensionError(
-            f"layer_norm gain/bias must have shape ({d},), got {gain.shape}/{bias.shape}"
-        )
     parents = (x, gain, bias) if residual is None else (x, residual, gain, bias)
     return _record(out, parents, bwd)
 
@@ -398,14 +394,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float, fill=None,
             or q.shape[-1] != k.shape[-1]):
         raise DimensionError(f"attention shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}")
     q_data, k_data, v_data = q.data, k.data, v.data
-    probs = np.matmul(q_data, np.swapaxes(k_data, -1, -2))
-    probs *= scale
-    if fill is not None:
-        np.copyto(probs, fill_value, where=fill)
-    # the softmax, in place
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs = kernels.attention_probs(q_data, k_data, scale, fill, fill_value)
     weights = probs
     if dropout_rate > 0.0:
         factor = (rng.random(probs.shape) >= dropout_rate) * (1.0 / (1.0 - dropout_rate))

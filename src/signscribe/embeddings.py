@@ -43,13 +43,17 @@ class WordEmbedder(ad.Params):
     def vocab_size(self) -> int:
         return self.table.shape[0]
 
-    def embed(self, tokens) -> Tensor:
+    def indices(self, tokens) -> np.ndarray:
+        """tokens as an int64 array of table rows; one out of range is a VocabularyError."""
         idx = np.asarray(tokens, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.vocab_size):
             raise VocabularyError(
                 f"token index out of range for vocabulary of size {self.vocab_size}"
             )
-        return ad.embedding(self.table, idx)
+        return idx
+
+    def embed(self, tokens) -> Tensor:
+        return ad.embedding(self.table, self.indices(tokens))
 
 
 def _batch_norm_time(

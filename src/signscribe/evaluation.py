@@ -23,7 +23,7 @@ from .autodiff import Tensor
 from .data import (GLOSS_BLANK, GLOSS_PAD, TEXT_BOS, TEXT_PAD, Vocabulary, check_glosses,
                    make_batch)
 from .decoding import DecodeConfig
-from .errors import CompatibilityError, ConfigError, CorpusError
+from .errors import CompatibilityError, ConfigError, ContractError, CorpusError
 from .metrics import BleuReport, WerReport, bleu, split_tokens, wer
 from .model import GLOSS_INPUT, RECOGNITION, TRANSLATION, JointModel
 
@@ -66,8 +66,13 @@ def corpus_wer(references, hypotheses) -> WerReport:
     """Pool edit counts over all pairs, then normalize once.
 
     Every token hypothesized for an empty reference is an insertion; only a
-    corpus whose references are all empty has no WER.
+    corpus whose references are all empty has no WER. One hypothesis per
+    reference, or a ContractError.
     """
+    if len(references) != len(hypotheses):
+        raise ContractError(
+            f"got {len(hypotheses)} hypotheses for {len(references)} references"
+        )
     subs = dels = ins = ref_len = 0
     for ref, hyp in zip(references, hypotheses):
         if not split_tokens(ref):

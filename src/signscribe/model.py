@@ -249,16 +249,20 @@ class JointModel(ad.Params):
         Row r continues row parent_rows[r] of the step before, or source
         parent_rows[r] at the first step, and appends tokens[r]. At the
         first step tokens is None: the rows start their sentences, so the
-        word fed is <bos>. Each step feeds one position per row: packed
-        (R, d) rows under an all-real (R, 1) layout.
+        word fed is <bos>. Each step feeds one position per row, (R, d):
+        the word's table row plus the position's row of the position table.
+        It runs on plain arrays and records nothing (DecoderCache.step).
+        A tokens list of another length than parent_rows, or a parent row
+        the step before did not keep, is a ContractError.
         """
+        if tokens is not None and len(tokens) != len(parent_rows):
+            raise ContractError(f"a step takes one token per parent row, got "
+                                f"{len(tokens)} tokens for {len(parent_rows)} rows")
         state.select(parent_rows)
         words = np.full(len(state.sources), TEXT_BOS) if tokens is None else tokens
         t = state.length
-        m = self.words.embed(np.asarray(words, dtype=np.int64))
-        m = m + self._positions(t + 1)[t]
-        rows = Rows(np.ones((len(words), 1), dtype=bool))
-        return run_decoder(m, rows, None, None, self.decoder, cache=state).data
+        m = self.words.table.data[self.words.indices(words)] + self._positions(t + 1)[t]
+        return state.step(m)
 
     def prefix_logits(self, z, src_mask, prefix) -> np.ndarray:
         """Next-word logits after a bos-free prefix, for one source sequence."""

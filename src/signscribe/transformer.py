@@ -12,9 +12,9 @@ projections, feed-forward layers and layer norms compute no padded position.
 Only attention sees the padded (..., S, d) layout: each site scatters its
 queries, keys and values into it (one row scatter each, whose padded rows
 are zeros) and gathers the weighted values back out before the output
-projection. With nothing padded, as for a single sequence or a cached decode
-step, the scatter and the gather are reshapes. Every stack is given its
-input's layout, and every attention site its projected heads. Disallowed
+projection. With nothing padded, as for a single sequence, the scatter and
+the gather are reshapes. Every stack is given its input's layout, and every
+attention site its projected heads. Disallowed
 attention logits are filled with a large negative constant rather than -inf so
 every stored value stays finite; the fill underflows to an exact zero weight
 after softmax, which keeps masking bitwise-exact and keeps padded keys from
@@ -24,6 +24,11 @@ On the tape, the scores, mask fill, softmax, attention dropout and weighting
 of the values are one `autodiff.attention` node per attention site, and each
 residual add is taken by the layer norm that follows it (`residual=`). Both
 give the bits of the separate ops they replace.
+
+A cached decode step (DecoderCache.step) feeds one position per row and
+runs off the tape: on plain arrays, with no Rows layout, through the same
+forward kernels the tape ops call (`kernels`), so it records nothing and
+computes the bits the ops would.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
+from . import kernels
 from .autodiff import Tensor
 from .errors import ContractError
 
@@ -171,9 +177,8 @@ def multi_head_attention(
 
     q holds the queries, (..., H, Q, d/H), in the padded layout of rows; k
     and v hold the keys and values, each (..., H, K, d/H) (_queries and
-    _keys_values project them from packed rows; a DecoderCache holds them
-    for the positions it keeps). Returns the packed (N, d) output rows, one
-    per real query position of rows.
+    _keys_values project them from packed rows). Returns the packed (N, d)
+    output rows, one per real query position of rows.
 
     mask[..., q, k] true means query position q may attend to key position
     k. It is a boolean (..., Q, K) array, or one of rank >= 2 that
@@ -317,25 +322,28 @@ def _cross_keys_values(z: Tensor, src_rows: Rows, stack: DecoderStack
 
 
 class DecoderCache:
-    """Keys and values that incremental decoding reuses from step to step.
+    """Incremental decoding of a batch of sources, one new position per row a step.
 
     One cache serves a batch of encoded sources z (B, S, d). Each layer's
     cross-attention keys and values are projected from z once, here, and
     the source key mask is lifted and checked once, here (_key_mask). The
     cache then holds rows, one per hypothesis being extended: `select`
-    makes each row continue a row of the call before (before the first
-    call, row i is source i), and each run_decoder call appends the
-    positions it feeds.
+    makes each row continue a row of the step before (before the first
+    step, row i is source i), and `step` feeds each row's new position.
 
     The cache keeps the self-attention keys and values of every position
-    fed, so a decoding step feeds only each row's new position. It also
-    holds each layer's self-attention wq|wk|wv as one (d, 3d) matrix and
-    bq|bk|bv as one (3d,) bias, joined once, here: a step projects its new
+    fed, so a step computes only the rows' new positions. It also holds
+    each layer's self-attention wq|wk|wv as one (d, 3d) matrix and bq|bk|bv
+    as one (3d,) bias, joined once, here: a step projects its new
     positions' queries, keys and values with one product per layer. Each
     output column is the same dot product over d as in the separate
     projections. Joining once is safe because a cache is inference only and
-    lives for one search, so no weight changes under it; nothing in the
-    cache is on a tape.
+    lives for one search, so no weight changes under it.
+
+    Everything the cache holds is a plain array, and `step` runs on plain
+    arrays through the forward kernels of the tape ops (kernels.affine,
+    kernels.layer_norm, kernels.attention_probs), so a step records nothing,
+    even under an active autodiff.Graph.
 
     Cached logits equal a whole-prefix forward's up to round-off: a step
     projects its rows' new positions as one matrix product, which may run
@@ -346,18 +354,23 @@ class DecoderCache:
 
     def __init__(self, z: Tensor, src_pad_mask, stack: DecoderStack):
         src = Rows(src_pad_mask)
-        # per layer (k, v), each (B, H, S, d/H); (B, 1, S), or None if nothing is padded
-        self._cross, self._src_mask = _cross_keys_values(src.gather(z), src, stack)
-        self._in_proj = [  # per layer: (d, 3d) weight, (3d,) bias, heads
-            (Tensor(np.concatenate([a.wq.data, a.wk.data, a.wv.data], axis=1)),
-             Tensor(np.concatenate([a.bq.data, a.bk.data, a.bv.data])), a.n_heads)
+        cross, src_mask = _cross_keys_values(src.gather(z), src, stack)
+        self.stack = stack
+        self.d = z.shape[-1]
+        # per layer (k, v), each (B, H, S, d/H), and the fill of the scores
+        # the source padding hides, (B, 1, 1, S), or None if nothing is padded
+        self._cross = [(k.data, v.data) for k, v in cross]
+        self._cross_fill = None if src_mask is None else ~src_mask[..., None, :, :]
+        self._in_proj = [  # per layer: (d, 3d) weight, (3d,) bias
+            (np.concatenate([a.wq.data, a.wk.data, a.wv.data], axis=1),
+             np.concatenate([a.bq.data, a.bk.data, a.bv.data]))
             for a in (block.self_attn for block in stack.layers)
         ]
         self.sources = np.arange(z.shape[0])  # the source each row decodes
         self.cross = self._cross  # per layer, gathered per row
-        self.cross_mask = self._src_mask
+        self.cross_fill = self._cross_fill
         # per layer, (R, H, length, d/H); no position yet
-        self.self_kv = [(k.data[..., :0, :], v.data[..., :0, :]) for k, v in self._cross]
+        self.self_kv = [(k[..., :0, :], v[..., :0, :]) for k, v in self._cross]
 
     @property
     def length(self) -> int:
@@ -368,82 +381,115 @@ class DecoderCache:
         """Row r now continues row parent_rows[r]; a row may be picked many times.
 
         When every row continues itself, as at every greedy step until a
-        row finishes, nothing is gathered or copied.
+        row finishes, nothing is gathered or copied. A parent that is no
+        row of the step before is a ContractError.
         """
         parents = np.asarray(parent_rows, dtype=np.int64)
-        if len(parents) == len(self.sources) and np.array_equal(
-                parents, np.arange(len(parents))):
+        n = len(self.sources)
+        if len(parents) == n and np.array_equal(parents, np.arange(n)):
             return
+        if parents.ndim != 1 or np.any((parents < 0) | (parents >= n)):
+            raise ContractError(f"parent rows {parents.tolist()} are not all rows of "
+                                f"the {n} the step before kept")
         sources = self.sources[parents]
         if not np.array_equal(sources, self.sources):
-            self.cross = [(Tensor(k.data[sources]), Tensor(v.data[sources]))
-                          for k, v in self._cross]
-            self.cross_mask = None if self._src_mask is None else self._src_mask[sources]
+            self.cross = [(k[sources], v[sources]) for k, v in self._cross]
+            self.cross_fill = None if self._cross_fill is None else self._cross_fill[sources]
         self.sources = sources
         self.self_kv = [(k[parents], v[parents]) for k, v in self.self_kv]
 
-    def extend(self, layer: int, x: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        """One layer's self-attention heads for new positions x, packed (R * U, d).
+    def step(self, m: np.ndarray) -> np.ndarray:
+        """Word logits (R, V) after each row's new position, m (R, d).
 
-        Row r's U new positions are rows r * U to r * U + U - 1 of x.
-        Returns x's queries (R, H, U, d/H), and the keys and values of the
-        kept positions followed by x's, each (R, H, length + U, d/H); it
+        Row r of m is row r's embedded word plus its position vector. The
+        step keeps the new positions' self-attention keys and values, and
+        needs no causal mask: a new position may attend to every kept one.
+        """
+        if m.shape != (len(self.sources), self.d):
+            raise ContractError(f"a step feeds one (d,) position for each of the "
+                                f"{len(self.sources)} rows, got shape {m.shape}")
+        x = m
+        for i, block in enumerate(self.stack.layers):
+            q, k, v = self._self_heads(i, x, block.self_attn.n_heads)
+            x = _norm(x, block.norm1, _attend(q, k, v, None, block.self_attn))
+            cross = block.cross_attn
+            q = _step_heads(kernels.affine(x, cross.wq.data, cross.bq.data), cross.n_heads)
+            x = _norm(x, block.norm2, _attend(q, *self.cross[i], self.cross_fill, cross))
+            ffn = block.ffn
+            h = np.maximum(kernels.affine(x, ffn.w1.data, ffn.b1.data), 0.0)
+            x = _norm(x, block.norm3, kernels.affine(h, ffn.w2.data, ffn.b2.data))
+        final, proj = self.stack.final_norm, self.stack.word_proj
+        h = kernels.layer_norm(x, final.gain.data, final.bias.data)[0]
+        return kernels.affine(h, proj.weight.data, proj.bias.data)
+
+    def _self_heads(self, layer: int, x: np.ndarray, n_heads: int):
+        """One layer's self-attention heads for the new positions x (R, d).
+
+        Returns x's queries (R, H, 1, d/H), and the keys and values of the
+        kept positions followed by x's, each (R, H, length + 1, d/H); it
         keeps those keys and values.
         """
-        w, b, n_heads = self._in_proj[layer]
-        qkv = ad.linear(x, w, b).data  # (R * U, 3d)
-        d3 = qkv.shape[-1]
-        heads = qkv.reshape(len(self.sources), -1, 3, n_heads, d3 // (3 * n_heads))
-        q, new_k, new_v = heads.transpose(2, 0, 3, 1, 4)  # each (R, H, U, d/H)
+        w, b = self._in_proj[layer]
+        qkv = kernels.affine(x, w, b)  # (R, 3d)
+        heads = qkv.reshape(len(x), 1, 3, n_heads, qkv.shape[-1] // (3 * n_heads))
+        q, new_k, new_v = heads.transpose(2, 0, 3, 1, 4)  # each (R, H, 1, d/H)
         old_k, old_v = self.self_kv[layer]
         k = np.concatenate([old_k, new_k], axis=-2)
         v = np.concatenate([old_v, new_v], axis=-2)
         self.self_kv[layer] = k, v
-        return Tensor(q), Tensor(k), Tensor(v)
+        return q, k, v
+
+
+def _step_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """A step's rows (R, d) -> heads (R, H, 1, d/H), the view _split_heads makes."""
+    return x.reshape(len(x), 1, n_heads, x.shape[-1] // n_heads).transpose(0, 2, 1, 3)
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, fill,
+            attn: AttentionParams) -> np.ndarray:
+    """A step's attention output rows (R, d) from heads q (R, H, 1, d/H) and k, v.
+
+    The arithmetic of multi_head_attention without dropout: the heads'
+    weighted values, merged, then the output projection.
+    """
+    probs = kernels.attention_probs(q, k, 1.0 / np.sqrt(attn.d // attn.n_heads), fill,
+                                    MASK_FILL)
+    ctx = np.matmul(probs, v).transpose(0, 2, 1, 3)  # (R, 1, H, d/H)
+    return kernels.affine(ctx.reshape(len(ctx), -1), attn.wo.data, attn.bo.data)
+
+
+def _norm(x: np.ndarray, norm: NormParams, residual: np.ndarray) -> np.ndarray:
+    return kernels.layer_norm(x, norm.gain.data, norm.bias.data, residual=residual)[0]
 
 
 def run_decoder(
     m_hat: Tensor,
     rows: Rows,
-    z: Tensor | None,
-    src_rows: Rows | None,
+    z: Tensor,
+    src_rows: Rows,
     stack: DecoderStack,
     *,
     train: bool = False,
     rng: np.random.Generator | None = None,
     dropout_rate: float = 0.0,
-    cache: DecoderCache | None = None,
 ) -> Tensor:
-    """Causally decode embedded target words against encoder outputs.
+    """Causally decode embedded target words against encoder outputs, teacher-forced.
 
     m_hat is the packed (N, d) target rows of the layout rows and z the
     packed source rows of the layout src_rows. Returns packed (N, V) word
     logits. Row u of a sequence's logits depends only on its target rows
     <= u and z, which is what lets one forward pass score a whole shifted
-    sequence.
-
-    With a cache, m_hat holds the positions that follow the cache.length
-    ones each row keeps, every one real: self-attention also reads the kept
-    keys and values, and cross-attention reads the cache's, so z and
-    src_rows are unused (pass None).
+    sequence. Incremental decoding, one position at a time, is
+    DecoderCache.step, which runs on plain arrays and records nothing.
     """
     x = m_hat
     u = rows.mask.shape[-1]
-    if cache is None:
-        cross, src_mask = _cross_keys_values(z, src_rows, stack)
-        causal = np.tril(np.ones((u, u), dtype=bool))
-    else:
-        cross, src_mask = cache.cross, cache.cross_mask
-        # a one-position step may attend to every kept position; the causal
-        # mask keeps each row's own position, so it needs no check
-        past = cache.length
-        causal = None if u == 1 else np.tril(np.ones((u, past + u), dtype=bool), k=past)
+    cross, src_mask = _cross_keys_values(z, src_rows, stack)
+    causal = np.tril(np.ones((u, u), dtype=bool))
     for i, block in enumerate(stack.layers):
-        qkv = (cache.extend(i, x) if cache is not None else
-               (_queries(x, rows, block.self_attn), *_keys_values(x, rows, block.self_attn)))
         a = multi_head_attention(
-            *qkv, causal, block.self_attn, rows,
-            train=train, rng=rng, dropout_rate=dropout_rate,
+            _queries(x, rows, block.self_attn), *_keys_values(x, rows, block.self_attn),
+            causal, block.self_attn, rows, train=train, rng=rng, dropout_rate=dropout_rate,
         )
         x = ad.layer_norm(x, block.norm1.gain, block.norm1.bias, residual=a)
         c = multi_head_attention(

@@ -7,7 +7,7 @@ import pytest
 
 from signscribe import data, evaluation
 from signscribe.data import GLOSS_SPECIALS, TEXT_SPECIALS, Sample, Vocabulary
-from signscribe.errors import CorpusError
+from signscribe.errors import ContractError, CorpusError
 from signscribe.evaluation import (
     SWEEP_ALPHAS,
     SWEEP_WIDTHS,
@@ -53,6 +53,12 @@ class TestCorpusWer:
         report = corpus_wer([[], ["a", "b"]], [["x"], ["a", "b"]])
         assert (report.insertions, report.ref_len) == (1, 2)
         assert report.wer == 50.0
+
+    def test_hypothesis_count_must_match_references(self):
+        with pytest.raises(ContractError, match="got 1 hypotheses for 2 references"):
+            corpus_wer([["a"], ["b", "c"]], [["a"]])
+        with pytest.raises(ContractError, match="got 2 hypotheses for 1 references"):
+            corpus_wer([["a"]], [["a"], ["b"]])
 
     def test_only_empty_references_is_corpus_error(self):
         with pytest.raises(CorpusError, match="at least one non-empty reference"):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from signscribe import autodiff as ad
-from signscribe import data, decoding, model as jm
+from signscribe import data, decoding, kernels
 from signscribe import transformer as tf
 from signscribe.autodiff import Graph, Tensor
 from signscribe.config import RunConfig
@@ -657,16 +657,15 @@ class TestCachedSteps:
     @pytest.mark.parametrize("width", [1, 2, 3, 4])
     def test_each_step_feeds_one_position_per_row(self, width, monkeypatch):
         m, z, mask = sharpened_chunk()
-        fed = []  # m_hat shape of every cached decoder call
+        fed = []  # m shape of every cached step
         rows = []  # rows fed at every step
-        run_decoder = jm.run_decoder
+        step = tf.DecoderCache.step
 
-        def counted(m_hat, *args, cache=None, **kwargs):
-            if cache is not None:
-                fed.append(m_hat.shape)
-            return run_decoder(m_hat, *args, cache=cache, **kwargs)
+        def counted(cache, m_step):
+            fed.append(m_step.shape)
+            return step(cache, m_step)
 
-        monkeypatch.setattr(jm, "run_decoder", counted)
+        monkeypatch.setattr(tf.DecoderCache, "step", counted)
         lengths = []  # (prefix length, state.length after the step) per step
 
         class Recorded:
@@ -712,6 +711,29 @@ class TestCachedSteps:
             h.update(m.step(state, parents, tokens).tobytes())
         assert h.hexdigest() == "210e7acad5bbdf02274dcd0851728aa1048ee1fa33205888d311bc3d99bcca0f"
 
+    def test_steps_record_nothing_on_an_active_tape(self):
+        m, z, mask = sharpened_chunk()
+        state = m.start(z, mask)
+        with Graph() as g:
+            m.step(state, [0, 1, 2, 3, 4], None)
+            m.step(state, [3, 0, 4, 1, 2], [5, 6, 7, 8, 3])
+        assert g.nodes == []
+
+    def test_malformed_steps_are_contract_errors(self):
+        m, z, mask = sharpened_chunk()
+        state = m.start(z, mask)
+        m.step(state, [0, 1, 2, 3, 4], None)
+        with pytest.raises(ContractError, match="3 tokens for 5 rows"):
+            m.step(state, [0, 1, 2, 3, 4], [5, 6, 7])
+        for parents in ([0, 1, 5], [-1, 0]):
+            with pytest.raises(ContractError, match="the 5 the step before kept"):
+                m.step(state, parents, [5] * len(parents))
+        # a refused step leaves the state as it was
+        assert (state.length, len(state.sources)) == (1, 5)
+        m.step(state, [4, 3], [5, 6])
+        with pytest.raises(ContractError, match="the 2 the step before kept"):
+            m.step(state, [2], [5])
+
     def test_one_word_at_a_time_reproduces_teacher_forcing(self):
         m, z, mask = sharpened_chunk()
         text_in = np.random.default_rng(12).integers(3, 9, size=(5, 6))
@@ -735,16 +757,16 @@ class TestCachedSteps:
                            text_in[:, u].tolist() if u else None) for u in range(6)]
 
         without = steps()
-        attention = tf.multi_head_attention
+        attention_probs = kernels.attention_probs
         unmasked = []
 
-        def all_true(q, k, v, mask, attn, rows, **kwargs):
-            if mask is None:
+        def all_true(q, k, scale, fill, fill_value):
+            if fill is None:  # the fill of an all-true mask is all false
                 unmasked.append(k.shape[-2])
-                mask = np.ones((1, k.shape[-2]), dtype=bool)
-            return attention(q, k, v, mask, attn, rows, **kwargs)
+                fill = ~np.ones((1, k.shape[-2]), dtype=bool)
+            return attention_probs(q, k, scale, fill, fill_value)
 
-        monkeypatch.setattr(tf, "multi_head_attention", all_true)
+        monkeypatch.setattr(kernels, "attention_probs", all_true)
         with_mask = steps()
         assert unmasked == [u + 1 for u in range(6) for _ in m.decoder.layers]
         for got, want in zip(without, with_mask):
@@ -758,13 +780,13 @@ class TestCachedSteps:
         m, z, mask = sharpened_chunk()
         state = m.start(z, mask)
         calls = []
-        linear = ad.linear
+        affine = kernels.affine
 
         def counted(x, w, b):
             calls.append(w.shape)
-            return linear(x, w, b)
+            return affine(x, w, b)
 
-        monkeypatch.setattr(ad, "linear", counted)
+        monkeypatch.setattr(kernels, "affine", counted)
         m.step(state, list(range(5)), None)
         n_layers = len(m.decoder.layers)
         assert len(calls) == 6 * n_layers + 1, calls
