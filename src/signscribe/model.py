@@ -258,11 +258,11 @@ class JointModel(ad.Params):
         if tokens is not None and len(tokens) != len(parent_rows):
             raise ContractError(f"a step takes one token per parent row, got "
                                 f"{len(tokens)} tokens for {len(parent_rows)} rows")
+        ids = (np.full(len(parent_rows), TEXT_BOS) if tokens is None
+               else self.words.indices(tokens))
         state.select(parent_rows)
-        words = np.full(len(state.sources), TEXT_BOS) if tokens is None else tokens
         t = state.length
-        m = self.words.table.data[self.words.indices(words)] + self._positions(t + 1)[t]
-        return state.step(m)
+        return state.step(self.words.table.data[ids] + self._positions(t + 1)[t])
 
     def prefix_logits(self, z, src_mask, prefix) -> np.ndarray:
         """Next-word logits after a bos-free prefix, for one source sequence."""

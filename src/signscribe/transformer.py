@@ -388,7 +388,7 @@ class DecoderCache:
         n = len(self.sources)
         if len(parents) == n and np.array_equal(parents, np.arange(n)):
             return
-        if parents.ndim != 1 or np.any((parents < 0) | (parents >= n)):
+        if parents.ndim != 1 or (parents.size and (parents.min() < 0 or parents.max() >= n)):
             raise ContractError(f"parent rows {parents.tolist()} are not all rows of "
                                 f"the {n} the step before kept")
         sources = self.sources[parents]
@@ -413,7 +413,9 @@ class DecoderCache:
             q, k, v = self._self_heads(i, x, block.self_attn.n_heads)
             x = _norm(x, block.norm1, _attend(q, k, v, None, block.self_attn))
             cross = block.cross_attn
-            q = _step_heads(kernels.affine(x, cross.wq.data, cross.bq.data), cross.n_heads)
+            q = kernels.affine(x, cross.wq.data, cross.bq.data)
+            # (R, H, 1, d/H), the view _split_heads makes
+            q = q.reshape(len(x), 1, cross.n_heads, -1).transpose(0, 2, 1, 3)
             x = _norm(x, block.norm2, _attend(q, *self.cross[i], self.cross_fill, cross))
             ffn = block.ffn
             h = np.maximum(kernels.affine(x, ffn.w1.data, ffn.b1.data), 0.0)
@@ -431,18 +433,13 @@ class DecoderCache:
         """
         w, b = self._in_proj[layer]
         qkv = kernels.affine(x, w, b)  # (R, 3d)
-        heads = qkv.reshape(len(x), 1, 3, n_heads, qkv.shape[-1] // (3 * n_heads))
+        heads = qkv.reshape(len(x), 1, 3, n_heads, -1)
         q, new_k, new_v = heads.transpose(2, 0, 3, 1, 4)  # each (R, H, 1, d/H)
         old_k, old_v = self.self_kv[layer]
         k = np.concatenate([old_k, new_k], axis=-2)
         v = np.concatenate([old_v, new_v], axis=-2)
         self.self_kv[layer] = k, v
         return q, k, v
-
-
-def _step_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    """A step's rows (R, d) -> heads (R, H, 1, d/H), the view _split_heads makes."""
-    return x.reshape(len(x), 1, n_heads, x.shape[-1] // n_heads).transpose(0, 2, 1, 3)
 
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, fill,

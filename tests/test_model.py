@@ -13,7 +13,7 @@ from signscribe.autodiff import Graph, Tensor
 from signscribe.config import RunConfig
 from signscribe.data import GLOSS_SPECIALS, TEXT_PAD, TEXT_SPECIALS, Sample, Vocabulary
 from signscribe.embeddings import positional_encoding
-from signscribe.errors import CheckpointError, ConfigError, ContractError
+from signscribe.errors import CheckpointError, ConfigError, ContractError, VocabularyError
 from signscribe.evaluation import FORBIDDEN_WORDS, encode_split
 from signscribe.losses import LossWeights, ctc_log_prob, translation_loss
 from signscribe.model import JointModel, batch_losses
@@ -728,6 +728,8 @@ class TestCachedSteps:
         for parents in ([0, 1, 5], [-1, 0]):
             with pytest.raises(ContractError, match="the 5 the step before kept"):
                 m.step(state, parents, [5] * len(parents))
+        with pytest.raises(VocabularyError):
+            m.step(state, [4, 3], [5, m.n_words])
         # a refused step leaves the state as it was
         assert (state.length, len(state.sources)) == (1, 5)
         m.step(state, [4, 3], [5, 6])
