@@ -947,6 +947,22 @@ class TestWholeModelGradients:
     a padded row that leaks) shows here.
     """
 
+    def test_training_step_is_pinned(self):
+        # the bits of one sign2gloss+text training step: a ragged batch, two
+        # decoder layers, dropout on and a fixed rng; the loss, then every
+        # trainable parameter's name and gradient
+        batch, gloss, text = ragged_fd_batch()
+        m = tiny_model(dropout=0.1, d_in=3, n_glosses=len(gloss), n_words=len(text))
+        with Graph() as g:
+            total, *_ = batch_losses(m, batch, LossWeights(5.0, 1.0), "sign2gloss+text",
+                                     train=True, rng=np.random.default_rng(33))
+            ad.backward(g, total)
+        h = hashlib.sha256(total.data.tobytes())
+        for name, p in m.trainable_parameters("sign2gloss+text").items():
+            h.update(name.encode())
+            h.update(p.grad.tobytes())
+        assert h.hexdigest() == "52cfbc829775e773cb98f91913c161d2be5948efe09cbbfc8ae297535e375f16"
+
     @pytest.mark.parametrize("protocol,train", [("sign2gloss+text", True),
                                                 ("gloss2text", False)])
     def test_batch_loss_gradient_matches_finite_differences(self, protocol, train):
