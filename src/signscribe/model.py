@@ -18,10 +18,11 @@ The model exposes the decoding pathway the search routines expect. start
 builds a decode state for a batch of encoder outputs, projecting each
 decoder layer's cross-attention keys and values once; step grows every
 row's prefix by one word and returns the next-word logits, feeding only the
-row's newest position against the cached keys and values. prefix_logits_batch
-scores the next word after whole bos-free prefixes with one teacher-forced
-forward each: it is the oracle the cached steps are tested against (they
-agree up to round-off), and prefix_logits is its batch of one.
+row's newest position against the cached keys and values. Both run on plain
+arrays and record nothing on a tape. prefix_logits_batch scores the next
+word after whole bos-free prefixes with one teacher-forced forward each: it
+is the oracle the cached steps are tested against (they agree up to
+round-off), and prefix_logits is its batch of one.
 """
 
 from __future__ import annotations
@@ -239,22 +240,28 @@ class JointModel(ad.Params):
 
         z_batch is a (B, S, d) batch or a list of (S, d) sources. Each
         decoder layer's cross-attention keys and values are projected here,
-        once for every step that follows.
+        on plain arrays, once for every step that follows (DecoderCache).
         """
-        return DecoderCache(Tensor(_stacked(z_batch)), mask_batch, self.decoder)
+        return DecoderCache(_stacked(z_batch), mask_batch, self.decoder)
 
     def step(self, state: DecoderCache, parent_rows, tokens) -> np.ndarray:
         """Next-word logits after each row's prefix grows by one word.
 
         Row r continues row parent_rows[r] of the step before, or source
-        parent_rows[r] at the first step, and appends tokens[r]. At the
-        first step tokens is None: the rows start their sentences, so the
-        word fed is <bos>. Each step feeds one position per row, (R, d):
-        the word's table row plus the position's row of the position table.
-        It runs on plain arrays and records nothing (DecoderCache.step).
-        A tokens list of another length than parent_rows, or a parent row
-        the step before did not keep, is a ContractError.
+        parent_rows[r] at the first step, and appends tokens[r]. tokens is
+        None at the first step, and only there: the rows start their
+        sentences, so the word fed is <bos>. Each step feeds one position
+        per row, (R, d): the word's table row plus the position's row of the
+        position table. It runs on plain arrays and records nothing
+        (DecoderCache.step). Tokens at the first step or None at a later
+        one, a tokens list of another length than parent_rows, or a parent
+        row the step before did not keep is a ContractError, and leaves the
+        state as it was.
         """
+        if (tokens is None) != (state.length == 0):
+            raise ContractError(f"tokens are None at the first step and only there, got "
+                                f"{'None' if tokens is None else 'tokens'} at position "
+                                f"{state.length}")
         if tokens is not None and len(tokens) != len(parent_rows):
             raise ContractError(f"a step takes one token per parent row, got "
                                 f"{len(tokens)} tokens for {len(parent_rows)} rows")

@@ -14,10 +14,11 @@ queries, keys and values into it (one row scatter each, whose padded rows
 are zeros) and gathers the weighted values back out before the output
 projection. With nothing padded, as for a single sequence, the scatter and
 the gather are reshapes. Every stack is given its input's layout, and every
-attention site its projected heads. Disallowed
-attention logits are filled with a large negative constant rather than -inf so
-every stored value stays finite; the fill underflows to an exact zero weight
-after softmax, which keeps masking bitwise-exact and keeps padded keys from
+attention site its packed query rows and key/value rows, each with its
+layout; the site projects its heads itself. Disallowed attention logits are
+filled with a large negative constant rather than -inf so every stored
+value stays finite; the fill underflows to an exact zero weight after
+softmax, which keeps masking bitwise-exact and keeps padded keys from
 reaching any real row.
 
 On the tape, the scores, mask fill, softmax, attention dropout and weighting
@@ -25,10 +26,12 @@ of the values are one `autodiff.attention` node per attention site, and each
 residual add is taken by the layer norm that follows it (`residual=`). Both
 give the bits of the separate ops they replace.
 
-A cached decode step (DecoderCache.step) feeds one position per row and
-runs off the tape: on plain arrays, with no Rows layout, through the same
-forward kernels the tape ops call (`kernels`), so it records nothing and
-computes the bits the ops would.
+A decode state (DecoderCache) is built and stepped off the tape: its
+cross-attention keys and values are projected from the packed source rows,
+and each step (DecoderCache.step) feeds one position per row with no Rows
+layout, all on plain arrays through the same forward kernels the tape ops
+call (`kernels`), so it records nothing and computes the bits the ops
+would.
 """
 
 from __future__ import annotations
@@ -149,36 +152,25 @@ def _merge_heads(x: Tensor, rows: Rows) -> Tensor:
     return ad.gather_rows(x.reshape((*lead, s, h * dh)), rows.index)
 
 
-def _queries(x: Tensor, rows: Rows, attn: AttentionParams) -> Tensor:
-    """One attention site's queries of packed rows x (N, d), (..., H, Q, d/H)."""
-    return _split_heads(ad.linear(x, attn.wq, attn.bq), attn.n_heads, rows)
-
-
-def _keys_values(x: Tensor, rows: Rows, attn: AttentionParams) -> tuple[Tensor, Tensor]:
-    """One attention site's keys and values of packed rows x (N, d), each (..., H, K, d/H)."""
-    k = _split_heads(ad.linear(x, attn.wk, attn.bk), attn.n_heads, rows)
-    v = _split_heads(ad.linear(x, attn.wv, attn.bv), attn.n_heads, rows)
-    return k, v
-
-
 def multi_head_attention(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
+    x: Tensor,
+    rows: Rows,
+    memory: Tensor,
+    memory_rows: Rows,
     mask,
     attn: AttentionParams,
-    rows: Rows,
     *,
     train: bool = False,
     rng: np.random.Generator | None = None,
     dropout_rate: float = 0.0,
 ) -> Tensor:
-    """Scaled dot-product attention with H heads, from projected heads to packed rows.
+    """Scaled dot-product attention with H heads, from packed rows to packed rows.
 
-    q holds the queries, (..., H, Q, d/H), in the padded layout of rows; k
-    and v hold the keys and values, each (..., H, K, d/H) (_queries and
-    _keys_values project them from packed rows). Returns the packed (N, d)
-    output rows, one per real query position of rows.
+    x holds the packed (N, d) query rows of the layout rows, and memory the
+    packed (M, d) key/value rows of the layout memory_rows (x itself, with
+    rows, for self-attention). Queries, then keys, then values are
+    projected here, each split into heads in its rows' padded layout, zero
+    at pads. Returns the packed (N, d) output rows, one per query row.
 
     mask[..., q, k] true means query position q may attend to key position
     k. It is a boolean (..., Q, K) array, or one of rank >= 2 that
@@ -190,10 +182,13 @@ def multi_head_attention(
     The heads' scaled scores, mask fill, softmax, dropout (in training) and
     weighted values are one autodiff.attention node.
     """
-    dh = attn.d // attn.n_heads
+    h = attn.n_heads
+    q = _split_heads(ad.linear(x, attn.wq, attn.bq), h, rows)
+    k = _split_heads(ad.linear(memory, attn.wk, attn.bk), h, memory_rows)
+    v = _split_heads(ad.linear(memory, attn.wv, attn.bv), h, memory_rows)
     fill = None if mask is None else ~mask[..., None, :, :]  # (..., 1, Q, K)
     ctx = _merge_heads(ad.attention(
-        q, k, v, 1.0 / np.sqrt(dh), fill, MASK_FILL,
+        q, k, v, 1.0 / np.sqrt(attn.d // h), fill, MASK_FILL,
         dropout_rate=dropout_rate if train else 0.0, rng=rng,
     ), rows)
     return ad.linear(ctx, attn.wo, attn.bo)
@@ -295,10 +290,8 @@ def run_encoder(
     x = f_hat
     mask = _key_mask(rows.mask)
     for block in stack.layers:
-        a = multi_head_attention(
-            _queries(x, rows, block.attn), *_keys_values(x, rows, block.attn), mask,
-            block.attn, rows, train=train, rng=rng, dropout_rate=dropout_rate,
-        )
+        a = multi_head_attention(x, rows, x, rows, mask, block.attn, train=train, rng=rng,
+                                 dropout_rate=dropout_rate)
         x = ad.layer_norm(x, block.norm1.gain, block.norm1.bias, residual=a)
         f = _feed_forward(x, block.ffn, train, rng, dropout_rate)
         x = ad.layer_norm(x, block.norm2.gain, block.norm2.bias, residual=f)
@@ -310,26 +303,18 @@ def gloss_logits(z: Tensor, stack: EncoderStack) -> Tensor:
     return ad.linear(z, stack.gloss_proj.weight, stack.gloss_proj.bias)
 
 
-def _cross_keys_values(z: Tensor, src_rows: Rows, stack: DecoderStack
-                       ) -> tuple[list[tuple[Tensor, Tensor]], np.ndarray | None]:
-    """Every decoder layer's cross-attention (k, v) of packed source rows z.
-
-    Returns the per-layer pairs, each (B, H, S, d/H) in the padded layout of
-    src_rows, and the source key mask lifted and checked once (_key_mask).
-    """
-    src_mask = _key_mask(src_rows.mask)
-    return [_keys_values(z, src_rows, block.cross_attn) for block in stack.layers], src_mask
-
-
 class DecoderCache:
     """Incremental decoding of a batch of sources, one new position per row a step.
 
-    One cache serves a batch of encoded sources z (B, S, d). Each layer's
-    cross-attention keys and values are projected from z once, here, and
-    the source key mask is lifted and checked once, here (_key_mask). The
-    cache then holds rows, one per hypothesis being extended: `select`
-    makes each row continue a row of the step before (before the first
-    step, row i is source i), and `step` feeds each row's new position.
+    One cache serves a batch of encoded sources z, a (B, S, d) array. Each
+    layer's cross-attention keys and values are projected once, here, from
+    z's packed real source rows (Rows.pack, kernels.affine) and placed into
+    zeros at padded positions, the bits the tape's cross-attention site
+    computes; the source key mask is lifted and checked once, here
+    (_key_mask). The cache then holds rows, one per hypothesis being
+    extended: `select` makes each row continue a row of the step before
+    (before the first step, row i is source i), and `step` feeds each
+    row's new position.
 
     The cache keeps the self-attention keys and values of every position
     fed, so a step computes only the rows' new positions. It also holds
@@ -340,10 +325,10 @@ class DecoderCache:
     projections. Joining once is safe because a cache is inference only and
     lives for one search, so no weight changes under it.
 
-    Everything the cache holds is a plain array, and `step` runs on plain
-    arrays through the forward kernels of the tape ops (kernels.affine,
-    kernels.layer_norm, kernels.attention_probs), so a step records nothing,
-    even under an active autodiff.Graph.
+    Everything the cache holds is a plain array, and building it and `step`
+    run on plain arrays through the forward kernels of the tape ops
+    (kernels.affine, kernels.layer_norm, kernels.attention_probs), so
+    neither records anything, even under an active autodiff.Graph.
 
     Cached logits equal a whole-prefix forward's up to round-off: a step
     projects its rows' new positions as one matrix product, which may run
@@ -352,14 +337,22 @@ class DecoderCache:
     share the step, again only up to round-off.
     """
 
-    def __init__(self, z: Tensor, src_pad_mask, stack: DecoderStack):
+    def __init__(self, z: np.ndarray, src_pad_mask, stack: DecoderStack):
         src = Rows(src_pad_mask)
-        cross, src_mask = _cross_keys_values(src.gather(z), src, stack)
+        src_mask = _key_mask(src.mask)
+        z_rows = src.pack(z)
         self.stack = stack
         self.d = z.shape[-1]
+
+        def heads(w, b, n_heads):  # (B, H, S, d/H), zero at pads, as _split_heads lays them
+            a = np.zeros((*src.mask.shape, self.d))
+            a[src.mask] = kernels.affine(z_rows, w.data, b.data)
+            return a.reshape(*src.mask.shape, n_heads, -1).swapaxes(-3, -2)
+
         # per layer (k, v), each (B, H, S, d/H), and the fill of the scores
         # the source padding hides, (B, 1, 1, S), or None if nothing is padded
-        self._cross = [(k.data, v.data) for k, v in cross]
+        self._cross = [(heads(a.wk, a.bk, a.n_heads), heads(a.wv, a.bv, a.n_heads))
+                       for a in (block.cross_attn for block in stack.layers)]
         self._cross_fill = None if src_mask is None else ~src_mask[..., None, :, :]
         self._in_proj = [  # per layer: (d, 3d) weight, (3d,) bias
             (np.concatenate([a.wq.data, a.wk.data, a.wv.data], axis=1),
@@ -481,18 +474,14 @@ def run_decoder(
     """
     x = m_hat
     u = rows.mask.shape[-1]
-    cross, src_mask = _cross_keys_values(z, src_rows, stack)
     causal = np.tril(np.ones((u, u), dtype=bool))
-    for i, block in enumerate(stack.layers):
-        a = multi_head_attention(
-            _queries(x, rows, block.self_attn), *_keys_values(x, rows, block.self_attn),
-            causal, block.self_attn, rows, train=train, rng=rng, dropout_rate=dropout_rate,
-        )
+    src_mask = _key_mask(src_rows.mask)
+    for block in stack.layers:
+        a = multi_head_attention(x, rows, x, rows, causal, block.self_attn, train=train,
+                                 rng=rng, dropout_rate=dropout_rate)
         x = ad.layer_norm(x, block.norm1.gain, block.norm1.bias, residual=a)
-        c = multi_head_attention(
-            _queries(x, rows, block.cross_attn), *cross[i], src_mask, block.cross_attn, rows,
-            train=train, rng=rng, dropout_rate=dropout_rate,
-        )
+        c = multi_head_attention(x, rows, z, src_rows, src_mask, block.cross_attn,
+                                 train=train, rng=rng, dropout_rate=dropout_rate)
         x = ad.layer_norm(x, block.norm2.gain, block.norm2.bias, residual=c)
         f = _feed_forward(x, block.ffn, train, rng, dropout_rate)
         x = ad.layer_norm(x, block.norm3.gain, block.norm3.bias, residual=f)

@@ -713,8 +713,8 @@ class TestCachedSteps:
 
     def test_steps_record_nothing_on_an_active_tape(self):
         m, z, mask = sharpened_chunk()
-        state = m.start(z, mask)
         with Graph() as g:
+            state = m.start(z, mask)
             m.step(state, [0, 1, 2, 3, 4], None)
             m.step(state, [3, 0, 4, 1, 2], [5, 6, 7, 8, 3])
         assert g.nodes == []
@@ -722,7 +722,14 @@ class TestCachedSteps:
     def test_malformed_steps_are_contract_errors(self):
         m, z, mask = sharpened_chunk()
         state = m.start(z, mask)
+        # tokens before any position would feed a word with no <bos> before it
+        with pytest.raises(ContractError, match="only there, got tokens at position 0"):
+            m.step(state, [0, 1, 2, 3, 4], [5, 6, 7, 8, 3])
+        assert state.length == 0
         m.step(state, [0, 1, 2, 3, 4], None)
+        # None after the first step would feed <bos> inside a sentence
+        with pytest.raises(ContractError, match="only there, got None at position 1"):
+            m.step(state, [0, 1, 2, 3, 4], None)
         with pytest.raises(ContractError, match="3 tokens for 5 rows"):
             m.step(state, [0, 1, 2, 3, 4], [5, 6, 7])
         for parents in ([0, 1, 5], [-1, 0]):

@@ -22,13 +22,6 @@ def all_real(*shape):
     return tf.Rows(np.ones(shape, dtype=bool))
 
 
-def attend(queries, keys_values, mask, attn, rows, key_rows):
-    """One attention site on packed rows, projected as the stacks project them."""
-    q = tf._queries(queries, rows, attn)
-    return tf.multi_head_attention(q, *tf._keys_values(keys_values, key_rows, attn),
-                                   mask, attn, rows)
-
-
 # --- numpy reference implementations, kept deliberately naive -----------------
 
 
@@ -78,7 +71,7 @@ class TestMultiHeadAttention:
     def test_single_position_passes_value_through(self):
         attn = make_attn(1)
         x = Tensor(np.random.default_rng(2).normal(size=(1, D)))
-        out = attend(x, x, None, attn, all_real(1), all_real(1)).data
+        out = tf.multi_head_attention(x, all_real(1), x, all_real(1), None, attn).data
         v = x.data @ attn.wv.data + attn.bv.data
         expect = v @ attn.wo.data + attn.bo.data
         assert np.array_equal(out, expect)
@@ -89,9 +82,10 @@ class TestMultiHeadAttention:
         rng = np.random.default_rng(4)
         row = rng.normal(size=(1, D))
         q = Tensor(rng.normal(size=(2, D)))
-        doubled = attend(q, Tensor(np.vstack([row, row])), None, attn,
-                         all_real(2), all_real(2)).data
-        single = attend(q, Tensor(row), None, attn, all_real(2), all_real(1)).data
+        doubled = tf.multi_head_attention(q, all_real(2), Tensor(np.vstack([row, row])),
+                                          all_real(2), None, attn).data
+        single = tf.multi_head_attention(q, all_real(2), Tensor(row), all_real(1), None,
+                                         attn).data
         assert doubled == pytest.approx(single, abs=1e-12)
 
     def test_matches_per_head_reference(self):
@@ -102,7 +96,8 @@ class TestMultiHeadAttention:
         mask = np.array(
             [[1, 1, 0, 1], [1, 1, 1, 1], [0, 1, 1, 0]], dtype=bool
         )
-        out = attend(Tensor(q), Tensor(kv), mask, attn, all_real(3), all_real(4)).data
+        out = tf.multi_head_attention(Tensor(q), all_real(3), Tensor(kv), all_real(4), mask,
+                                      attn).data
         assert out == pytest.approx(ref_mha(q, kv, mask, attn), abs=1e-12)
 
     def test_batched_matches_per_sample(self):
@@ -113,8 +108,9 @@ class TestMultiHeadAttention:
         mask[..., 0] = True  # keep every query row satisfiable
         # every position real: the packed rows are 4 per sample
         packed = Tensor(xs.reshape(12, D))
-        out = attend(packed, packed, mask, attn,
-                     all_real(3, 4), all_real(3, 4)).data.reshape(3, 4, D)
+        rows = all_real(3, 4)
+        out = tf.multi_head_attention(packed, rows, packed, rows, mask, attn).data
+        out = out.reshape(3, 4, D)
         for b in range(3):
             assert out[b] == pytest.approx(ref_mha(xs[b], xs[b], mask[b], attn), abs=1e-12)
 
@@ -133,7 +129,7 @@ class TestMultiHeadAttention:
 
         with Graph() as g:
             xt = Tensor(x, requires_grad=True)
-            out = attend(xt, xt, mask, attn, all_real(3), all_real(3))
+            out = tf.multi_head_attention(xt, all_real(3), xt, all_real(3), mask, attn)
             ad.backward(g, ad.tensor_sum(out * out))
         assert_grad_close(attn.wq.grad, finite_difference_grad(f, attn.wq.data))
 
