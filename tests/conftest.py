@@ -32,6 +32,38 @@ def acceptance_dev(tmp_path_factory):
     return m, dev, gloss, text
 
 
+def edge_case_corpus(rng, n_pairs: int = 12, n_words: int = 5):
+    """A seeded (references, hypotheses) pair of token-list lists over a few words.
+
+    Each hypothesis is one of the cases corpus BLEU and WER treat apart:
+    empty, shorter than four tokens, a short n-gram repeated so its counts
+    must be clipped, a copy of its reference, or random. A later reference
+    may be empty; the first never is, so corpus WER is defined.
+    """
+    words = [f"w{i}" for i in range(n_words)]
+
+    def draw(lo, hi):
+        return [words[j] for j in rng.integers(0, n_words, size=int(rng.integers(lo, hi)))]
+
+    refs, hyps = [], []
+    for i in range(n_pairs):
+        ref = draw(1 if i == 0 else 0, 9)
+        kind = int(rng.integers(5))
+        if kind == 0:
+            hyp = []
+        elif kind == 1:
+            hyp = draw(1, 4)
+        elif kind == 2:
+            hyp = draw(1, 3) * int(rng.integers(2, 5))
+        elif kind == 3:
+            hyp = list(ref)
+        else:
+            hyp = draw(0, 11)
+        refs.append(ref)
+        hyps.append(hyp)
+    return refs, hyps
+
+
 def finite_difference_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of scalar-valued f at x, coordinate by coordinate."""
     x = np.array(x, dtype=np.float64)

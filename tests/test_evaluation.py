@@ -1,6 +1,7 @@
 """Corpus evaluation and decode-parameter sweep tests."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -175,6 +176,19 @@ class TestEmptyGlossInput:
             got = decode_sentences(model, encoded, text, width, 1.0)
             want = decode_sentences(model, alone, text, width, 1.0)
             assert [got[i] for i in keep] == want
+
+
+class TestGlossBeam:
+    PROTOCOL = "sign2gloss+text"
+
+    def test_glosses_are_pinned(self, acceptance_dev):
+        # the glosses of the 20-sample dev split in ragged chunks of 7, 7 and 6
+        m, dev, gloss, text = acceptance_dev
+        encoded = encode_split(m, dev, gloss, text, self.PROTOCOL, batch_size=7)
+        h = hashlib.sha256()
+        for width in (1, 4, 10):
+            h.update(repr(decode_glosses(m, encoded, gloss, width)).encode())
+        assert h.hexdigest() == "98b732e448c97884694dbc7cbf7ca0964dce79f0472175243d9ac8e4005dffb4"
 
 
 class TestSplitOrder:

@@ -1,5 +1,6 @@
 """Metric tests: exhaustive edit-distance parity and hand-computed BLEU."""
 
+import hashlib
 import itertools
 from functools import lru_cache
 
@@ -10,6 +11,9 @@ from hypothesis import strategies as st
 
 from signscribe import metrics
 from signscribe.errors import ContractError
+from signscribe.evaluation import corpus_wer
+
+from conftest import edge_case_corpus
 
 
 def brute_force_edit_distance(ref, hyp):
@@ -169,3 +173,14 @@ class TestBleu:
         a = metrics.bleu([["w1", "w2", "w3"]], [["w1", "w2"]])
         b = metrics.bleu(["w1 w2 w3"], ["w1 w2"])
         assert a == b
+
+
+def test_corpus_reports_are_pinned():
+    # the bits of the BLEU and corpus WER reports of 20 seeded corpora, each
+    # holding empty and short hypotheses, n-grams to clip and identical pairs
+    h = hashlib.sha256()
+    for seed in range(20):
+        refs, hyps = edge_case_corpus(np.random.default_rng(seed))
+        h.update(repr(metrics.bleu(refs, hyps)).encode())
+        h.update(repr(corpus_wer(refs, hyps)).encode())
+    assert h.hexdigest() == "00531034f46954f74a07ec6e8e679447b4e9ba26fe4598ca17a18802bf6aa079"
