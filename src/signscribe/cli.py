@@ -160,7 +160,8 @@ def cmd_train(args) -> int:
     print(f"stopped after {result.iterations} iterations ({result.stop_reason})")
     if result.best_path is not None:
         print(f"best checkpoint: {result.best_path}")
-        print(f"best dev score: {result.best_score:.4f}")
+        metric = "BLEU-4" if cfg.protocol in TRANSLATION else "WER"
+        print(f"best dev {metric}: {result.best_score:.4f}")
     print(f"training log: {Path(cfg.out_dir) / 'train_log.jsonl'}")
     return EXIT_OK
 

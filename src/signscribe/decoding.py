@@ -2,12 +2,13 @@
 
 Gloss decoding works on frame-level log-probabilities: a greedy best-path
 collapse and a prefix beam search over collapsed label sequences. The prefix
-beam (`ctc_beam_search_batch`) searches a whole encoded chunk at once with a
-fixed set of array ops per frame, and a sequence decodes to the same glosses
-whatever chunk it is in; `ctc_beam_search` is its batch of one. Sentence
-decoding drives the autoregressive decoder with one beam search, whose
-width-1 case is greedy decoding; the ((5+u)/6)^alpha length penalty ranks
-the final candidates.
+beam (`ctc_beam_search_batch`) searches a batch of sequences at once, a
+whole split when `evaluation.decode_glosses` calls it, with a fixed set of
+array ops per frame over the sequences still reading frames, and a sequence
+decodes to the same glosses whatever batch it is in; `ctc_beam_search` is
+its batch of one. Sentence decoding drives the autoregressive decoder with
+one beam search, whose width-1 case is greedy decoding; the
+((5+u)/6)^alpha length penalty ranks the final candidates.
 
 Sentence decoders talk to the model through one two-method protocol rather
 than raw stacks:
@@ -122,7 +123,7 @@ def _slot_tuple(prefixes, lengths, n, beam, sym) -> tuple[int, ...]:
 
 
 def ctc_beam_search_batch(log_probs, frame_counts, width: int) -> list[tuple[int, ...]]:
-    """Prefix beam search over a chunk of sequences at once.
+    """Prefix beam search over a batch of sequences at once.
 
     log_probs is (N, T, K) frame-level log-probabilities with the blank at
     index 0; sequence n reads its first frame_counts[n] frames. Each live
@@ -131,13 +132,16 @@ def ctc_beam_search_batch(log_probs, frame_counts, width: int) -> list[tuple[int
     symbol is only legal from the blank side, which is exactly the collapse
     rule.
 
-    Every frame is a fixed set of array ops over all N x width beams: the
-    blank stay, the repeat stay and the width x (K - 1) extensions. An
-    extension that equals a live beam (that beam minus its last symbol is
-    the extended prefix) merges into the beam's stay. The top width
-    candidates by total score survive; ties order by the prefix tuple, so
-    where the width-th and the next score are equal the tied candidates are
-    ranked as tuples. A sequence past its frame count keeps its beams.
+    The rows are searched longest first, so frame t works in place on the
+    leading rows that still read frames, with a fixed set of array ops over
+    their width beams each: the blank stay, the repeat stay and the
+    width x (K - 1) extensions. An extension that equals a live beam (that
+    beam minus its last symbol is the extended prefix) merges into the
+    beam's stay. The top width candidates by total score survive; ties
+    order by the prefix tuple, so where the width-th and the next score are
+    equal the tied candidates are ranked as tuples. No op mixes rows, so a
+    sequence decodes to the same glosses whatever batch it is in, and a
+    whole split can be one batch. Results come back in input order.
     """
     if width < 1:
         raise ConfigError(f"beam width must be >= 1, got {width}")
@@ -146,6 +150,10 @@ def ctc_beam_search_batch(log_probs, frame_counts, width: int) -> list[tuple[int
     counts = np.asarray(frame_counts, dtype=np.int64)
     if counts.shape != (n,) or (n and (counts.min() < 0 or counts.max() > n_frames)):
         raise ContractError(f"frame_counts must be {n} counts in [0, {n_frames}]")
+    order = np.argsort(-counts, kind="stable")
+    lp = lp[order]
+    # frame t reads the leading reading[t] rows
+    reading = (counts[:, None] > np.arange(n_frames)).sum(axis=0)
     w = width
     rows = np.arange(n)[:, None]
     cols = np.arange(w)[None, :]
@@ -162,68 +170,73 @@ def ctc_beam_search_batch(log_probs, frame_counts, width: int) -> list[tuple[int
     slot_sym = np.concatenate([np.zeros(w, dtype=np.int64), np.tile(np.arange(1, k), w)])
     no_ext = np.full((n, w * (k - 1)), ninf)
     for t in range(n_frames):
-        active = counts > t
-        if not active.any():
+        m = int(reading[t])
+        if not m:
             break
-        frame = lp[:, t]
-        total = np.logaddexp(pb, pnb)
-        last = prefixes[rows, cols, np.maximum(lengths - 1, 0)]  # 0 for the empty prefix
+        r_m = rows[:m]
+        pb_m, pnb_m, valid_m, len_m = pb[:m], pnb[:m], valid[:m], lengths[:m]
+        # every prefix is 0 past the longest live one, so only its first
+        # `span` symbols can differ
+        span = int(len_m.max())
+        frame = lp[:m, t]
+        total = np.logaddexp(pb_m, pnb_m)
+        last = prefixes[r_m, cols, np.maximum(len_m - 1, 0)]  # 0 for the empty prefix
         stay_b = total + frame[:, :1]
-        stay_nb = np.where(lengths > 0, pnb + frame[rows, last], ninf)
+        stay_nb = np.where(len_m > 0, pnb_m + frame[r_m, last], ninf)
         repeat = np.arange(1, k) == last[:, :, None]
-        ext = np.where(repeat, pb[:, :, None], total[:, :, None]) + frame[:, None, 1:]
-        ext_valid = np.broadcast_to(valid[:, :, None], ext.shape).copy()
-        # beam j is beam i extended by its last symbol when j's parent equals i
-        head = prefixes[:, :, :t]
-        parent = head.copy()
-        has_parent = valid & (lengths > 0)
-        nn, jj = np.nonzero(has_parent)
-        parent[nn, jj, lengths[nn, jj] - 1] = 0
-        match = ((head[:, :, None] == parent[:, None]).all(axis=-1)
-                 & valid[:, :, None] & has_parent[:, None, :])
-        nn, ii, jj = np.nonzero(match)
-        merged = last[nn, jj] - 1
-        stay_nb[nn, jj] = np.logaddexp(stay_nb[nn, jj], ext[nn, ii, merged])
-        ext_valid[nn, ii, merged] = False
+        ext = np.where(repeat, pb_m[:, :, None], total[:, :, None]) + frame[:, None, 1:]
+        ext_valid = np.broadcast_to(valid_m[:, :, None], ext.shape).copy()
+        if span:
+            # beam j is beam i extended by its last symbol when j's parent equals i
+            has_parent = valid_m & (len_m > 0)
+            head = prefixes[:m, :, :span]
+            parent = head.copy()
+            nn, jj = np.nonzero(has_parent)
+            parent[nn, jj, len_m[nn, jj] - 1] = 0
+            match = ((head[:, :, None] == parent[:, None]).all(axis=-1)
+                     & valid_m[:, :, None] & has_parent[:, None, :])
+            nn, ii, jj = np.nonzero(match)
+            merged = last[nn, jj] - 1
+            stay_nb[nn, jj] = np.logaddexp(stay_nb[nn, jj], ext[nn, ii, merged])
+            ext_valid[nn, ii, merged] = False
         # keys sort best first; NaN marks a slot that holds no candidate
-        keys = np.concatenate([np.where(valid, -np.logaddexp(stay_b, stay_nb), np.nan),
-                               np.where(ext_valid, -ext, np.nan).reshape(n, -1)], axis=1)
+        keys = np.concatenate([np.where(valid_m, -np.logaddexp(stay_b, stay_nb), np.nan),
+                               np.where(ext_valid, -ext, np.nan).reshape(m, -1)], axis=1)
         if keys.shape[1] > w:
             # the best w in any order, then the next best: a tie across the
             # cut is ranked by the candidates' prefix tuples
             part = np.argpartition(keys, w, axis=1)
             chosen = part[:, :w]
-            cut = keys[rows[:, 0], part[:, w]]
-            for r in np.flatnonzero(active & (keys[rows, chosen].max(axis=1) == cut)):
+            cut = keys[r_m[:, 0], part[:, w]]
+            for r in np.flatnonzero(keys[r_m, chosen].max(axis=1) == cut):
                 better = np.flatnonzero(keys[r] < cut[r])
                 tied = sorted(np.flatnonzero(keys[r] == cut[r]).tolist(),
                               key=lambda c: _slot_tuple(prefixes, lengths, r, slot_beam[c],
                                                         slot_sym[c]))
                 chosen[r] = np.concatenate([better, tied[:w - len(better)]])
         else:
-            chosen = np.broadcast_to(np.arange(w), (n, w))
+            chosen = np.broadcast_to(np.arange(w), (m, w))
         src = slot_beam[chosen]
         sym = slot_sym[chosen]
-        new_prefixes = prefixes[rows, src]
-        new_lengths = lengths[rows, src]
-        new_prefixes[rows, cols, new_lengths] += sym  # a length is at most t here
+        # a new prefix is at most one symbol longer than the longest old one
+        new_prefixes = prefixes[r_m, src, :span + 1]
+        new_lengths = len_m[r_m, src]
+        new_prefixes[r_m, cols, new_lengths] += sym
         new_lengths += sym > 0
-        new_valid = ~np.isnan(keys[rows, chosen])
-        keep = active[:, None]
+        new_valid = ~np.isnan(keys[r_m, chosen])
         # a slot left without a candidate scores -inf, so it adds nothing later
-        for old, cand in ((pb, np.concatenate([stay_b, no_ext], axis=1)),
-                          (pnb, np.concatenate([stay_nb, ext.reshape(n, -1)], axis=1))):
-            scores = np.where(new_valid, cand[rows, chosen], ninf)
-            old[...] = np.where(keep, scores, old)
-        valid = np.where(keep, new_valid, valid)
-        lengths = np.where(keep, new_lengths, lengths)
-        prefixes = np.where(keep[:, :, None], new_prefixes, prefixes)
+        for old, cand in ((pb_m, np.concatenate([stay_b, no_ext[:m]], axis=1)),
+                          (pnb_m, np.concatenate([stay_nb, ext.reshape(m, -1)], axis=1))):
+            old[...] = np.where(new_valid, cand[r_m, chosen], ninf)
+        valid_m[...] = new_valid
+        len_m[...] = new_lengths
+        prefixes[:m, :, :span + 1] = new_prefixes
     keys = np.where(valid, -np.logaddexp(pb, pnb), np.nan)
-    order = np.argsort(keys, axis=1, kind="stable")
-    out = []
+    best = np.argsort(keys, axis=1, kind="stable")
+    out = [()] * n
     for r in range(n):
-        tied = np.flatnonzero(keys[r] == keys[r, order[r, 0]]).tolist()
-        out.append(min(_slot_tuple(prefixes, lengths, r, j, 0) for j in tied))
+        tied = np.flatnonzero(keys[r] == keys[r, best[r, 0]]).tolist()
+        out[order[r]] = min(_slot_tuple(prefixes, lengths, r, j, 0) for j in tied)
     return out
 
 
@@ -297,7 +310,9 @@ def _search(z_batch, mask_batch, decoder, tracks, forbid) -> list[list[Hypothesi
         candidates: dict[int, list] = {}
         for r, ((i, tokens, _, _), words, totals) in enumerate(zip(rows, top.tolist(),
                                                                    best.tolist())):
-            cands = candidates.setdefault(i, [beam for beam in beams[i] if beam[2]])
+            cands = candidates.get(i)
+            if cands is None:  # a track's finished beams join its candidates once
+                cands = candidates[i] = [beam for beam in beams[i] if beam[2]]
             cands.extend((tokens + (w,), total, w == TEXT_EOS, r)
                          for w, total in zip(words[:widths[i]], totals)
                          if math.isfinite(total))

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import decoding
 from .autodiff import Tensor
 from .data import (GLOSS_BLANK, GLOSS_PAD, TEXT_BOS, TEXT_PAD, Vocabulary, check_glosses,
@@ -167,20 +169,25 @@ def decode_glosses(model: JointModel, encoded, gloss_vocab: Vocabulary,
                    beam_width: int = 0) -> list[list[str]]:
     """CTC-decode every sample; returns gloss token sequences.
 
-    Width 0 collapses each sample's best path; a wider beam searches each
-    encoded chunk with one batched prefix beam.
+    Width 0 collapses each sample's best path. A wider beam searches the
+    whole split with one prefix beam: the chunks' frame log-probabilities
+    are stacked, padded to the split's longest input, and a sample decodes
+    to the same glosses as in a search of its chunk alone.
     """
-    chunks = []
-    for batch, z, *_ in encoded:
-        log_p = model.frame_gloss_log_probs(Tensor(z)).data
-        if beam_width == 0:
-            chunk = [decoding.ctc_greedy(log_p[i, :t])
-                     for i, t in enumerate(batch.frame_counts)]
-        else:
-            chunk = decoding.ctc_beam_search_batch(log_p, batch.frame_counts, beam_width)
-        chunks.append([[gloss_vocab.token(g) for g in ids if g not in (GLOSS_BLANK, GLOSS_PAD)]
-                       for ids in chunk])
-    return _in_split_order(encoded, chunks)
+    log_ps = [model.frame_gloss_log_probs(Tensor(z)).data for _, z, *_ in encoded]
+    counts = [t for batch, *_ in encoded for t in batch.frame_counts]
+    if beam_width == 0:
+        found = [decoding.ctc_greedy(row[:t])
+                 for row, t in zip((row for log_p in log_ps for row in log_p), counts)]
+    else:
+        n_frames = max(log_p.shape[1] for log_p in log_ps)
+        found = decoding.ctc_beam_search_batch(
+            np.concatenate([np.pad(log_p, ((0, 0), (0, n_frames - log_p.shape[1]), (0, 0)))
+                            for log_p in log_ps]), counts, beam_width)
+    out = [None] * len(found)
+    for position, ids in zip((p for *_, positions in encoded for p in positions), found):
+        out[position] = [gloss_vocab.token(g) for g in ids if g not in (GLOSS_BLANK, GLOSS_PAD)]
+    return out
 
 
 def _sentence_pools(model: JointModel, encoded, beam_width: int, max_len_cap: int,

@@ -7,7 +7,6 @@ punctuation.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,13 +43,16 @@ def wer(reference, hypothesis) -> WerReport:
     Counts come from one optimal alignment; when several alignments tie, the
     backtrace prefers substitution over insertion over deletion. A deletion
     is a reference token the hypothesis skipped; an insertion is an extra
-    hypothesis token.
+    hypothesis token. A hypothesis equal to its reference has no edits and
+    builds no table.
     """
     ref = split_tokens(reference)
     hyp = split_tokens(hypothesis)
     if not ref:
         raise ContractError("WER needs a non-empty reference")
     r, h = len(ref), len(hyp)
+    if ref == hyp:
+        return WerReport(0.0, 0.0, 0.0, 0.0, 0, 0, 0, r)
     # Python lists: at sentence lengths the cost is element access, not
     # arithmetic, and a list's is cheaper than an ndarray's
     dist = [list(range(h + 1))] + [[i] + [0] * h for i in range(1, r + 1)]
@@ -109,35 +111,57 @@ class BleuReport:
     brevity_penalty: float
 
 
-def _ngrams(tokens: list, n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _clipped_counts(references, hypotheses):
+    """Corpus sums of clipped n-gram matches and hypothesis n-grams, orders 1-4,
+    and the reference and hypothesis lengths.
+
+    Tokens become dense ids and each order's n-grams dense codes, so one
+    np.unique per side counts every (sentence pair, n-gram) key of the corpus.
+    """
+    n_pairs = len(hypotheses)
+    sents = [split_tokens(h) for h in hypotheses] + [split_tokens(r) for r in references]
+    lengths = np.array([len(x) for x in sents], dtype=np.int64)
+    ids: dict = {}
+    tokens = np.array([ids.setdefault(tok, len(ids)) for x in sents for tok in x],
+                      dtype=np.int64)
+    n_hyp = int(lengths[:n_pairs].sum())
+    # each token's pair, and the tokens left in its sentence from it on
+    pair = np.repeat(np.tile(np.arange(n_pairs), 2), lengths)
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(tokens))
+    starts = np.arange(len(tokens))
+    codes = tokens
+    matched, candidates = [], []
+    for n in range(1, 5):
+        if n > 1:
+            keep = left[starts] >= n
+            starts = starts[keep]
+            # a dense code of the (n-1)-gram and the next token's id
+            _, codes = np.unique(codes[keep] * len(ids) + tokens[starts + n - 1],
+                                 return_inverse=True)
+        keys = pair[starts] * (int(codes.max(initial=-1)) + 1) + codes
+        is_hyp = starts < n_hyp
+        hyp_keys, hyp_counts = np.unique(keys[is_hyp], return_counts=True)
+        ref_keys, ref_counts = np.unique(keys[~is_hyp], return_counts=True)
+        _, at_hyp, at_ref = np.intersect1d(hyp_keys, ref_keys, assume_unique=True,
+                                           return_indices=True)
+        matched.append(int(np.minimum(hyp_counts[at_hyp], ref_counts[at_ref]).sum()))
+        candidates.append(int(is_hyp.sum()))
+    return matched, candidates, len(tokens) - n_hyp, n_hyp
 
 
 def bleu(references, hypotheses) -> BleuReport:
     """Corpus-level BLEU with clipped n-gram precisions, single reference.
 
-    BP = 1 if the corpus hypothesis length exceeds the reference length,
-    else exp(1 - r/c).
+    The precisions come from integer sums over the corpus: each hypothesis
+    n-gram counts at most as often as its reference holds it. BP = 1 if the
+    corpus hypothesis length exceeds the reference length, else
+    exp(1 - r/c).
     """
     if len(references) != len(hypotheses):
         raise ContractError(
             f"got {len(hypotheses)} hypotheses for {len(references)} references"
         )
-    matched = [0, 0, 0, 0]
-    candidates = [0, 0, 0, 0]
-    ref_len = hyp_len = 0
-    for ref_raw, hyp_raw in zip(references, hypotheses):
-        ref = split_tokens(ref_raw)
-        hyp = split_tokens(hyp_raw)
-        ref_len += len(ref)
-        hyp_len += len(hyp)
-        for n in range(1, 5):
-            hyp_counts = _ngrams(hyp, n)
-            ref_counts = _ngrams(ref, n)
-            candidates[n - 1] += sum(hyp_counts.values())
-            matched[n - 1] += sum(
-                min(count, ref_counts[gram]) for gram, count in hyp_counts.items()
-            )
+    matched, candidates, ref_len, hyp_len = _clipped_counts(references, hypotheses)
 
     precisions = tuple(
         (matched[n] / candidates[n]) if candidates[n] > 0 else 0.0 for n in range(4)

@@ -8,8 +8,9 @@ recognition-only batch none of whose CTC targets fits its frames),
 evaluates the dev split with greedy decoding every eval_every
 iterations, reduces the learning rate by a fixed factor after `patience`
 evaluations without improvement, and stops once a reduction would cross the
-floor (the rate is never set below it). The tracked metric is WER whenever
-recognition carries weight, otherwise BLEU-4.
+floor (the rate is never set below it). A protocol that trains the sentence
+decoder tracks dev BLEU-4, maximized; `sign2gloss` tracks dev WER,
+minimized. `best.sltc` holds the model of the best tracked score.
 
 Checkpoints ("SLTC") store every named float array as little-endian float64
 plus a JSON footer for the scalars, so a round trip is bit-identical. A save
@@ -44,7 +45,7 @@ from .errors import (
 )
 from .evaluation import evaluate_corpus
 from .losses import LossWeights
-from .model import GLOSS_INPUT, PROTOCOLS, JointModel, batch_losses
+from .model import GLOSS_INPUT, PROTOCOLS, TRANSLATION, JointModel, batch_losses
 
 log = logging.getLogger("signscribe.training")
 
@@ -441,9 +442,10 @@ def train(
         params, cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
         weight_decay=cfg.weight_decay,
     )
+    tracks_bleu = cfg.protocol in TRANSLATION
     scheduler = SchedulerState(
         patience=cfg.patience, factor=cfg.lr_factor, floor=cfg.lr_floor,
-        minimize=cfg.lambda_r > 0,
+        minimize=not tracks_bleu,
     )
     weights = LossWeights(cfg.lambda_r, cfg.lambda_t)
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
@@ -510,7 +512,7 @@ def train(
             )
             dev_wer = report.wer.wer if report.wer else None
             dev_bleu = report.bleu
-            tracked = dev_wer if cfg.lambda_r > 0 else dev_bleu.bleu4
+            tracked = dev_bleu.bleu4 if tracks_bleu else dev_wer
             decision = scheduler_update(scheduler, optimizer.lr, tracked)
 
             n = sums["n"]
@@ -540,7 +542,7 @@ def train(
                         "iteration": iteration,
                         "lambda_r": cfg.lambda_r,
                         "lambda_t": cfg.lambda_t,
-                        "tracked_metric": "wer" if cfg.lambda_r > 0 else "bleu4",
+                        "tracked_metric": "bleu4" if tracks_bleu else "wer",
                         "dev_score": tracked,
                     },
                 )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -62,6 +63,51 @@ def edge_case_corpus(rng, n_pairs: int = 12, n_words: int = 5):
         refs.append(ref)
         hyps.append(hyp)
     return refs, hyps
+
+
+def oracle_bleu(references, hypotheses):
+    """Corpus BLEU counted sentence by sentence with Counters of n-gram tuples.
+
+    This is the loop the package ran before it counted n-grams in arrays:
+    per sentence and order, each hypothesis n-gram is clipped by its
+    reference count, and the sums feed the same precision, brevity and
+    geometric-mean formulas.
+    """
+    from signscribe.metrics import BleuReport, split_tokens
+
+    def ngrams(tokens, n):
+        return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+    matched = [0, 0, 0, 0]
+    candidates = [0, 0, 0, 0]
+    ref_len = hyp_len = 0
+    for ref_raw, hyp_raw in zip(references, hypotheses):
+        ref = split_tokens(ref_raw)
+        hyp = split_tokens(hyp_raw)
+        ref_len += len(ref)
+        hyp_len += len(hyp)
+        for n in range(1, 5):
+            hyp_counts = ngrams(hyp, n)
+            ref_counts = ngrams(ref, n)
+            candidates[n - 1] += sum(hyp_counts.values())
+            matched[n - 1] += sum(min(count, ref_counts[gram])
+                                  for gram, count in hyp_counts.items())
+    precisions = tuple((matched[n] / candidates[n]) if candidates[n] > 0 else 0.0
+                       for n in range(4))
+    if hyp_len == 0:
+        bp = 0.0
+    elif hyp_len > ref_len:
+        bp = 1.0
+    else:
+        bp = float(np.exp(1.0 - ref_len / hyp_len))
+    scores = []
+    for n in range(1, 5):
+        if any(p == 0.0 for p in precisions[:n]):
+            scores.append(0.0)
+        else:
+            mean_log = float(np.mean([np.log(p) for p in precisions[:n]]))
+            scores.append(100.0 * bp * float(np.exp(mean_log)))
+    return BleuReport(*scores, precisions=precisions, brevity_penalty=bp)
 
 
 def finite_difference_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -190,6 +190,30 @@ class TestGlossBeam:
             h.update(repr(decode_glosses(m, encoded, gloss, width)).encode())
         assert h.hexdigest() == "98b732e448c97884694dbc7cbf7ca0964dce79f0472175243d9ac8e4005dffb4"
 
+    def test_the_split_is_one_search(self, acceptance_dev, monkeypatch):
+        m, dev, gloss, text = acceptance_dev
+        calls = []
+        search = evaluation.decoding.ctc_beam_search_batch
+
+        def counted(log_probs, frame_counts, width):
+            calls.append((log_probs.shape, list(frame_counts)))
+            return search(log_probs, frame_counts, width)
+
+        monkeypatch.setattr(evaluation.decoding, "ctc_beam_search_batch", counted)
+        encoded = encode_split(m, dev, gloss, text, self.PROTOCOL, batch_size=7)
+        decode_glosses(m, encoded, gloss, 4)
+        (shape, counts), = calls
+        assert shape == (len(dev), max(s.n_frames for s in dev), len(gloss))
+        assert counts == [dev[p].n_frames for *_, positions in encoded for p in positions]
+
+    def test_glosses_do_not_depend_on_the_chunking(self, acceptance_dev):
+        # one search over the split decodes each sample as its chunk would
+        m, dev, gloss, text = acceptance_dev
+        for width in range(1, 11):
+            got = [decode_glosses(m, encode_split(m, dev, gloss, text, self.PROTOCOL, size),
+                                  gloss, width) for size in (1, 7, 32, len(dev))]
+            assert all(g == got[0] for g in got[1:]), width
+
 
 class TestSplitOrder:
     """encode_split chunks a split by input length; every decoder returns

@@ -13,7 +13,7 @@ from signscribe import metrics
 from signscribe.errors import ContractError
 from signscribe.evaluation import corpus_wer
 
-from conftest import edge_case_corpus
+from conftest import edge_case_corpus, oracle_bleu
 
 
 def brute_force_edit_distance(ref, hyp):
@@ -168,6 +168,20 @@ class TestBleu:
         report = metrics.bleu(["a b"], [""])
         assert report.brevity_penalty == 0.0
         assert report.bleu1 == 0.0
+
+    @pytest.mark.parametrize("n_words", [3, 8])
+    def test_equals_the_counter_oracle(self, n_words):
+        # 100 seeded corpora per vocabulary size, each with empty and short
+        # hypotheses, n-grams to clip and identical pairs
+        for seed in range(100):
+            rng = np.random.default_rng([n_words, seed])
+            refs, hyps = edge_case_corpus(rng, int(rng.integers(1, 30)), n_words)
+            assert metrics.bleu(refs, hyps) == oracle_bleu(refs, hyps)
+
+    def test_empty_corpus_and_mixed_token_types(self):
+        assert metrics.bleu([], []) == oracle_bleu([], [])
+        refs, hyps = [[1, 2, 1, 2], ["1", 2.0, "a b"]], [[1.0, 2, 1, "2"], ["1", 2, "a b"]]
+        assert metrics.bleu(refs, hyps) == oracle_bleu(refs, hyps)
 
     def test_token_list_and_string_inputs_agree(self):
         a = metrics.bleu([["w1", "w2", "w3"]], [["w1", "w2"]])

@@ -22,7 +22,8 @@ from signscribe.errors import (
     DimensionError,
     NonFiniteLossError,
 )
-from signscribe.evaluation import evaluate_corpus
+from signscribe.evaluation import EvalReport, evaluate_corpus
+from signscribe.metrics import BleuReport, WerReport
 from signscribe.model import JointModel
 from signscribe.training import (
     MAX_NONFINITE_STEPS,
@@ -682,6 +683,53 @@ class TestTrainLoop:
                                  cfg.protocol)
         model2, gloss2, text2 = restore_model(ckpt)
         assert evaluate_corpus(model2, dev, gloss2, text2, cfg.protocol) == before
+
+
+    @staticmethod
+    def script_dev_scores(monkeypatch, wers, bleu4s):
+        """Make each dev evaluation of `train` report the next WER and BLEU-4."""
+        scores = iter(zip(wers, bleu4s))
+
+        def scripted(model, samples, *_, **__):
+            wer, bleu4 = next(scores)
+            return EvalReport(
+                n_samples=len(samples),
+                wer=None if wer is None else WerReport(wer, wer, 0.0, 0.0, 1, 0, 0, 1),
+                bleu=None if bleu4 is None else BleuReport(bleu4, bleu4, bleu4, bleu4,
+                                                           (0.5,) * 4, 1.0),
+                beam_width=0, alpha=0.0)
+
+        monkeypatch.setattr(training, "evaluate_corpus", scripted)
+
+    def test_joint_run_keeps_its_best_bleu(self, small_corpus, tmp_path, monkeypatch):
+        # dev WER sits at 0 while BLEU-4 rises: the joint run tracks BLEU-4,
+        # so it keeps the last model and never cuts the rate
+        self.script_dev_scores(monkeypatch, [0.0] * 3, [10.0, 20.0, 30.0])
+        cfg = quick_cfg(small_corpus, tmp_path / "run", max_iterations=9, eval_every=3,
+                        patience=1)
+        result = train(cfg)
+        assert [e["action"] for e in result.log] == ["none"] * 3
+        assert result.best_score == 30.0
+        ckpt = checkpoint_load(result.best_path)
+        assert ckpt.footer["extra"]["iteration"] == 9
+        assert ckpt.footer["extra"]["tracked_metric"] == "bleu4"
+        assert ckpt.footer["extra"]["dev_score"] == 30.0
+        kept, final = model_state(restore_model(ckpt)[0]), model_state(result.model)
+        assert kept.keys() == final.keys()
+        assert all(np.array_equal(kept[name], final[name]) for name in final)
+
+    def test_recognition_run_keeps_its_best_wer(self, small_corpus, tmp_path, monkeypatch):
+        # a rising WER is a worse one: the first model stays, and patience 1
+        # cuts the rate at the second evaluation
+        self.script_dev_scores(monkeypatch, [10.0, 20.0, 30.0], [None] * 3)
+        cfg = quick_cfg(small_corpus, tmp_path / "run", protocol="sign2gloss", lambda_t=0.0,
+                        max_iterations=9, eval_every=3, patience=1)
+        result = train(cfg)
+        assert [e["action"] for e in result.log] == ["none", "reduce_lr", "reduce_lr"]
+        assert result.best_score == 10.0
+        ckpt = checkpoint_load(result.best_path)
+        assert ckpt.footer["extra"]["iteration"] == 3
+        assert ckpt.footer["extra"]["tracked_metric"] == "wer"
 
 
 def model_state(model):
