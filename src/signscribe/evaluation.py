@@ -176,7 +176,7 @@ def decode_glosses(model: JointModel, encoded, gloss_vocab: Vocabulary,
     """
     log_ps = [model.frame_gloss_log_probs(Tensor(z)).data for _, z, *_ in encoded]
     counts = [t for batch, *_ in encoded for t in batch.frame_counts]
-    if beam_width == 0:
+    if beam_width == 0 or not log_ps:  # an empty split decodes to nothing either way
         found = [decoding.ctc_greedy(row[:t])
                  for row, t in zip((row for log_p in log_ps for row in log_p), counts)]
     else:

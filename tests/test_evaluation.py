@@ -205,6 +205,7 @@ class TestGlossBeam:
         (shape, counts), = calls
         assert shape == (len(dev), max(s.n_frames for s in dev), len(gloss))
         assert counts == [dev[p].n_frames for *_, positions in encoded for p in positions]
+        assert decode_glosses(m, [], gloss, 4) == []
 
     def test_glosses_do_not_depend_on_the_chunking(self, acceptance_dev):
         # one search over the split decodes each sample as its chunk would

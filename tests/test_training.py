@@ -684,7 +684,6 @@ class TestTrainLoop:
         model2, gloss2, text2 = restore_model(ckpt)
         assert evaluate_corpus(model2, dev, gloss2, text2, cfg.protocol) == before
 
-
     @staticmethod
     def script_dev_scores(monkeypatch, wers, bleu4s):
         """Make each dev evaluation of `train` report the next WER and BLEU-4."""
